@@ -64,6 +64,8 @@ class CountQuery:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"need n >= 0, got n={self.n}")
+        if self.k < 0:
+            raise ValueError(f"need k >= 0, got k={self.k}")
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,21 @@
 """Brute-force ground truth: test, count and enumerate subsets directly
 from the separation definition.
 
-Counting goes through a kernel selected at import time: the compiled
-extension when it is installed, otherwise the pure-Python twin.  Setting
-the environment variable SEPSETS_PURE=1 forces the pure kernel.
-Enumeration (``list_brute``) is always pure Python; tests check it agrees
-with the counting kernel.
+``count_brute`` counts with a transfer-matrix scan over the positions
+(Stanley, *Enumerative Combinatorics I*, section 4.7): it never splits the
+positions into residue rows, so it stays independent of the composition
+sums and closed forms it checks.  ``list_brute`` enumerates the subsets by
+a depth-first walk that shares no code with the scan; tests check that the
+two agree.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Sequence
 
-from . import _purecount
 from .counting import CountQuery, SeparationParams, Topology
 
-if os.environ.get("SEPSETS_PURE"):
-    _fastcount = None
-else:
-    try:
-        from . import _fastcount  # type: ignore[attr-defined]
-    except ImportError:
-        _fastcount = None
-
 DEFAULT_CAP = 32
-
-# the compiled kernel uses C integers; stay inside its position range
-_FAST_MAX_N = 64
 
 
 class EnumerationCapError(ValueError):
@@ -40,8 +28,8 @@ class EnumerationCapError(ValueError):
 
 
 def kernel_backend() -> str:
-    """Name of the counting kernel selected at import ('cython' or 'python')."""
-    return _fastcount.BACKEND if _fastcount is not None else _purecount.BACKEND
+    """Name of the counting implementation; always 'python'."""
+    return "python"
 
 
 def is_separate_line(positions: Sequence[int], params: SeparationParams) -> bool:
@@ -75,21 +63,54 @@ def is_separate_circle(
 
 
 def count_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> int:
-    """Count by exhaustive enumeration; rejects n above the cap."""
+    """Count the valid k-subsets from the definition; rejects n above the cap."""
     if q.n > cap:
         raise EnumerationCapError(q.n, cap)
-    circular = q.topology is Topology.CIRCLE
-    if _fastcount is not None and q.n <= _FAST_MAX_N:
-        return _fastcount.count_separate(q.n, q.k, q.params.m, q.params.p, circular)
-    return _purecount.count_separate(q.n, q.k, q.params.m, q.params.p, circular)
+    return _count_scan(
+        q.n, q.k, q.params.m, q.params.p, q.topology is Topology.CIRCLE
+    )
+
+
+def _count_scan(n: int, k: int, m: int, p: int, circular: bool) -> int:
+    """Scan positions 1..n once, deciding for each whether it is chosen.
+
+    A state (F, W, c) holds c, the number chosen so far; W, the chosen
+    positions among the last p*m (bit d-1 set when x-d is chosen, for the
+    position x about to be decided); and, on the circle only, F, the chosen
+    positions among 1..p*m (bit a-1 for position a).  x conflicts with an
+    earlier a at distance m, 2m, ..., p*m when W has a bit of ``forb``, and
+    across the wrap when n - (x - a) is such a distance; that a is at most
+    p*m, so F holds it.
+    """
+    pm = p * m
+    window = (1 << pm) - 1
+    forb = 0
+    for j in range(1, p + 1):
+        forb |= 1 << (j * m - 1)
+    states = {(0, 0, 0): 1}
+    for x in range(1, n + 1):
+        wrap = 0
+        if circular:
+            for j in range(1, p + 1):
+                a = x - n + j * m
+                if 1 <= a < x:
+                    wrap |= 1 << (a - 1)
+        mark = 1 << (x - 1) if circular and x <= pm else 0
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (f, w, c), ways in states.items():
+            key = (f, (w << 1) & window, c)
+            nxt[key] = nxt.get(key, 0) + ways
+            if c < k and not w & forb and not f & wrap:
+                key = (f | mark, ((w << 1) | 1) & window, c + 1)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return sum(ways for (_, _, c), ways in states.items() if c == k)
 
 
 def list_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every valid k-subset as a tuple of positions, lexicographically."""
     if q.n > cap:
         raise EnumerationCapError(q.n, cap)
-    if q.k < 0 or q.k > q.n:
-        return
     n, k, m, p = q.n, q.k, q.params.m, q.params.p
     circular = q.topology is Topology.CIRCLE
     pm = p * m

@@ -137,6 +137,18 @@ class TestList:
         assert len(out.splitlines()) == int(out2)
 
 
+@pytest.mark.parametrize(
+    "command", [["count", "--method", "brute"], ["count"], ["list"]],
+)
+def test_negative_k_is_an_error(capsys, command):
+    code, out, err = run(
+        capsys, *command, "--topology", "circle",
+        "--n", "5", "--k", "-1", "--m", "1", "--p", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: need k >= 0, got k=-1"]
+
+
 class TestTable:
     def test_csv_layout(self, capsys):
         code, out, err = run(

@@ -1,12 +1,11 @@
-"""Tests for the brute-force oracle, its predicates, and the two kernels."""
+"""Tests for the brute-force oracle: predicates, counting and enumeration."""
 
 from itertools import combinations, product
 
 import pytest
 
-from sepsets import _purecount
 from sepsets.binomials import binom_nat
-from sepsets.counting import SeparationParams, count_query
+from sepsets.counting import SeparationParams, count_query, g_closed
 from sepsets.oracle import (
     EnumerationCapError,
     count_brute,
@@ -15,11 +14,6 @@ from sepsets.oracle import (
     kernel_backend,
     list_brute,
 )
-
-try:
-    from sepsets import _fastcount
-except ImportError:
-    _fastcount = None
 
 
 class TestPredicates:
@@ -100,31 +94,34 @@ class TestCountAndList:
             list(list_brute(q))
 
 
-class TestKernels:
-    def test_backend_reports_a_known_name(self):
-        assert kernel_backend() in ("cython", "python")
+class TestCountMatchesEnumeration:
+    """The transfer-matrix count against the independent DFS enumeration."""
 
-    @pytest.mark.skipif(_fastcount is None, reason="compiled kernel not built")
-    def test_compiled_matches_pure(self):
-        for circular in (False, True):
-            for m, p in product(range(1, 4), range(1, 3)):
-                for k in range(5):
-                    for n in range(0, 15):
-                        assert _fastcount.count_separate(
-                            n, k, m, p, circular
-                        ) == _purecount.count_separate(n, k, m, p, circular), (
-                            n, k, m, p, circular,
-                        )
+    def test_backend_is_python(self):
+        assert kernel_backend() == "python"
 
-    @pytest.mark.skipif(_fastcount is None, reason="compiled kernel not built")
-    def test_compiled_rejects_oversized_n(self):
-        with pytest.raises(ValueError):
-            _fastcount.count_separate(65, 2, 1, 1, False)
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_small_grid(self, topology):
+        # n runs through n <= p*m and n = j*m, where the wrap and window
+        # masks of the circle scan overlap
+        for m, p, k, n in product(range(1, 5), range(1, 4), range(7), range(19)):
+            q = count_query(topology, n, k, m, p)
+            assert count_brute(q) == len(list(list_brute(q))), (n, k, m, p)
 
-    def test_pure_kernel_edge_cases(self):
-        assert _purecount.count_separate(0, 0, 1, 1, False) == 1
-        assert _purecount.count_separate(0, 1, 1, 1, False) == 0
-        assert _purecount.count_separate(5, -1, 1, 1, True) == 0
+    def test_circle_near_cap(self):
+        for m, p, k, n in product(range(1, 4), range(1, 4), range(9), range(25, 33)):
+            q = count_query("circle", n, k, m, p)
+            if n >= m * p * k + 1:
+                expected = g_closed(n, k, m, p)
+            else:
+                expected = len(list(list_brute(q)))
+            assert count_brute(q) == expected, (n, k, m, p)
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_edge_cases(self, topology):
+        assert count_brute(count_query(topology, 0, 0, 1, 1)) == 1
+        assert count_brute(count_query(topology, 0, 1, 1, 1)) == 0
+        assert count_brute(count_query(topology, 4, 5, 2, 1)) == 0
 
 
 class TestCircularWindowErratum:

@@ -184,14 +184,27 @@ def g_for_identity(n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP) -> in
 # ---------------------------------------------------------------------------
 # recurrence evaluators
 
-_H_TABLES: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-_G_TABLES: dict[tuple[int, int, str], dict[tuple[int, int], int]] = {}
-
-
-def clear_recurrence_caches() -> None:
-    """Drop all memoized recurrence tables (used by determinism tests)."""
-    _H_TABLES.clear()
-    _G_TABLES.clear()
+def _recurrence(
+    n: int, k: int, step: int,
+    boundary: Callable[[int], int], seed: Callable[[int, int], int],
+) -> int:
+    """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
+    nn >= boundary(kk); below the boundary and on row 0, T = seed.  Rows
+    kk = 1..k are built in turn, each only as far as row k needs, and only
+    the previous row is kept."""
+    if k == 0 or n < boundary(k):
+        return seed(n, k)
+    prev_lo, prev = n + 1, []  # row 0 comes from the seed
+    for kk in range(1, k + 1):
+        lo, hi = boundary(kk), n - step * (k - kk)
+        row = []
+        left = seed(lo - 1, kk) if lo <= hi else 0
+        for nn in range(lo, hi + 1):
+            i = nn - step - prev_lo
+            left += prev[i] if i >= 0 else seed(nn - step, kk - 1)
+            row.append(left)
+        prev_lo, prev = lo, row
+    return prev[-1]
 
 
 def h_recurrence(n: int, k: int, m: int, p: int) -> int:
@@ -199,34 +212,14 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
 
     The recurrence is applied for n >= p*m*(k-1) + 1; cells at or below
     that boundary are seeded from the definitional composition sum, so the
-    result equals ``h_composition`` for every n, k >= 0.  Tables are
-    memoized per (m, p); inserts are idempotent, so concurrent use only
-    ever races on writing identical values.
+    result equals ``h_composition`` for every n, k >= 0.
     """
     if n < 0 or k < 0 or m < 1 or p < 1:
         raise ValueError("need n, k >= 0 and m, p >= 1")
-    table = _H_TABLES.setdefault((m, p), {})
-
-    def boundary(kk: int) -> int:
-        return p * m * (kk - 1) + 1
-
-    def get(nn: int, kk: int) -> int:
-        if kk == 0:
-            return 1
-        if nn < boundary(kk):
-            return h_for_identity(nn, kk, m, p)
-        return table[(nn, kk)]
-
-    if k == 0:
-        return 1
-    if n < boundary(k):
-        return h_for_identity(n, k, m, p)
-    for kk in range(1, k + 1):
-        row_top = n - (p + 1) * (k - kk)
-        for nn in range(boundary(kk), row_top + 1):
-            if (nn, kk) not in table:
-                table[(nn, kk)] = get(nn - 1, kk) + get(nn - p - 1, kk - 1)
-    return get(n, k)
+    return _recurrence(
+        n, k, p + 1, lambda kk: p * m * (kk - 1) + 1,
+        lambda nn, kk: h_for_identity(nn, kk, m, p),
+    )
 
 
 def g_recurrence(
@@ -250,28 +243,10 @@ def g_recurrence(
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     delta = 1 if variant == "corrected" else 0
-    table = _G_TABLES.setdefault((m, p, variant), {})
-
-    def boundary(kk: int) -> int:
-        return m * (p * kk + 1) + 1
-
-    def get(nn: int, kk: int) -> int:
-        if kk == 0:
-            return 1
-        if nn < boundary(kk):
-            return g_for_identity(nn, kk, m, p, cap=cap)
-        return table[(nn, kk)]
-
-    if k == 0:
-        return 1
-    if n < boundary(k):
-        return g_for_identity(n, k, m, p, cap=cap)
-    for kk in range(1, k + 1):
-        row_top = n - (p + delta) * (k - kk)
-        for nn in range(boundary(kk), row_top + 1):
-            if (nn, kk) not in table:
-                table[(nn, kk)] = get(nn - 1, kk) + get(nn - p - delta, kk - 1)
-    return get(n, k)
+    return _recurrence(
+        n, k, p + delta, lambda kk: m * (p * kk + 1) + 1,
+        lambda nn, kk: g_for_identity(nn, kk, m, p, cap=cap),
+    )
 
 
 def g_alternating(n: int, k: int, m: int, p: int) -> int:
@@ -468,7 +443,7 @@ def _sweep_thm_h(
     return _sweep_int(
         grid,
         lambda m, p, k, n: k >= k_min and n >= p * m * (k - 1),
-        lambda m, p, k, n: Fraction(h_composition(n, k, m, p)),
+        lambda m, p, k, n: h_composition(n, k, m, p),
         rhs_fn,
     )
 
@@ -626,10 +601,10 @@ _SWEEPS: dict[IdentityId, Callable] = {
     ),
     IdentityId.EQ3_5: _sweep_eq3_5,
     IdentityId.THM_H1: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: Fraction(h_closed_1(n, k, m, p))
+        grid, lambda m, p, k, n: h_closed_1(n, k, m, p)
     ),
     IdentityId.THM_H2: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: Fraction(h_closed_2(n, k, m, p))
+        grid, lambda m, p, k, n: h_closed_2(n, k, m, p)
     ),
     IdentityId.THM_H3_PRINTED: lambda grid, cap, rng: _sweep_thm_h(
         grid, lambda m, p, k, n: h_closed_3_value(n, k, m, p, "printed"), k_min=1

@@ -1,7 +1,7 @@
 """Exact binomial coefficients in the two conventions the counting formulas need.
 
-All arithmetic is done with Python's arbitrary-precision ``int`` and
-``fractions.Fraction``; nothing here ever rounds.
+Nothing here ever rounds: an integer upper index gives an ``int`` and a
+rational one a ``fractions.Fraction``, both arbitrary precision.
 
 Two distinct binomial conventions coexist on purpose:
 
@@ -43,8 +43,14 @@ def falling_factorial(a: Rational, k: int) -> Fraction:
     return result
 
 
-def binom_gen(a: Rational, k: int) -> Fraction:
-    """Generalized binomial ``falling_factorial(a, k) / k!``; 0 for ``k < 0``."""
+def binom_gen(a: Rational, k: int) -> Rational:
+    """Generalized binomial ``falling_factorial(a, k) / k!``; 0 for ``k < 0``.
+
+    An ``int`` upper index gives an ``int``, through the sign rule
+    ``binom(-a, k) = (-1)**k * binom(a+k-1, k)`` when it is negative.
+    """
     if k < 0:
-        return Fraction(0)
+        return 0
+    if isinstance(a, int):
+        return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
     return falling_factorial(a, k) / factorial(k)

@@ -225,6 +225,9 @@ def _cmd_audit(args) -> int:
 
 
 def main(argv=None) -> int:
+    # exact counts can run past the default 4300-digit int -> str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -11,6 +11,7 @@ Conventions, fixed once here:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
+from .series import truncated_product
 
 
 class Topology(Enum):
@@ -99,10 +101,12 @@ def h_composition(
 ) -> int:
     """Definitional line count: sum over row-wise compositions of k.
 
-    Each composition (k_1..k_m) with ``k_i <= 1 + |A_i|/p`` (checked as the
-    exact integer comparison ``p*(k_i - 1) <= |A_i|``) contributes
-    ``prod_i binom_nat(|A_i| - p*(k_i - 1), k_i)``.  Valid for all n, k >= 0
-    and always equals the brute-force count.
+    Each composition (k_1..k_m) contributes
+    ``prod_i binom_nat(|A_i| - p*(k_i - 1), k_i)``.  That sum is the
+    coefficient of y^k in the product of the row polynomials
+    ``sum_j binom_nat(|A_i| - p*(j - 1), j) * y^j``, which is how it is
+    evaluated; equal rows are raised by repeated squaring.  Valid for all
+    n, k >= 0 and always equals the brute-force count.
     """
     _check_hg_args(n, k, m, p)
     if sizes is None:
@@ -111,29 +115,29 @@ def h_composition(
         sizes = tuple(sizes)
         if len(sizes) != m or any(s < 0 for s in sizes) or sum(sizes) != n:
             raise ValueError("sizes must be m nonnegative integers summing to n")
-    total = 0
-    for parts in compositions(k, m):
-        if any(p * (k_i - 1) > s for k_i, s in zip(parts, sizes)):
-            continue
-        term = 1
-        for k_i, s in zip(parts, sizes):
-            term *= binom_nat(s - p * (k_i - 1), k_i)
-            if term == 0:
-                break
-        total += term
-    return total
+    total = [1]
+    for s, count in Counter(sizes).items():
+        top = min(k, (s + p) // (p + 1))  # binom_nat(...) is 0 for larger j
+        row = [binom_nat(s - p * (j - 1), j) for j in range(top + 1)]
+        while count:
+            if count & 1:
+                total = truncated_product(total, row, k)
+            count >>= 1
+            if count:
+                row = truncated_product(row, row, k)
+    return total[k]
 
 
 def h_closed_1(n: int, k: int, m: int, p: int) -> int:
     """First single-sum line formula, valid for ``n >= p*m*(k-1)``."""
     _check_h_closed_args(n, k, m, p)
-    return _as_count(omega_closed_1_total(n + m * p, -p, m, k), "h_closed_1")
+    return omega_closed_1_total(n + m * p, -p, m, k)
 
 
 def h_closed_2(n: int, k: int, m: int, p: int) -> int:
     """Second single-sum line formula, valid for ``n >= p*m*(k-1)``."""
     _check_h_closed_args(n, k, m, p)
-    return _as_count(omega_closed_2_total(n + m * p, -p, m, k), "h_closed_2")
+    return omega_closed_2_total(n + m * p, -p, m, k)
 
 
 def h_closed_3(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
@@ -164,8 +168,10 @@ def g_closed(n: int, k: int, m: int, p: int) -> int:
     _check_hg_args(n, k, m, p)
     if n < m * p * k + 1:
         raise ValueError(f"g_closed needs n >= m*p*k+1 = {m*p*k + 1}, got n={n}")
-    value = Fraction(n, n - p * k) * binom_nat(n - p * k, k)
-    return _as_count(value, "g_closed")
+    value, rest = divmod(n * binom_nat(n - p * k, k), n - p * k)
+    if rest:
+        raise ValueError(f"g_closed produced a non-integer value at n={n}, k={k}")
+    return value
 
 
 def h_for_identity(n: int, k: int, m: int, p: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .binomials import Rational, binom_gen
@@ -58,17 +59,18 @@ class OmegaQuery:
 
 
 def compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All length-m tuples of nonnegative integers summing to k, lexicographic."""
+    """All length-m tuples of nonnegative integers summing to k, lexicographic.
+
+    Stars and bars: each choice of m-1 bar places among k+m-1 slots gives
+    the parts as the gaps between consecutive bars.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions(k - first, m - 1):
-            yield (first,) + rest
+    for bars in combinations(range(k + m - 1), m - 1):
+        edges = (-1, *bars, k + m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def omega_direct(q: OmegaQuery) -> Fraction:
@@ -101,29 +103,26 @@ def phi_direct(q: OmegaQuery) -> Fraction:
 
 
 # The closed forms depend on the lambdas only through their sum, so the
-# integer counting formulas reuse these helpers directly.
+# integer counting formulas reuse these helpers directly; int parameters
+# keep them in int arithmetic.
 
-def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Fraction:
-    lam, mu = Fraction(lam), Fraction(mu)
+def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     upper = lam + mu * k + m - 1
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += binom_gen(m + j - 2, j) * binom_gen(upper, k - j) * (mu - 1) ** j
-    return total
+    return sum(
+        binom_gen(m + j - 2, j) * binom_gen(upper, k - j) * (mu - 1) ** j
+        for j in range(k + 1)
+    )
 
 
-def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Fraction:
-    lam, mu = Fraction(lam), Fraction(mu)
+def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     upper = lam + mu * k + m - 1
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += (
-            binom_gen(lam + (mu - 1) * k + j, j)
-            * binom_gen(upper, k - j)
-            * (1 - mu) ** j
-            * mu ** (k - j)
-        )
-    return total
+    return sum(
+        binom_gen(lam + (mu - 1) * k + j, j)
+        * binom_gen(upper, k - j)
+        * (1 - mu) ** j
+        * mu ** (k - j)
+        for j in range(k + 1)
+    )
 
 
 def omega_closed_3_total(
@@ -133,19 +132,19 @@ def omega_closed_3_total(
         raise ValueError("the third expansion needs k >= 1")
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    lam, mu = Fraction(lam), Fraction(mu)
+    shift = 0 if variant == "printed" else 1
     upper = lam + mu * k + m - 1
-    total = Fraction(0)
-    for j in range(k + 1):
-        lower = k - j if variant == "printed" else k - 1 - j
-        total += (
+    # one exact division at the end: a bare / on int parameters gives a float
+    return Fraction(
+        sum(
             (lam + mu * (m + j))
-            / k
             * binom_gen(m + j - 1, j)
-            * binom_gen(upper, lower)
+            * binom_gen(upper, k - shift - j)
             * (mu - 1) ** j
-        )
-    return total
+            for j in range(k + 1)
+        ),
+        k,
+    )
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:
@@ -169,7 +168,7 @@ def phi_closed(q: OmegaQuery) -> Fraction:
     return lam / denom * binom_gen(denom, q.k)
 
 
-def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, Fraction]:
+def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
     """Both sides of the mu = -1 specialization.
 
     Left: the direct composition sum with lambdas ``n_i + 1`` and mu = -1.
@@ -183,9 +182,10 @@ def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, Fraction]:
         OmegaQuery(tuple(Fraction(v + 1) for v in n_list), Fraction(-1), k)
     )
     n = sum(n_list)
-    right = Fraction(0)
-    for j in range(k + 1):
-        right += binom_gen(m + j - 2, j) * binom_gen(n + 1 - k - 2 * j, k - 2 * j)
+    right = sum(
+        binom_gen(m + j - 2, j) * binom_gen(n + 1 - k - 2 * j, k - 2 * j)
+        for j in range(k + 1)
+    )
     return left, right
 
 

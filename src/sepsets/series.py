@@ -1,36 +1,55 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series over exact coefficients.
 
 This is the coefficient-extraction engine behind the closed counting
 formulas: every residue that appears in their derivations has the shape
 "coefficient of y^k in an explicit product of binomial kernels", so a
 plain truncated series with a Cauchy product is all that is needed.
 Truncation order is always the target degree; callers pass T = k.
+
+Coefficients are kept as given: integer parameters give ``int``
+coefficients and rational ones ``Fraction``.  ``truncated_product`` is the
+one polynomial product; the line composition sum uses it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .binomials import Rational
+
+
+def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
+    """Coefficients of x^0 .. x^order of the product of two coefficient
+    sequences, in exact arithmetic; zero terms are skipped."""
+    out = [0] * (order + 1)
+    for i in range(min(len(a), order + 1)):
+        x = a[i]
+        if x:
+            for j in range(min(len(b), order + 1 - i)):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
 class PowerSeries:
     """Coefficients of x^0 .. x^order; arithmetic never reads beyond order."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a PowerSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int) -> Rational:
         """Coefficient of x^k; rejects k outside 0..order."""
         if k < 0 or k > self.order:
             raise ValueError(f"coefficient index {k} outside 0..{self.order}")
@@ -43,24 +62,16 @@ class PowerSeries:
             raise ValueError(
                 f"truncation orders differ: {self.order} != {other.order}"
             )
-        t = self.order
-        out = [Fraction(0)] * (t + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(t + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
+        product = truncated_product(self.coeffs, other.coeffs, self.order)
+        return PowerSeries(tuple(product))
 
 
 def from_coeffs(values, order: int) -> PowerSeries:
     """Series with the given low-order coefficients, zero-padded/truncated."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    vals = [Fraction(v) for v in values][: order + 1]
-    vals += [Fraction(0)] * (order + 1 - len(vals))
+    vals = list(values)[: order + 1]
+    vals += [0] * (order + 1 - len(vals))
     return PowerSeries(tuple(vals))
 
 
@@ -72,17 +83,20 @@ def binomial_series(a: Rational, c: Rational, order: int) -> PowerSeries:
     """Truncation of ``(1 + c*x)**a``: coefficient of x^j is binom_gen(a, j) * c^j."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    a = Fraction(a)
-    c = Fraction(c)
+    exact = isinstance(a, int) and isinstance(c, int)
+    if not exact:
+        a, c = Fraction(a), Fraction(c)
     coeffs = []
-    term = Fraction(1)  # binom_gen(a, j) * c^j, built incrementally
+    term = 1  # binom_gen(a, j) * c^j, built incrementally
     for j in range(order + 1):
         coeffs.append(term)
-        term = term * (a - j) * c / (j + 1)
+        term = term * (a - j) * c
+        # binom_gen(a, j+1) is an integer for integer a, so // is exact
+        term = term // (j + 1) if exact else term / (j + 1)
     return PowerSeries(tuple(coeffs))
 
 
-def phi_residue(lam: Rational, mu: Rational, k: int) -> Fraction:
+def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
     """Coefficient of x^k in ``(1+x)**(lam + mu*k - 1) * (1 - (mu-1)*x)``.
 
     Whenever ``lam + mu*k != 0`` this equals
@@ -90,8 +104,6 @@ def phi_residue(lam: Rational, mu: Rational, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    lam = Fraction(lam)
-    mu = Fraction(mu)
     kernel = binomial_series(lam + mu * k - 1, 1, k)
     linear = from_coeffs([1, -(mu - 1)], k)
     return (kernel * linear).coeff(k)
@@ -108,8 +120,7 @@ def h_series(n: int, k: int, m: int, p: int) -> int:
         raise ValueError(f"h_series needs n >= p*m*(k-1) = {p*m*(k-1)}, got n={n}")
     numer = binomial_series(n + p * m + m - p * k - 1, 1, k)
     denom = binomial_series(-(m - 1), p + 1, k)
-    value = (numer * denom).coeff(k)
-    return _as_int(value, "h_series")
+    return (numer * denom).coeff(k)
 
 
 def g_series(n: int, k: int, m: int, p: int) -> int:
@@ -123,8 +134,7 @@ def g_series(n: int, k: int, m: int, p: int) -> int:
         raise ValueError(f"g_series needs n >= m*p*k+1 = {m*p*k + 1}, got n={n}")
     kernel = binomial_series(n - p * k - 1, 1, k)
     linear = from_coeffs([1, p + 1], k)
-    value = (kernel * linear).coeff(k)
-    return _as_int(value, "g_series")
+    return (kernel * linear).coeff(k)
 
 
 def _check_series_params(m: int, p: int, k: int) -> None:
@@ -132,9 +142,3 @@ def _check_series_params(m: int, p: int, k: int) -> None:
         raise ValueError(f"need m, p >= 1, got m={m}, p={p}")
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} produced a non-integer value {value}")
-    return int(value)

@@ -56,6 +56,12 @@ class TestBinomGen:
         assert binom_gen(-5, 0) == 1
         assert binom_gen(Fraction(-2, 7), 0) == 1
 
+    @given(st.integers(-40, 40), st.integers(0, 12))
+    def test_integer_upper_gives_the_same_int(self, a, k):
+        value = binom_gen(a, k)
+        assert type(value) is int
+        assert value == binom_gen(Fraction(a), k)
+
     @given(st.integers(0, 40))
     def test_agrees_with_nat_on_counting_range(self, a):
         for k in range(a + 1):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -97,6 +98,25 @@ class TestCount:
         with pytest.raises(SystemExit) as err:
             main(["count", "--topology", "line", "--n", "5"])
         assert err.value.code == 1
+
+    def test_count_past_the_int_str_digit_limit(self, capsys):
+        # the circle count here has more than 4300 decimal digits
+        n, k = 90000, 2800
+        code, out, err = run(
+            capsys, "count", "--topology", "circle",
+            "--n", str(n), "--k", str(k), "--m", "1", "--p", "1",
+        )
+        assert (code, err) == (0, "")
+        assert len(out) > 4300
+        assert int(out) == n * comb(n - k, k) // (n - k)
+
+    def test_composition_with_many_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--topology", "line",
+            "--n", "4800", "--k", "1", "--m", "1600", "--p", "1",
+            "--method", "composition",
+        )
+        assert (code, out) == (0, "4800\n")
 
 
 class TestList:

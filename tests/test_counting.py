@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepsets.audit import g_recurrence, h_recurrence
 from sepsets.binomials import binom_nat
 from sepsets.counting import (
     CountQuery,
@@ -26,6 +27,7 @@ from sepsets.counting import (
     partition_sizes,
 )
 from sepsets.oracle import count_brute
+from sepsets.series import g_series, h_series
 
 
 class TestSeparationParams:
@@ -85,6 +87,12 @@ class TestCompositions:
 
     def test_count(self):
         assert len(list(compositions(3, 2))) == 4
+
+    def test_many_parts_do_not_recurse(self):
+        items = list(compositions(1, 1500))
+        assert len(items) == 1500
+        assert items[0] == (0,) * 1499 + (1,)
+        assert items[-1] == (1,) + (0,) * 1499
 
     @given(st.integers(0, 7), st.integers(1, 5))
     @settings(max_examples=60)
@@ -258,3 +266,37 @@ class TestGFromH:
     def test_rejects_below_range(self):
         with pytest.raises(ValueError):
             g_from_h(4, 2, 2, 1)
+
+
+class TestRoutesAgree:
+    """Every count route equals the others wherever its precondition holds."""
+
+    params = st.integers(1, 4), st.integers(1, 4), st.integers(0, 12)
+
+    @given(st.integers(0, 200), *params)
+    @settings(max_examples=150, deadline=None)
+    def test_line_routes(self, n, m, p, k):
+        value = h_composition(n, k, m, p)
+        if n >= p * m * (k - 1):
+            routes = [h_closed_1, h_closed_2, h_series, h_recurrence]
+            if k >= 1:
+                routes.append(h_closed_3)
+            assert [route(n, k, m, p) for route in routes] == [value] * len(routes)
+
+    @given(st.integers(0, 32), *params)
+    @settings(max_examples=150, deadline=None)
+    def test_line_composition_matches_oracle(self, n, m, p, k):
+        assert h_composition(n, k, m, p) == count_brute(
+            count_query("line", n, k, m, p)
+        )
+
+    @given(st.integers(0, 200), *params)
+    @settings(max_examples=150, deadline=None)
+    def test_circle_routes(self, n, m, p, k):
+        if n >= m * p * k + 1:
+            value = g_closed(n, k, m, p)
+            assert g_series(n, k, m, p) == value
+            assert g_recurrence(n, k, m, p) == value
+
+    def test_recurrence_at_a_large_point(self):
+        assert h_recurrence(3000, 50, 3, 2) == h_closed_1(3000, 50, 3, 2)

@@ -13,8 +13,11 @@ from sepsets.omega_phi import (
     gould_check,
     hwang_wei_check,
     omega_closed_1,
+    omega_closed_1_total,
     omega_closed_2,
+    omega_closed_2_total,
     omega_closed_3,
+    omega_closed_3_total,
     omega_direct,
     phi_closed,
     phi_direct,
@@ -78,6 +81,15 @@ class TestOmegaClosedForms:
         assert omega_direct(query) == 10
         assert omega_closed_3(query, "printed") == 20
         assert omega_closed_3(query, "corrected") == 10
+
+    def test_totals_stay_exact_on_integer_parameters(self):
+        assert type(omega_closed_1_total(5, -2, 3, 2)) is int
+        assert type(omega_closed_2_total(5, -2, 3, 2)) is int
+        # the printed third expansion is not an integer here: it must be an
+        # exact Fraction, never a float
+        value = omega_closed_3_total(-2, 0, 2, 3, "printed")
+        assert value == F(20, 3) and type(value) is Fraction
+        assert omega_closed_3_total(F(-2), F(0), 2, 3, "printed") == value
 
     def test_third_rejects_k_zero(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,12 @@ class TestBinomialSeries:
         with pytest.raises(ValueError):
             binomial_series(2, 1, -1)
 
+    def test_integer_parameters_stay_int(self):
+        f = binomial_series(-4, 3, 6) * from_coeffs([1, 5], 6)
+        assert all(type(c) is int for c in f.coeffs)
+        g = binomial_series(F(-4), F(3), 6) * from_coeffs([F(1), F(5)], 6)
+        assert f == g
+
 
 class TestMulAndCoeff:
     def test_difference_of_squares(self):

@@ -1,8 +1,10 @@
 """Identity audits: recurrence evaluators, the bijection cardinality check,
-and a grid-sweep engine that verifies every catalogued identity and
+and the catalogue of identities with the one loop that verifies them and
 records counterexamples.
 
-Each identity is checked at every grid point satisfying its validity
+Each identity in the catalogue is a generator of ``(params, lhs, rhs)``
+cases; ``run_audit`` counts, compares and records them.  Each identity is
+checked at every grid point satisfying its validity
 precondition; mismatches are collected as data (never raised).  The
 catalogue deliberately includes the known-bad ``printed`` formula
 variants so their counterexamples are reproduced, witnesses included.
@@ -10,8 +12,8 @@ variants so their counterexamples are reproduced, witnesses included.
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
 the extreme boundary a term of the identity falls outside the regime
-where the closed form equals the count (see the skip rules in the sweep
-functions).  The excluded boundary slices are exercised in the test
+where the closed form equals the count (see the ``_eq4_*_applies``
+rules).  The excluded boundary slices are exercised in the test
 suite as regression counterexamples.
 """
 
@@ -23,13 +25,15 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable, Iterator
 
 from .binomials import binom_nat
 from .counting import (
     CountQuery,
     SeparationParams,
     Topology,
+    count_query,
     g_closed,
     g_from_h,
     h_closed_1,
@@ -40,7 +44,7 @@ from .counting import (
 )
 from .omega_phi import (
     OmegaQuery,
-    compositions,
+    SingularTermError,
     gould_check,
     hwang_wei_check,
     omega_closed_1,
@@ -313,142 +317,35 @@ def bijection_count_check(
 
 
 # ---------------------------------------------------------------------------
-# grid sweeps
+# the catalogue: every identity is a generator of (params, lhs, rhs) cases
 
-def _int_points(grid: GridSpec) -> Iterable[tuple[int, int, int, int]]:
+Case = tuple[dict, object, object]
+Route = Callable[[int, int, int, int], object]
+
+
+def _grid_cases(
+    grid: GridSpec, applies: Callable[[int, int, int, int], bool], lhs: Route, rhs: Route
+) -> Iterator[Case]:
+    """Both sides at every grid point where the identity applies.  The
+    callables take the routes' own argument order (n, k, m, p)."""
     for m in range(1, grid.m_max + 1):
         for p in range(1, grid.p_max + 1):
             for k in range(grid.k_max + 1):
                 for n in range(grid.n_max + 1):
-                    yield m, p, k, n
+                    if applies(n, k, m, p):
+                        params = {"m": m, "p": p, "k": k, "n": n}
+                        yield params, lhs(n, k, m, p), rhs(n, k, m, p)
 
 
-def _sweep_int(
-    grid: GridSpec,
-    include: Callable[[int, int, int, int], bool],
-    lhs_fn: Callable[[int, int, int, int], object],
-    rhs_fn: Callable[[int, int, int, int], object],
-) -> tuple[int, list[dict]]:
-    checked = 0
-    failures = []
-    for m, p, k, n in _int_points(grid):
-        if not include(m, p, k, n):
-            continue
-        checked += 1
-        lhs = lhs_fn(m, p, k, n)
-        rhs = rhs_fn(m, p, k, n)
-        if lhs != rhs:
-            failures.append(_failure({"m": m, "p": p, "k": k, "n": n}, lhs, rhs))
-    return checked, failures
+def _line_range(n: int, k: int, m: int, p: int) -> bool:
+    return n >= p * m * (k - 1)
 
 
-def _line_brute(m: int, p: int, k: int, n: int, cap: int) -> int:
-    return count_brute(CountQuery(Topology.LINE, n, k, SeparationParams(m, p)), cap)
+def _circle_range(n: int, k: int, m: int, p: int) -> bool:
+    return n >= m * p * k + 1
 
 
-def _circle_brute(m: int, p: int, k: int, n: int, cap: int) -> int:
-    return count_brute(CountQuery(Topology.CIRCLE, n, k, SeparationParams(m, p)), cap)
-
-
-def _random_fraction(rng: random.Random, num_bound: int = 20, den_bound: int = 20) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-
-
-def _omega_instances(
-    grid: GridSpec, rng: random.Random, count: int, min_k: int = 0
-) -> list[OmegaQuery]:
-    """Deterministic witness instances first, then seeded random ones."""
-    canonical = [
-        OmegaQuery((Fraction(4), Fraction(4)), Fraction(-1), 2),
-        OmegaQuery((Fraction(1), Fraction(1)), Fraction(1), 2),
-    ]
-    instances = [q for q in canonical if q.k >= min_k]
-    m_hi = max(1, min(grid.m_max, 4))
-    k_hi = max(min_k, min(grid.k_max, 5))
-    while len(instances) < count:
-        m = rng.randint(1, m_hi)
-        k = rng.randint(min_k, k_hi)
-        lambdas = tuple(_random_fraction(rng) for _ in range(m))
-        mu = _random_fraction(rng)
-        instances.append(OmegaQuery(lambdas, mu, k))
-    return instances
-
-
-def _phi_is_singular(q: OmegaQuery) -> bool:
-    for parts in compositions(q.k, q.m):
-        for lam_i, k_i in zip(q.lambdas, parts):
-            if lam_i + q.mu * k_i == 0:
-                return True
-    return False
-
-
-def _omega_params(q: OmegaQuery) -> dict:
-    return {
-        "lambdas": "(" + ",".join(str(v) for v in q.lambdas) + ")",
-        "mu": str(q.mu),
-        "k": q.k,
-    }
-
-
-def _sweep_omega(
-    grid: GridSpec,
-    rng: random.Random,
-    rhs_fn: Callable[[OmegaQuery], Fraction],
-    min_k: int = 0,
-    phi: bool = False,
-) -> tuple[int, list[dict]]:
-    checked = 0
-    failures = []
-    for q in _omega_instances(grid, rng, count=42, min_k=min_k):
-        if phi and _phi_is_singular(q):
-            continue
-        checked += 1
-        lhs = phi_direct(q) if phi else omega_direct(q)
-        rhs = rhs_fn(q)
-        if lhs != rhs:
-            failures.append(_failure(_omega_params(q), lhs, rhs))
-    return checked, failures
-
-
-def _sweep_eq2_1(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: True,
-        lambda m, p, k, n: _line_brute(m, p, k, n, cap),
-        lambda m, p, k, n: h_composition(n, k, m, p),
-    )
-
-
-def _sweep_eq2_2(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: n >= m * p * k + 1,
-        lambda m, p, k, n: _circle_brute(m, p, k, n, cap),
-        lambda m, p, k, n: g_from_h(n, k, m, p),
-    )
-
-
-def _sweep_eq3_5(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: n >= m * p * k + 1,
-        lambda m, p, k, n: _circle_brute(m, p, k, n, cap),
-        lambda m, p, k, n: g_closed(n, k, m, p),
-    )
-
-
-def _sweep_thm_h(
-    grid: GridSpec, rhs_fn: Callable[[int, int, int, int], object], k_min: int = 0
-) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: k >= k_min and n >= p * m * (k - 1),
-        lambda m, p, k, n: h_composition(n, k, m, p),
-        rhs_fn,
-    )
-
-
-def _eq4_1_applies(m: int, p: int, k: int, n: int) -> bool:
+def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
     # count-level validity: at n == p*m*(k-1) with m, k >= 2 the H(n-1, k)
     # term falls below the closed-form regime and the identity fails; the
     # k == 1, n == 0 cell fails because H(n-p-1, 0) = 1 has no subset to
@@ -462,17 +359,7 @@ def _eq4_1_applies(m: int, p: int, k: int, n: int) -> bool:
     return True
 
 
-def _sweep_eq4_1(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        _eq4_1_applies,
-        lambda m, p, k, n: h_for_identity(n, k, m, p),
-        lambda m, p, k, n: h_for_identity(n - 1, k, m, p)
-        + h_for_identity(n - p - 1, k - 1, m, p),
-    )
-
-
-def _eq4_2_applies(m: int, p: int, k: int, n: int) -> bool:
+def _eq4_2_applies(n: int, k: int, m: int, p: int) -> bool:
     # at m == 1, n == p*k + 1 the G(n-1, k) term sits where the closed form
     # is singular and the count-level identity fails; skipped (regression-
     # tested as a counterexample).
@@ -483,29 +370,7 @@ def _eq4_2_applies(m: int, p: int, k: int, n: int) -> bool:
     return True
 
 
-def _sweep_eq4_2(
-    grid: GridSpec, cap: int, rng, variant: str
-) -> tuple[int, list[dict]]:
-    delta = 1 if variant == "corrected" else 0
-    return _sweep_int(
-        grid,
-        _eq4_2_applies,
-        lambda m, p, k, n: g_for_identity(n, k, m, p, cap),
-        lambda m, p, k, n: g_for_identity(n - 1, k, m, p, cap)
-        + g_for_identity(n - p - delta, k - 1, m, p, cap),
-    )
-
-
-def _sweep_eq4_4(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: n >= m * (p * k + 1),
-        lambda m, p, k, n: g_for_identity(n, k, m, p, cap),
-        lambda m, p, k, n: g_alternating(n, k, m, p),
-    )
-
-
-def _eq4_5_applies(m: int, p: int, k: int, n: int) -> bool:
+def _eq4_5_applies(n: int, k: int, m: int, p: int) -> bool:
     # count-level validity needs a margin over n >= m*p*(k-1) for k >= 2:
     # the j = 0 circle term G(n + p*m, k) must reach the closed-form range
     # (m >= 2), and for m == 1 the late terms dominate instead.
@@ -516,115 +381,146 @@ def _eq4_5_applies(m: int, p: int, k: int, n: int) -> bool:
     return n >= m * p * (k - 1) + 1
 
 
-def _sweep_eq4_5(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        _eq4_5_applies,
-        lambda m, p, k, n: h_composition(n, k, m, p),
-        lambda m, p, k, n: h_from_g(n, k, m, p, cap),
-    )
+def _random_fraction(rng: random.Random, num_bound: int = 20, den_bound: int = 20) -> Fraction:
+    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
-def _sweep_bijection(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    return _sweep_int(
-        grid,
-        lambda m, p, k, n: k >= 1 and n >= m * p * k + 1,
-        lambda m, p, k, n: _circle_brute(m, p, k, n, cap),
-        lambda m, p, k, n: count_brute(
-            CountQuery(Topology.CIRCLE, n, k, SeparationParams(1, p)), cap
-        ),
-    )
+def _omega_cases(
+    grid: GridSpec,
+    rng: random.Random,
+    lhs: Callable[[OmegaQuery], Fraction],
+    rhs: Callable[[OmegaQuery], Fraction],
+    min_k: int = 0,
+) -> Iterator[Case]:
+    """42 instances: two witnesses at k = 2, then seeded random ones with
+    k >= min_k.  An instance whose left side is singular is skipped."""
+    queries = [
+        OmegaQuery((Fraction(4), Fraction(4)), Fraction(-1), 2),
+        OmegaQuery((Fraction(1), Fraction(1)), Fraction(1), 2),
+    ]
+    m_hi = max(1, min(grid.m_max, 4))
+    k_hi = max(min_k, min(grid.k_max, 5))
+    while len(queries) < 42:
+        m = rng.randint(1, m_hi)
+        k = rng.randint(min_k, k_hi)
+        lambdas = tuple(_random_fraction(rng) for _ in range(m))
+        queries.append(OmegaQuery(lambdas, _random_fraction(rng), k))
+    for q in queries:
+        try:
+            left = lhs(q)
+        except SingularTermError:
+            continue
+        lambdas = "(" + ",".join(str(v) for v in q.lambdas) + ")"
+        yield {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}, left, rhs(q)
 
 
-def _sweep_hwang_wei(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
+def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
     instances: list[tuple[tuple[int, ...], int]] = [((3, 3), 2), ((2,), 1)]
     m_hi = max(1, min(grid.m_max, 4))
     while len(instances) < 42:
         m = rng.randint(1, m_hi)
         k = rng.randint(0, min(grid.k_max, 6))
-        n_list = tuple(rng.randint(0, 10) for _ in range(m))
-        instances.append((n_list, k))
-    checked = 0
-    failures = []
+        instances.append((tuple(rng.randint(0, 10) for _ in range(m)), k))
     for n_list, k in instances:
-        checked += 1
-        lhs, rhs = hwang_wei_check(n_list, k)
-        if lhs != rhs:
-            failures.append(
-                _failure({"n_list": str(n_list), "k": k}, lhs, rhs)
-            )
-    return checked, failures
+        yield {"n_list": str(n_list), "k": k}, *hwang_wei_check(n_list, k)
 
 
-def _sweep_gould(grid: GridSpec, cap: int, rng) -> tuple[int, list[dict]]:
-    instances: list[tuple[Fraction, Fraction, Fraction, int]] = [
+def _gould_cases(rng: random.Random) -> Iterator[Case]:
+    instances = [
         (Fraction(1), Fraction(1), Fraction(1), 2),
         (Fraction(1), Fraction(2), Fraction(0), 2),
     ]
     while len(instances) < 42:
-        a = _random_fraction(rng, 8, 8)
-        b = _random_fraction(rng, 8, 8)
-        c = _random_fraction(rng, 8, 8)
+        a, b, c = (_random_fraction(rng, 8, 8) for _ in range(3))
         n = rng.randint(0, 6)
-        if a + b + c * n == 0:
-            continue
-        if any(a + c * k == 0 or b + c * (n - k) == 0 for k in range(n + 1)):
+        if a + b + c * n == 0 or any(
+            a + c * k == 0 or b + c * (n - k) == 0 for k in range(n + 1)
+        ):
             continue
         instances.append((a, b, c, n))
-    checked = 0
-    failures = []
     for a, b, c, n in instances:
-        checked += 1
-        lhs, rhs = gould_check(a, b, c, n)
-        if lhs != rhs:
-            failures.append(
-                _failure(
-                    {"a": str(a), "b": str(b), "c": str(c), "n": n}, lhs, rhs
-                )
+        params = {"a": str(a), "b": str(b), "c": str(c), "n": n}
+        yield params, *gould_check(a, b, c, n)
+
+
+def _cases(
+    identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
+) -> Iterator[Case]:
+    """The catalogue: the cases of one identity on one grid."""
+    g_capped = partial(g_for_identity, cap=cap)
+
+    def line_brute(n: int, k: int, m: int, p: int) -> int:
+        return count_brute(count_query(Topology.LINE, n, k, m, p), cap)
+
+    def circle_brute(n: int, k: int, m: int, p: int) -> int:
+        return count_brute(count_query(Topology.CIRCLE, n, k, m, p), cap)
+
+    match identity:
+        case IdentityId.EQ2_1:
+            return _grid_cases(grid, lambda *_: True, line_brute, h_composition)
+        case IdentityId.EQ2_2:
+            return _grid_cases(grid, _circle_range, circle_brute, g_from_h)
+        case IdentityId.EQ3_1:
+            return _omega_cases(grid, rng, omega_direct, omega_closed_1)
+        case IdentityId.EQ3_2:
+            return _omega_cases(grid, rng, omega_direct, omega_closed_2)
+        case IdentityId.EQ3_3_PRINTED | IdentityId.EQ3_3_CORRECTED:
+            variant = "printed" if identity is IdentityId.EQ3_3_PRINTED else "corrected"
+            closed = partial(omega_closed_3, variant=variant)
+            return _omega_cases(grid, rng, omega_direct, closed, min_k=1)
+        case IdentityId.EQ3_4:
+            return _omega_cases(grid, rng, phi_direct, phi_closed)
+        case IdentityId.EQ3_5:
+            return _grid_cases(grid, _circle_range, circle_brute, g_closed)
+        case IdentityId.THM_H1:
+            return _grid_cases(grid, _line_range, h_composition, h_closed_1)
+        case IdentityId.THM_H2:
+            return _grid_cases(grid, _line_range, h_composition, h_closed_2)
+        case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
+            variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
+            return _grid_cases(
+                grid,
+                lambda n, k, m, p: k >= 1 and _line_range(n, k, m, p),
+                h_composition,
+                partial(h_closed_3_value, variant=variant),
             )
-    return checked, failures
-
-
-_SWEEPS: dict[IdentityId, Callable] = {
-    IdentityId.EQ2_1: _sweep_eq2_1,
-    IdentityId.EQ2_2: _sweep_eq2_2,
-    IdentityId.EQ3_1: lambda grid, cap, rng: _sweep_omega(grid, rng, omega_closed_1),
-    IdentityId.EQ3_2: lambda grid, cap, rng: _sweep_omega(grid, rng, omega_closed_2),
-    IdentityId.EQ3_3_PRINTED: lambda grid, cap, rng: _sweep_omega(
-        grid, rng, lambda q: omega_closed_3(q, "printed"), min_k=1
-    ),
-    IdentityId.EQ3_3_CORRECTED: lambda grid, cap, rng: _sweep_omega(
-        grid, rng, lambda q: omega_closed_3(q, "corrected"), min_k=1
-    ),
-    IdentityId.EQ3_4: lambda grid, cap, rng: _sweep_omega(
-        grid, rng, phi_closed, phi=True
-    ),
-    IdentityId.EQ3_5: _sweep_eq3_5,
-    IdentityId.THM_H1: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: h_closed_1(n, k, m, p)
-    ),
-    IdentityId.THM_H2: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: h_closed_2(n, k, m, p)
-    ),
-    IdentityId.THM_H3_PRINTED: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: h_closed_3_value(n, k, m, p, "printed"), k_min=1
-    ),
-    IdentityId.THM_H3_CORRECTED: lambda grid, cap, rng: _sweep_thm_h(
-        grid, lambda m, p, k, n: h_closed_3_value(n, k, m, p, "corrected"), k_min=1
-    ),
-    IdentityId.EQ4_1: _sweep_eq4_1,
-    IdentityId.EQ4_2_PRINTED: lambda grid, cap, rng: _sweep_eq4_2(
-        grid, cap, rng, "printed"
-    ),
-    IdentityId.EQ4_2_CORRECTED: lambda grid, cap, rng: _sweep_eq4_2(
-        grid, cap, rng, "corrected"
-    ),
-    IdentityId.EQ4_4: _sweep_eq4_4,
-    IdentityId.EQ4_5: _sweep_eq4_5,
-    IdentityId.HWANG_WEI: _sweep_hwang_wei,
-    IdentityId.GOULD: _sweep_gould,
-    IdentityId.BIJECTION_COUNT: _sweep_bijection,
-}
+        case IdentityId.EQ4_1:
+            return _grid_cases(
+                grid,
+                _eq4_1_applies,
+                h_for_identity,
+                lambda n, k, m, p: h_for_identity(n - 1, k, m, p)
+                + h_for_identity(n - p - 1, k - 1, m, p),
+            )
+        case IdentityId.EQ4_2_PRINTED | IdentityId.EQ4_2_CORRECTED:
+            delta = 0 if identity is IdentityId.EQ4_2_PRINTED else 1
+            return _grid_cases(
+                grid,
+                _eq4_2_applies,
+                g_capped,
+                lambda n, k, m, p: g_capped(n - 1, k, m, p)
+                + g_capped(n - p - delta, k - 1, m, p),
+            )
+        case IdentityId.EQ4_4:
+            return _grid_cases(
+                grid, lambda n, k, m, p: n >= m * (p * k + 1), g_capped, g_alternating
+            )
+        case IdentityId.EQ4_5:
+            return _grid_cases(
+                grid, _eq4_5_applies, h_composition, partial(h_from_g, cap=cap)
+            )
+        case IdentityId.HWANG_WEI:
+            return _hwang_wei_cases(grid, rng)
+        case IdentityId.GOULD:
+            return _gould_cases(rng)
+        case IdentityId.BIJECTION_COUNT:
+            return _grid_cases(
+                grid,
+                lambda n, k, m, p: k >= 1 and _circle_range(n, k, m, p),
+                circle_brute,
+                lambda n, k, m, p: circle_brute(n, k, 1, p),
+            )
+    raise ValueError(f"unknown identity {identity!r}")
 
 
 def run_audit(
@@ -636,7 +532,12 @@ def run_audit(
     Failures are data, not errors.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
-    checked, failures = _SWEEPS[identity](grid, cap, rng)
+    checked = 0
+    failures = []
+    for params, lhs, rhs in _cases(identity, grid, cap, rng):
+        checked += 1
+        if lhs != rhs:
+            failures.append(_failure(params, lhs, rhs))
     return AuditReport(
         identity=identity.value,
         grid=grid.describe(),

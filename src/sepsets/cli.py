@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from .audit import (
     DEFAULT_GRID,
@@ -97,47 +98,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _count_line(n, k, m, p, method, cap):
-    if method == "auto":
-        method = "closed1" if n >= p * m * (k - 1) else "composition"
-    if method == "composition":
-        return h_composition(n, k, m, p), method
-    if method == "closed1":
-        return h_closed_1(n, k, m, p), method
-    if method == "closed2":
-        return h_closed_2(n, k, m, p), method
-    if method == "closed3":
-        return h_closed_3(n, k, m, p), method
-    if method == "series":
-        return h_series(n, k, m, p), method
-    if method == "recurrence":
-        return h_recurrence(n, k, m, p), method
-    return count_brute(count_query("line", n, k, m, p), cap), "brute"
+def _routes(cap):
+    """The formula routes, by topology and method name.  Built on each call,
+    so every route is looked up by name when it is used, as a tracer that
+    rebinds module attributes expects."""
+    return {
+        "line": {
+            "closed1": h_closed_1,
+            "closed2": h_closed_2,
+            "closed3": h_closed_3,
+            "composition": h_composition,
+            "series": h_series,
+            "recurrence": h_recurrence,
+        },
+        "circle": {
+            "closed1": g_closed,
+            "composition": g_from_h,
+            "series": g_series,
+            "recurrence": partial(g_recurrence, cap=cap),
+        },
+    }
 
 
-def _count_circle(n, k, m, p, method, cap):
+def _resolve_count(topology, n, k, m, p, method, cap):
     if method == "auto":
-        method = "closed1" if n >= m * p * k + 1 else "brute"
-    if method in ("closed2", "closed3"):
+        if topology == "line":
+            method = "closed1" if n >= p * m * (k - 1) else "composition"
+        else:
+            method = "closed1" if n >= m * p * k + 1 else "brute"
+    if method == "brute":
+        return count_brute(count_query(topology, n, k, m, p), cap), method
+    routes = _routes(cap)[topology]
+    if method not in routes:
         raise ValueError(
             f"method {method} applies only to line topology; the circle has a "
             "single closed form (use closed1)"
         )
-    if method == "closed1":
-        return g_closed(n, k, m, p), method
-    if method == "composition":
-        return g_from_h(n, k, m, p), method
-    if method == "series":
-        return g_series(n, k, m, p), method
-    if method == "recurrence":
-        return g_recurrence(n, k, m, p, cap=cap), method
-    return count_brute(count_query("circle", n, k, m, p), cap), "brute"
-
-
-def _resolve_count(topology, n, k, m, p, method, cap):
-    if topology == "line":
-        return _count_line(n, k, m, p, method, cap)
-    return _count_circle(n, k, m, p, method, cap)
+    return routes[method](n, k, m, p), method
 
 
 def _cmd_count(args) -> int:

@@ -90,10 +90,14 @@ def partition_sizes(n: int, m: int) -> PartitionSizes:
     return PartitionSizes(sizes, r, ell)
 
 
-def _row_sizes(n: int, m: int) -> tuple[int, ...]:
+def _row_counts(n: int, m: int) -> dict[int, int]:
+    """How many rows of ``partition_sizes(n, m)`` have each length, without
+    building the m-tuple; at n = 0 all m rows are empty."""
     if n == 0:
-        return (0,) * m
-    return partition_sizes(n, m).sizes
+        return {0: m}
+    r = (n - 1) // m
+    ell = n - r * m
+    return {r + 1: ell, r: m - ell}
 
 
 def h_composition(
@@ -110,13 +114,14 @@ def h_composition(
     """
     _check_hg_args(n, k, m, p)
     if sizes is None:
-        sizes = _row_sizes(n, m)
+        rows = _row_counts(n, m)
     else:
         sizes = tuple(sizes)
         if len(sizes) != m or any(s < 0 for s in sizes) or sum(sizes) != n:
             raise ValueError("sizes must be m nonnegative integers summing to n")
+        rows = Counter(sizes)
     total = [1]
-    for s, count in Counter(sizes).items():
+    for s, count in rows.items():
         top = min(k, (s + p) // (p + 1))  # binom_nat(...) is 0 for larger j
         row = [binom_nat(s - p * (j - 1), j) for j in range(top + 1)]
         while count:

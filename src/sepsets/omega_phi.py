@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .binomials import Rational, binom_gen
 
@@ -213,9 +213,3 @@ def gould_check(
     right = (a + b) / (a + b + c * n) * binom_gen(a + b + c * n, n)
     return left, right
 
-
-def make_query(
-    lambdas: Iterable[Rational], mu: Rational, k: int
-) -> OmegaQuery:
-    """Convenience constructor accepting ints, strings or Fractions."""
-    return OmegaQuery(tuple(Fraction(v) for v in lambdas), Fraction(mu), k)

@@ -2,11 +2,13 @@
 from the separation definition.
 
 ``count_brute`` counts with a transfer-matrix scan over the positions
-(Stanley, *Enumerative Combinatorics I*, section 4.7): it never splits the
-positions into residue rows, so it stays independent of the composition
-sums and closed forms it checks.  ``list_brute`` enumerates the subsets by
-a depth-first walk that shares no code with the scan; tests check that the
-two agree.
+(Stanley, *Enumerative Combinatorics I*, section 4.7) whose state is the
+set of positions ahead that the choices so far rule out; both topologies
+share it, the circle only adding the wrap-around distances.  It never
+splits the positions into residue rows, so it stays independent of the
+composition sums and closed forms it checks.  ``list_brute`` enumerates
+the subsets by an iterative depth-first walk that shares no code with the
+scan; tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -74,37 +76,29 @@ def count_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> int:
 def _count_scan(n: int, k: int, m: int, p: int, circular: bool) -> int:
     """Scan positions 1..n once, deciding for each whether it is chosen.
 
-    A state (F, W, c) holds c, the number chosen so far; W, the chosen
-    positions among the last p*m (bit d-1 set when x-d is chosen, for the
-    position x about to be decided); and, on the circle only, F, the chosen
-    positions among 1..p*m (bit a-1 for position a).  x conflicts with an
-    earlier a at distance m, 2m, ..., p*m when W has a bit of ``forb``, and
-    across the wrap when n - (x - a) is such a distance; that a is at most
-    p*m, so F holds it.
+    A state (B, c) holds c, the number chosen so far, and B, the positions
+    ahead that an earlier choice rules out: bit i is set when position x+i
+    conflicts with a chosen one, for the position x about to be decided.
+    Choosing x rules out x+s for s in m, 2m, ..., p*m and, on the circle,
+    for s in n-m, n-2m, ..., n-p*m (the pair's other arc); only 0 < s <= n-x
+    is kept, so B never holds more than n-x bits.
     """
-    pm = p * m
-    window = (1 << pm) - 1
-    forb = 0
-    for j in range(1, p + 1):
-        forb |= 1 << (j * m - 1)
-    states = {(0, 0, 0): 1}
+    steps = set(range(m, min(p * m, n - 1) + 1, m))
+    if circular:
+        steps |= set(range(n - m, max(n - p * m - 1, 0), -m))
+    rule = sum(1 << s for s in steps)
+    states = {(0, 0): 1}
     for x in range(1, n + 1):
-        wrap = 0
-        if circular:
-            for j in range(1, p + 1):
-                a = x - n + j * m
-                if 1 <= a < x:
-                    wrap |= 1 << (a - 1)
-        mark = 1 << (x - 1) if circular and x <= pm else 0
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (f, w, c), ways in states.items():
-            key = (f, (w << 1) & window, c)
+        ahead = rule & ((2 << (n - x)) - 1)
+        nxt: dict[tuple[int, int], int] = {}
+        for (b, c), ways in states.items():
+            key = (b >> 1, c)
             nxt[key] = nxt.get(key, 0) + ways
-            if c < k and not w & forb and not f & wrap:
-                key = (f | mark, ((w << 1) | 1) & window, c + 1)
+            if c < k and not b & 1:
+                key = ((b | ahead) >> 1, c + 1)
                 nxt[key] = nxt.get(key, 0) + ways
         states = nxt
-    return sum(ways for (_, _, c), ways in states.items() if c == k)
+    return sum(ways for (_, c), ways in states.items() if c == k)
 
 
 def list_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
@@ -127,17 +121,27 @@ def list_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...
                     return True
         return False
 
-    def walk(start: int) -> Iterator[tuple[int, ...]]:
+    if k == 0:
+        yield ()
+        return
+    # depth-first with an explicit stack: stack[d] iterates the candidates
+    # for the (d+1)-th position, chosen holds the d positions picked so far
+    stack = [iter(range(1, n - k + 2))]
+    while stack:
+        for c in stack[-1]:
+            if not conflicts(c):
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(c)
         if len(chosen) == k:
             yield tuple(chosen)
-            return
-        for c in range(start, n - (k - len(chosen)) + 2):
-            if not conflicts(c):
-                chosen.append(c)
-                yield from walk(c + 1)
-                chosen.pop()
-
-    yield from walk(1)
+            chosen.pop()
+        else:
+            stack.append(iter(range(c + 1, n - (k - len(chosen)) + 2)))
 
 
 def _check_positions(positions: Sequence[int]) -> None:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from sepsets.audit import (
+    DEFAULT_GRID,
     GridSpec,
     IdentityId,
     bijection_count_check,
@@ -287,3 +288,33 @@ class TestRunAudit:
         assert len(values) == 20
         assert {"Eq3.3-printed", "Eq3.3-corrected", "Thm-H3-printed",
                 "Eq4.2-printed", "HwangWei", "Gould", "BijectionCount"} <= values
+
+    @pytest.mark.parametrize(
+        "identity,checked,failed",
+        [
+            (IdentityId.EQ2_1, 750, 0),
+            (IdentityId.EQ2_2, 540, 0),
+            (IdentityId.EQ3_1, 42, 0),
+            (IdentityId.EQ3_2, 42, 0),
+            (IdentityId.EQ3_3_PRINTED, 42, 42),
+            (IdentityId.EQ3_3_CORRECTED, 42, 0),
+            (IdentityId.EQ3_4, 41, 0),
+            (IdentityId.EQ3_5, 540, 0),
+            (IdentityId.THM_H1, 642, 0),
+            (IdentityId.THM_H2, 642, 0),
+            (IdentityId.THM_H3_PRINTED, 492, 488),
+            (IdentityId.THM_H3_CORRECTED, 492, 0),
+            (IdentityId.EQ4_1, 474, 0),
+            (IdentityId.EQ4_2_PRINTED, 368, 246),
+            (IdentityId.EQ4_2_CORRECTED, 368, 0),
+            (IdentityId.EQ4_4, 512, 0),
+            (IdentityId.EQ4_5, 612, 0),
+            (IdentityId.HWANG_WEI, 42, 0),
+            (IdentityId.GOULD, 42, 0),
+            (IdentityId.BIJECTION_COUNT, 396, 0),
+        ],
+    )
+    def test_default_grid_tallies(self, identity, checked, failed):
+        # Eq3.4 checks 41 of its 42 instances: one is singular and skipped
+        report = run_audit(identity, DEFAULT_GRID)
+        assert (report.checked, len(report.failures)) == (checked, failed)

@@ -144,6 +144,15 @@ class TestList:
         )
         assert (code, out) == (0, "")
 
+    def test_subset_longer_than_the_recursion_limit(self, capsys):
+        code, out, err = run(
+            capsys, "list", "--topology", "line",
+            "--n", "1500", "--k", "1500", "--m", "2000", "--p", "1",
+            "--cap", "2000",
+        )
+        assert (code, err) == (0, "")
+        assert out == ",".join(str(i) for i in range(1, 1501)) + "\n"
+
     def test_line_count_matches_count_command(self, capsys):
         code, out, _ = run(
             capsys, "list", "--topology", "line",

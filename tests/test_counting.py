@@ -123,6 +123,10 @@ class TestHComposition:
                     expected = count_brute(count_query("line", n, k, m, p))
                     assert h_composition(n, k, m, p) == expected, (n, k, m, p)
 
+    def test_default_split_never_builds_the_rows(self):
+        # a billion rows, five of them holding one object each
+        assert h_composition(5, 1, 10**9, 1) == 5
+
     def test_explicit_sizes_reproduce_balanced_split(self):
         assert h_composition(6, 2, 2, 1, sizes=(3, 3)) == 11
 

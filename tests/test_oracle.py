@@ -1,11 +1,12 @@
 """Tests for the brute-force oracle: predicates, counting and enumeration."""
 
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from sepsets.binomials import binom_nat
-from sepsets.counting import SeparationParams, count_query, g_closed
+from sepsets.counting import SeparationParams, count_query, g_closed, h_composition
 from sepsets.oracle import (
     EnumerationCapError,
     count_brute,
@@ -116,6 +117,21 @@ class TestCountMatchesEnumeration:
             else:
                 expected = len(list(list_brute(q)))
             assert count_brute(q) == expected, (n, k, m, p)
+
+    @pytest.mark.parametrize("m", [12, 16, 20, 40])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_long_separations_at_the_cap(self, m, p):
+        # p*m reaches past n = 32, where a scan over raw p*m-bit windows
+        # would need up to 2^32 states
+        n = 32
+        for k in (0, 1, 2, 3, 5, 8, 16):
+            line = count_brute(count_query("line", n, k, m, p))
+            circle = count_brute(count_query("circle", n, k, m, p))
+            assert line == h_composition(n, k, m, p), (k, m, p)
+            if m > n:
+                assert line == circle == comb(n, k), (k, m, p)
+            if n >= m * p * k + 1:
+                assert circle == g_closed(n, k, m, p), (k, m, p)
 
     @pytest.mark.parametrize("topology", ["line", "circle"])
     def test_edge_cases(self, topology):

@@ -40,6 +40,7 @@ from .oracle import (
     DEFAULT_CAP,
     EnumerationCapError,
     count_brute,
+    count_brute_row,
     is_separate_circle,
     is_separate_line,
     kernel_backend,
@@ -96,6 +97,7 @@ __all__ = [
     "DEFAULT_CAP",
     "EnumerationCapError",
     "count_brute",
+    "count_brute_row",
     "list_brute",
     "is_separate_line",
     "is_separate_circle",

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator
 
 from .binomials import binom_nat
@@ -54,7 +54,7 @@ from .omega_phi import (
     phi_closed,
     phi_direct,
 )
-from .oracle import DEFAULT_CAP, count_brute
+from .oracle import DEFAULT_CAP, count_brute, count_brute_row
 
 
 class IdentityId(str, Enum):
@@ -449,11 +449,16 @@ def _cases(
     """The catalogue: the cases of one identity on one grid."""
     g_capped = partial(g_for_identity, cap=cap)
 
-    def line_brute(n: int, k: int, m: int, p: int) -> int:
-        return count_brute(count_query(Topology.LINE, n, k, m, p), cap)
+    @cache
+    def brute_row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
+        # one oracle scan gives the counts for every k of the grid
+        return count_brute_row(count_query(topology, n, grid.k_max, m, p), cap)
 
-    def circle_brute(n: int, k: int, m: int, p: int) -> int:
-        return count_brute(count_query(Topology.CIRCLE, n, k, m, p), cap)
+    def brute(topology: Topology, n: int, k: int, m: int, p: int) -> int:
+        return brute_row(topology, n, m, p)[k]
+
+    line_brute = partial(brute, Topology.LINE)
+    circle_brute = partial(brute, Topology.CIRCLE)
 
     match identity:
         case IdentityId.EQ2_1:

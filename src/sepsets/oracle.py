@@ -1,14 +1,24 @@
 """Brute-force ground truth: test, count and enumerate subsets directly
 from the separation definition.
 
-``count_brute`` counts with a transfer-matrix scan over the positions
-(Stanley, *Enumerative Combinatorics I*, section 4.7) whose state is the
-set of positions ahead that the choices so far rule out; both topologies
-share it, the circle only adding the wrap-around distances.  It never
+``count_brute_row`` counts on the conflict graph of the positions: two
+positions are joined when their difference is one of m, 2m, ..., p*m (on
+the circle also n minus one of them), the pair rule of
+``is_separate_line``/``is_separate_circle``.  A valid subset is an
+independent set of that graph.  The vertices are put in Cuthill-McKee order
+(Cuthill & McKee 1969), which keeps every edge short, and a transfer-matrix
+scan (Stanley, *Enumerative Combinatorics I*, section 4.7) decides them in
+that order.  Its state is the set of vertices ahead that the choices so far
+rule out, all within the bandwidth of the order, so the scan holds at most
+2^bandwidth states; tests check a bandwidth of at most 2p + 2 for every m
+at n <= 40, p <= 3, so at most 2^(2p+2) states.  Each state's value packs
+the counts for every size 0..k into one int, so one scan gives the whole
+row; ``count_brute`` reads one entry of it, and the audit reuses one row
+across k.  The scan never
 splits the positions into residue rows, so it stays independent of the
-composition sums and closed forms it checks.  ``list_brute`` enumerates
-the subsets by an iterative depth-first walk that shares no code with the
-scan; tests check that the two agree.
+composition sums and closed forms it checks.  ``list_brute`` enumerates the
+subsets by an iterative depth-first walk that shares no code with the scan;
+tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -68,37 +78,100 @@ def count_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> int:
     """Count the valid k-subsets from the definition; rejects n above the cap."""
     if q.n > cap:
         raise EnumerationCapError(q.n, cap)
-    return _count_scan(
-        q.n, q.k, q.params.m, q.params.p, q.topology is Topology.CIRCLE
-    )
+    # a k above n counts 0, and a huge k would build a row of k + 1 zeros
+    if q.k > q.n:
+        return 0
+    return count_brute_row(q, cap)[q.k]
 
 
-def _count_scan(n: int, k: int, m: int, p: int, circular: bool) -> int:
-    """Scan positions 1..n once, deciding for each whether it is chosen.
+def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """The counts of valid c-subsets for c = 0..q.k, from one scan; rejects
+    n above the cap."""
+    if q.n > cap:
+        raise EnumerationCapError(q.n, cap)
+    # sizes above n count 0: the scan stops at n and the row is padded
+    k = min(q.k, q.n)
+    return _scan(_conflict_graph(q), k) + (0,) * (q.k - k)
 
-    A state (B, c) holds c, the number chosen so far, and B, the positions
-    ahead that an earlier choice rules out: bit i is set when position x+i
-    conflicts with a chosen one, for the position x about to be decided.
-    Choosing x rules out x+s for s in m, 2m, ..., p*m and, on the circle,
-    for s in n-m, n-2m, ..., n-p*m (the pair's other arc); only 0 < s <= n-x
-    is kept, so B never holds more than n-x bits.
+
+def _conflict_graph(q: CountQuery) -> list[list[int]]:
+    """Neighbour lists of positions 0..n-1 (position x+1 is vertex x): two
+    positions conflict when their difference is one of m, 2m, ..., p*m (the
+    distances of ``forbidden_diffs`` below n, taken from a range so that a
+    huge p builds no huge set) or, on the circle, n minus one of them.
+    Edges come straight from the differences, O(n*p)."""
+    n, m, p = q.n, q.params.m, q.params.p
+    diffs = set(range(m, min(p * m, n - 1) + 1, m))
+    if q.topology is Topology.CIRCLE:
+        diffs |= {n - d for d in diffs}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for d in diffs:
+        for x in range(n - d):
+            adj[x].append(x + d)
+            adj[x + d].append(x)
+    return adj
+
+
+def _cuthill_mckee(adj: list[list[int]]) -> list[int]:
+    """Cuthill-McKee order: a breadth-first search per component, started at
+    the unvisited vertex of least degree and visiting neighbours by (degree,
+    index).  It keeps every edge short in the order, so the scan's frontier
+    stays narrow."""
+    def rank(v: int) -> tuple[int, int]:
+        return len(adj[v]), v
+
+    seen = [False] * len(adj)
+    order: list[int] = []
+    for start in sorted(range(len(adj)), key=rank):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in sorted(adj[order[head]], key=rank):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            head += 1
+    return order
+
+
+def _scan(adj: list[list[int]], k: int) -> tuple[int, ...]:
+    """The counts of independent c-sets of the graph for c = 0..k.
+
+    Vertices are decided one at a time in Cuthill-McKee order.  A state B
+    is the set of vertices ahead that earlier choices rule out: bit i is
+    set when the i-th vertex from the one about to be decided conflicts
+    with a chosen one.  Its value packs the counts by size into one int,
+    size c at bits [c*W, (c+1)*W) with W = n + 1, since every count is below
+    2^n (Kronecker substitution); choosing a vertex shifts the value up one
+    size, dropping sizes above k.
     """
-    steps = set(range(m, min(p * m, n - 1) + 1, m))
-    if circular:
-        steps |= set(range(n - m, max(n - p * m - 1, 0), -m))
-    rule = sum(1 << s for s in steps)
-    states = {(0, 0): 1}
-    for x in range(1, n + 1):
-        ahead = rule & ((2 << (n - x)) - 1)
-        nxt: dict[tuple[int, int], int] = {}
-        for (b, c), ways in states.items():
-            key = (b >> 1, c)
+    n = len(adj)
+    order = _cuthill_mckee(adj)
+    where = [0] * n
+    for i, v in enumerate(order):
+        where[v] = i
+    width = n + 1
+    keep = (1 << (k + 1) * width) - 1
+    states = {0: 1}
+    for i, v in enumerate(order):
+        # the vertices ahead that choosing this one rules out
+        ahead = sum(1 << (where[u] - i) for u in adj[v] if where[u] > i)
+        nxt: dict[int, int] = {}
+        for b, ways in states.items():
+            key = b >> 1
             nxt[key] = nxt.get(key, 0) + ways
-            if c < k and not b & 1:
-                key = ((b | ahead) >> 1, c + 1)
-                nxt[key] = nxt.get(key, 0) + ways
+            if not b & 1:
+                chosen = (ways << width) & keep
+                if chosen:
+                    key = (b | ahead) >> 1
+                    nxt[key] = nxt.get(key, 0) + chosen
         states = nxt
-    return sum(ways for (_, c), ways in states.items() if c == k)
+    total = sum(states.values())
+    mask = (1 << width) - 1
+    return tuple(total >> c * width & mask for c in range(k + 1))
 
 
 def list_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:

@@ -94,6 +94,24 @@ class TestCount:
         )
         assert (code, out) == (0, "741\n")
 
+    @pytest.mark.parametrize(
+        "n, k, m, expected",
+        [
+            # p = 1, m = n/2: the only conflicts are the n/2 antipodal pairs,
+            # so pick k of the pairs and one end of each: C(n/2, k) * 2^k
+            (64, 20, 32, "236760952995840"),
+            (40, 12, 20, "515973120"),
+        ],
+    )
+    def test_brute_with_half_circle_separation(self, capsys, n, k, m, expected):
+        assert int(expected) == comb(n // 2, k) * 2**k
+        code, out, err = run(
+            capsys, "count", "--topology", "circle",
+            "--n", str(n), "--k", str(k), "--m", str(m), "--p", "1",
+            "--method", "brute", "--cap", "64",
+        )
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_missing_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["count", "--topology", "line", "--n", "5"])

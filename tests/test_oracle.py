@@ -4,12 +4,23 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets.binomials import binom_nat
-from sepsets.counting import SeparationParams, count_query, g_closed, h_composition
+from sepsets.counting import (
+    SeparationParams,
+    count_query,
+    g_closed,
+    h_closed_1,
+    h_composition,
+)
 from sepsets.oracle import (
     EnumerationCapError,
+    _conflict_graph,
+    _cuthill_mckee,
     count_brute,
+    count_brute_row,
     is_separate_circle,
     is_separate_line,
     kernel_backend,
@@ -96,7 +107,8 @@ class TestCountAndList:
 
 
 class TestCountMatchesEnumeration:
-    """The transfer-matrix count against the independent DFS enumeration."""
+    """The conflict-graph scan against the independent DFS enumeration and
+    the closed forms."""
 
     def test_backend_is_python(self):
         assert kernel_backend() == "python"
@@ -105,9 +117,31 @@ class TestCountMatchesEnumeration:
     def test_small_grid(self, topology):
         # n runs through n <= p*m and n = j*m, where the wrap and window
         # masks of the circle scan overlap
-        for m, p, k, n in product(range(1, 5), range(1, 4), range(7), range(19)):
+        for m, p, k, n in product(range(1, 7), range(1, 4), range(7), range(19)):
             q = count_query(topology, n, k, m, p)
             assert count_brute(q) == len(list(list_brute(q))), (n, k, m, p)
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    @pytest.mark.parametrize("m", [12, 16, 20, 24, 32, 40])
+    def test_long_separations_against_enumeration(self, topology, m):
+        for p, k in product(range(1, 4), range(4)):
+            q = count_query(topology, 32, k, m, p)
+            assert count_brute(q) == len(list(list_brute(q))), (k, m, p)
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_order_keeps_few_live_states(self, topology):
+        # a scan state holds only the vertices within the bandwidth of the
+        # one being decided, so it has at most 2^bandwidth states; a
+        # bandwidth of at most 2p + 2 caps them at 2^(2p + 2)
+        for n, p in product(range(41), range(1, 4)):
+            for m in range(1, n + 1):
+                adj = _conflict_graph(count_query(topology, n, n, m, p))
+                where = {v: i for i, v in enumerate(_cuthill_mckee(adj))}
+                bandwidth = max(
+                    (abs(where[u] - where[v]) for v in range(n) for u in adj[v]),
+                    default=0,
+                )
+                assert bandwidth <= 2 * p + 2, (n, m, p, bandwidth)
 
     def test_circle_near_cap(self):
         for m, p, k, n in product(range(1, 4), range(1, 4), range(9), range(25, 33)):
@@ -132,6 +166,39 @@ class TestCountMatchesEnumeration:
                 assert line == circle == comb(n, k), (k, m, p)
             if n >= m * p * k + 1:
                 assert circle == g_closed(n, k, m, p), (k, m, p)
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_row_entries_are_the_single_counts(self, topology):
+        for m, p, n in product(range(1, 4), range(1, 3), (0, 1, 7, 12, 20)):
+            row = count_brute_row(count_query(topology, n, 8, m, p))
+            assert len(row) == 9
+            assert list(row) == [
+                count_brute(count_query(topology, n, c, m, p)) for c in range(9)
+            ], (n, m, p)
+
+    def test_row_is_capped(self):
+        with pytest.raises(EnumerationCapError):
+            count_brute_row(count_query("circle", 33, 2, 1, 1))
+
+    @given(
+        st.integers(0, 200), st.integers(0, 12), st.integers(1, 6), st.integers(1, 4)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_forms_far_past_the_default_cap(self, n, k, m, p):
+        if n >= p * m * (k - 1):
+            line = count_brute(count_query("line", n, k, m, p), cap=200)
+            assert line == h_closed_1(n, k, m, p)
+        if n >= m * p * k + 1:
+            circle = count_brute(count_query("circle", n, k, m, p), cap=200)
+            assert circle == g_closed(n, k, m, p)
+
+    def test_order_is_a_breadth_first_search_by_degree(self):
+        # the 5-circle with m = 2, p = 1 is the 5-cycle 0-2-4-1-3-0
+        adj = _conflict_graph(count_query("circle", 5, 2, 2, 1))
+        assert [sorted(a) for a in adj] == [[2, 3], [3, 4], [0, 4], [0, 1], [1, 2]]
+        assert _cuthill_mckee(adj) == [0, 2, 3, 4, 1]
+        # isolated vertices come first, then each component from its end
+        assert _cuthill_mckee([[], [3], [], [1]]) == [0, 2, 1, 3]
 
     @pytest.mark.parametrize("topology", ["line", "circle"])
     def test_edge_cases(self, topology):

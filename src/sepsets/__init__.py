@@ -17,6 +17,7 @@ from .counting import (
     compositions,
     count_query,
     g_closed,
+    g_composition,
     g_from_h,
     h_closed_1,
     h_closed_2,
@@ -83,6 +84,7 @@ __all__ = [
     "h_closed_2",
     "h_closed_3",
     "g_closed",
+    "g_composition",
     "g_from_h",
     "OmegaQuery",
     "SingularTermError",

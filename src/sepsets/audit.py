@@ -4,10 +4,11 @@ records counterexamples.
 
 Each identity in the catalogue is a generator of ``(params, lhs, rhs)``
 cases; ``run_audit`` counts, compares and records them.  Each identity is
-checked at every grid point satisfying its validity
-precondition; mismatches are collected as data (never raised).  The
-catalogue deliberately includes the known-bad ``printed`` formula
-variants so their counterexamples are reproduced, witnesses included.
+checked at every grid point satisfying its validity precondition;
+mismatches are collected as data (never raised).  The catalogue
+deliberately includes the known-bad ``printed`` formula variants so their
+counterexamples are reproduced, witnesses included.  Only the oracle
+sides and ``bijection_count_check`` read the brute-force cap.
 
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
@@ -33,8 +34,10 @@ from .counting import (
     CountQuery,
     SeparationParams,
     Topology,
+    _check_hg_args,
     count_query,
     g_closed,
+    g_for_identity,
     g_from_h,
     h_closed_1,
     h_closed_2,
@@ -165,27 +168,6 @@ def _failure(params: dict, lhs, rhs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# extended count lookups used inside identity sums
-
-
-def g_for_identity(n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP) -> int:
-    """Circle count extended to all integer n for identity sums: the empty
-    selection counts 1 for every n; k >= 1 on a too-short circle counts 0.
-    In-range points use the closed form, the rest the brute-force oracle."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    if n < k:
-        return 0
-    if n >= m * p * k + 1:
-        return g_closed(n, k, m, p)
-    return count_brute(
-        CountQuery(Topology.CIRCLE, n, k, SeparationParams(m, p)), cap=cap
-    )
-
-
-# ---------------------------------------------------------------------------
 # recurrence evaluators
 
 def _recurrence(
@@ -218,38 +200,30 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
     that boundary are seeded from the definitional composition sum, so the
     result equals ``h_composition`` for every n, k >= 0.
     """
-    if n < 0 or k < 0 or m < 1 or p < 1:
-        raise ValueError("need n, k >= 0 and m, p >= 1")
+    _check_hg_args(n, k, m, p)
     return _recurrence(
         n, k, p + 1, lambda kk: p * m * (kk - 1) + 1,
         lambda nn, kk: h_for_identity(nn, kk, m, p),
     )
 
 
-def g_recurrence(
-    n: int,
-    k: int,
-    m: int,
-    p: int,
-    variant: str = "corrected",
-    cap: int = DEFAULT_CAP,
-) -> int:
+def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
     """Circle count via the recurrence in n.
 
     ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
     closed form on its whole validity range; ``printed`` uses the
     G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
     for n >= m*(p*k+1) + 1; cells below are seeded from the closed form
-    when in range, else from the brute-force oracle (subject to the cap).
+    when in range, else from the cycle composition, so it equals
+    ``g_composition`` for every n, k >= 0.
     """
-    if n < 0 or k < 0 or m < 1 or p < 1:
-        raise ValueError("need n, k >= 0 and m, p >= 1")
+    _check_hg_args(n, k, m, p)
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     delta = 1 if variant == "corrected" else 0
     return _recurrence(
         n, k, p + delta, lambda kk: m * (p * kk + 1) + 1,
-        lambda nn, kk: g_for_identity(nn, kk, m, p, cap=cap),
+        lambda nn, kk: g_for_identity(nn, kk, m, p),
     )
 
 
@@ -259,8 +233,7 @@ def g_alternating(n: int, k: int, m: int, p: int) -> int:
 
     Valid for ``n >= m*(p*k+1)``.
     """
-    if m < 1 or p < 1 or k < 0:
-        raise ValueError("need m, p >= 1 and k >= 0")
+    _check_hg_args(n, k, m, p)
     if n < m * (p * k + 1):
         raise ValueError(
             f"g_alternating needs n >= m*(p*k+1) = {m * (p * k + 1)}, got n={n}"
@@ -277,15 +250,14 @@ def g_alternating(n: int, k: int, m: int, p: int) -> int:
     return total
 
 
-def h_from_g(n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP) -> int:
+def h_from_g(n: int, k: int, m: int, p: int) -> int:
     """Line count as an alternating sum of circle counts:
     ``sum_j (-1)^j binom(m+j-1,j) p^j G(n+p*m-(p+1)*j, k-j)``.
 
     Stated for ``n >= m*p*(k-1)``; circle terms below the closed-form range
-    come from the brute-force oracle.
+    come from the cycle composition.
     """
-    if m < 1 or p < 1 or k < 0 or n < 0:
-        raise ValueError("need n, k >= 0 and m, p >= 1")
+    _check_hg_args(n, k, m, p)
     if n < m * p * (k - 1):
         raise ValueError(
             f"h_from_g needs n >= m*p*(k-1) = {m * p * (k - 1)}, got n={n}"
@@ -296,7 +268,7 @@ def h_from_g(n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP) -> int:
             (-1) ** j
             * binom_nat(m + j - 1, j)
             * p**j
-            * g_for_identity(n + p * m - (p + 1) * j, k - j, m, p, cap=cap)
+            * g_for_identity(n + p * m - (p + 1) * j, k - j, m, p)
         )
     return total
 
@@ -447,8 +419,6 @@ def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
 ) -> Iterator[Case]:
     """The catalogue: the cases of one identity on one grid."""
-    g_capped = partial(g_for_identity, cap=cap)
-
     @cache
     def brute_row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
         # one oracle scan gives the counts for every k of the grid
@@ -502,18 +472,19 @@ def _cases(
             return _grid_cases(
                 grid,
                 _eq4_2_applies,
-                g_capped,
-                lambda n, k, m, p: g_capped(n - 1, k, m, p)
-                + g_capped(n - p - delta, k - 1, m, p),
+                g_for_identity,
+                lambda n, k, m, p: g_for_identity(n - 1, k, m, p)
+                + g_for_identity(n - p - delta, k - 1, m, p),
             )
         case IdentityId.EQ4_4:
             return _grid_cases(
-                grid, lambda n, k, m, p: n >= m * (p * k + 1), g_capped, g_alternating
+                grid,
+                lambda n, k, m, p: n >= m * (p * k + 1),
+                g_for_identity,
+                g_alternating,
             )
         case IdentityId.EQ4_5:
-            return _grid_cases(
-                grid, _eq4_5_applies, h_composition, partial(h_from_g, cap=cap)
-            )
+            return _grid_cases(grid, _eq4_5_applies, h_composition, h_from_g)
         case IdentityId.HWANG_WEI:
             return _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from functools import partial
 
 from .audit import (
     DEFAULT_GRID,
@@ -26,7 +25,7 @@ from .audit import (
 from .counting import (
     count_query,
     g_closed,
-    g_from_h,
+    g_composition,
     h_closed_1,
     h_closed_2,
     h_closed_3,
@@ -98,7 +97,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _routes(cap):
+def _routes():
     """The formula routes, by topology and method name.  Built on each call,
     so every route is looked up by name when it is used, as a tracer that
     rebinds module attributes expects."""
@@ -113,9 +112,9 @@ def _routes(cap):
         },
         "circle": {
             "closed1": g_closed,
-            "composition": g_from_h,
+            "composition": g_composition,
             "series": g_series,
-            "recurrence": partial(g_recurrence, cap=cap),
+            "recurrence": g_recurrence,
         },
     }
 
@@ -128,7 +127,7 @@ def _resolve_count(topology, n, k, m, p, method, cap):
             method = "closed1" if n >= m * p * k + 1 else "brute"
     if method == "brute":
         return count_brute(count_query(topology, n, k, m, p), cap), method
-    routes = _routes(cap)[topology]
+    routes = _routes()[topology]
     if method not in routes:
         raise ValueError(
             f"method {method} applies only to line topology; the circle has a "

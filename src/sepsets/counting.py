@@ -1,4 +1,6 @@
-"""Core domain types and every closed-form / composition-sum count evaluator.
+"""Core domain types and every closed-form / composition-sum count evaluator;
+one composition engine serves the line's residue rows and the circle's
+residue cycles, and nothing here calls the brute-force oracle.
 
 Conventions, fixed once here:
 
@@ -15,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from itertools import takewhile
+from math import gcd
+from typing import Callable, Sequence
 
 from .binomials import binom_nat
 from .omega_phi import (
@@ -120,10 +124,37 @@ def h_composition(
         if len(sizes) != m or any(s < 0 for s in sizes) or sum(sizes) != n:
             raise ValueError("sizes must be m nonnegative integers summing to n")
         rows = Counter(sizes)
+    return _composition(rows, k, lambda s, j: binom_nat(s - p * (j - 1), j))
+
+
+def g_composition(n: int, k: int, m: int, p: int) -> int:
+    """Definitional circle count for all n, k >= 0: Kaplansky's circular
+    count (1943) per residue cycle.
+
+    With p' = min(p, (n-1)//m), as only distances below n are real, the
+    conflicts split Z_n into g = gcd(n, m) cycles of length L = n/g, each
+    the p'-th power of an L-cycle with ``c_j = L/j * binom_nat(L - p'*j - 1,
+    j - 1)`` separated j-subsets; the count is [y^k] c(y)^g.
+    """
+    _check_hg_args(n, k, m, p)
+    g, q = gcd(n, m), min(p, (n - 1) // m)
+    return _composition(
+        {n // g: g}, k, lambda s, j: s * binom_nat(s - q * j - 1, j - 1) // j
+    )
+
+
+def _composition(
+    rows: dict[int, int], k: int, ways: Callable[[int, int], int]
+) -> int:
+    """[y^k] of the product over ``rows`` ({length s: count}) of
+    ``(1 + sum_j ways(s, j) * y^j) ** count``, up to the first zero
+    ``ways(s, j)``; equal factors are raised by repeated squaring.  0 when
+    k exceeds the total length, before any list is built."""
+    if k > sum(s * count for s, count in rows.items()):
+        return 0
     total = [1]
     for s, count in rows.items():
-        top = min(k, (s + p) // (p + 1))  # binom_nat(...) is 0 for larger j
-        row = [binom_nat(s - p * (j - 1), j) for j in range(top + 1)]
+        row = [1, *takewhile(bool, (ways(s, j) for j in range(1, min(k, s) + 1)))]
         while count:
             if count & 1:
                 total = truncated_product(total, row, k)
@@ -192,6 +223,17 @@ def h_for_identity(n: int, k: int, m: int, p: int) -> int:
     return h_composition(n, k, m, p)
 
 
+def g_for_identity(n: int, k: int, m: int, p: int) -> int:
+    """Circle count extended to all integer n for identity sums: the empty
+    selection counts 1 for every n; k >= 1 on a too-short circle counts 0.
+    In-range points use the closed form, the rest the cycle composition."""
+    if k <= 0 or n < k:
+        return int(k == 0)
+    if n >= m * p * k + 1:
+        return g_closed(n, k, m, p)
+    return g_composition(n, k, m, p)
+
+
 def g_from_h(n: int, k: int, m: int, p: int) -> int:
     """Circle count assembled from line counts by deleting the wrap-around
     zone: ``sum_j binom(m, j) p^j H(n - p*m - (p+1)*j, k - j)``.
@@ -249,6 +291,7 @@ __all__ = [
     "partition_sizes",
     "compositions",
     "h_composition",
+    "g_composition",
     "h_closed_1",
     "h_closed_2",
     "h_closed_3",
@@ -256,5 +299,6 @@ __all__ = [
     "g_closed",
     "g_from_h",
     "h_for_identity",
+    "g_for_identity",
     "count_query",
 ]

@@ -8,7 +8,7 @@ Truncation order is always the target degree; callers pass T = k.
 
 Coefficients are kept as given: integer parameters give ``int``
 coefficients and rational ones ``Fraction``.  ``truncated_product`` is the
-one polynomial product; the line composition sum uses it directly.
+one polynomial product; the composition sums of both topologies use it.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from sepsets.audit import (
     parse_grid,
     run_audit,
 )
-from sepsets.counting import g_closed, h_composition, h_for_identity
+from sepsets import oracle
+from sepsets.counting import g_closed, g_composition, h_composition, h_for_identity
 from sepsets.oracle import EnumerationCapError
 
 SMALL_GRID = GridSpec(m_max=2, p_max=2, k_max=3, n_max=14)
@@ -140,15 +141,42 @@ class TestHFromG:
                         n, k, m, p,
                     )
 
-    def test_cap_propagates(self):
-        # the j = 0 term G(6, 3) sits below the closed-form range and needs
-        # the oracle, which the tiny cap rejects
-        with pytest.raises(EnumerationCapError):
-            h_from_g(4, 3, 2, 1, cap=5)
+    def test_below_range_circle_term(self):
+        # the j = 0 term G(6, 3) sits below the closed-form range
+        assert h_from_g(4, 3, 2, 1) == -6
 
     def test_rejects_below_range(self):
         with pytest.raises(ValueError):
             h_from_g(1, 2, 2, 1)
+
+
+class TestFormulaRoutesNeedNoOracle:
+    """With the oracle scan disabled, the circle routes below the closed-form
+    range, past the default cap too, and the Eq4.x audits still run."""
+
+    @pytest.fixture(autouse=True)
+    def no_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a formula route called the oracle")
+
+        monkeypatch.setattr(oracle, "_scan", refuse)
+
+    def test_circle_routes_below_range(self):
+        for m, p, k in product(range(1, 4), range(1, 3), range(1, 8)):
+            for n in range(m * p * (k - 1), min(m * p * k + 1, 41)):
+                value = g_composition(n, k, m, p)
+                assert g_for_identity(n, k, m, p) == value
+                assert g_recurrence(n, k, m, p) == value
+                h_from_g(n, k, m, p)
+
+    def test_eq4_audits(self):
+        grid = GridSpec(3, 2, 6, 40)
+        printed, *rest = [
+            run_audit(IdentityId(name), grid)
+            for name in ["Eq4.2-printed", "Eq4.1", "Eq4.2-corrected", "Eq4.4", "Eq4.5"]
+        ]
+        assert not printed.passed
+        assert all(report.passed and report.checked for report in rest)
 
 
 class TestBoundaryCounterexamples:

@@ -128,6 +128,27 @@ class TestCount:
         assert len(out) > 4300
         assert int(out) == n * comb(n - k, k) // (n - k)
 
+    @pytest.mark.parametrize("method", ["recurrence", "composition"])
+    def test_circle_below_range_past_the_cap(self, capsys, method):
+        # the value of --method brute --cap 64; no formula route reads the cap
+        code, out, err = run(
+            capsys, "count", "--topology", "circle",
+            "--n", "40", "--k", "12", "--m", "3", "--p", "2",
+            "--method", method,
+        )
+        assert (code, out, err) == (0, "4550\n", "")
+
+    @pytest.mark.parametrize(
+        "topology,method", [("line", "auto"), ("circle", "composition")],
+    )
+    def test_k_past_n_prints_zero(self, capsys, topology, method):
+        code, out, err = run(
+            capsys, "count", "--topology", topology,
+            "--n", "5", "--k", "1000000000000", "--m", "2", "--p", "1",
+            "--method", method,
+        )
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_composition_with_many_rows(self, capsys):
         code, out, _ = run(
             capsys, "count", "--topology", "line",
@@ -185,7 +206,14 @@ class TestList:
 
 
 @pytest.mark.parametrize(
-    "command", [["count", "--method", "brute"], ["count"], ["list"]],
+    "command",
+    [
+        ["count", "--method", "brute"],
+        ["count"],
+        ["list"],
+        ["count", "--method", "recurrence"],
+        ["count", "--method", "composition"],
+    ],
 )
 def test_negative_k_is_an_error(capsys, command):
     code, out, err = run(

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from sepsets.counting import (
     compositions,
     count_query,
     g_closed,
+    g_composition,
     g_from_h,
     h_closed_1,
     h_closed_2,
@@ -26,7 +28,7 @@ from sepsets.counting import (
     h_for_identity,
     partition_sizes,
 )
-from sepsets.oracle import count_brute
+from sepsets.oracle import count_brute, count_brute_row
 from sepsets.series import g_series, h_series
 
 
@@ -272,6 +274,38 @@ class TestGFromH:
             g_from_h(4, 2, 2, 1)
 
 
+class TestGComposition:
+    def test_empty_circle(self):
+        assert (g_composition(0, 0, 2, 1), g_composition(0, 2, 2, 1)) == (1, 0)
+
+    def test_separation_longer_than_the_circle(self):
+        # m >= n: no two positions are m apart, so every k-subset counts
+        assert g_composition(7, 3, 10, 1) == comb(7, 3) == 35
+
+    def test_window_erratum_witness(self):
+        # {1,4,7} and its two rotations on the 9-circle at (m, p) = (2, 2)
+        assert g_composition(9, 3, 2, 2) == 3
+
+    def test_matches_oracle_on_the_full_small_grid(self):
+        for m, p, n in product(range(1, 7), range(1, 5), range(27)):
+            row = count_brute_row(count_query("circle", n, 11, m, p))
+            assert [g_composition(n, k, m, p) for k in range(12)] == list(row), (
+                n, m, p,
+            )
+
+    def test_matches_closed_form_at_large_n(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            m, p, k = rng.randint(1, 6), rng.randint(1, 4), rng.randint(0, 40)
+            n = m * p * k + 1 + rng.randint(0, 4000)
+            assert g_composition(n, k, m, p) == g_closed(n, k, m, p), (n, k, m, p)
+
+    def test_rejects_bad_args(self):
+        for args in [(5, -1, 2, 1), (-1, 2, 2, 1), (5, 2, 0, 1), (5, 2, 2, 0)]:
+            with pytest.raises(ValueError):
+                g_composition(*args)
+
+
 class TestRoutesAgree:
     """Every count route equals the others wherever its precondition holds."""
 
@@ -297,10 +331,11 @@ class TestRoutesAgree:
     @given(st.integers(0, 200), *params)
     @settings(max_examples=150, deadline=None)
     def test_circle_routes(self, n, m, p, k):
+        value = g_composition(n, k, m, p)
+        assert g_recurrence(n, k, m, p) == value
         if n >= m * p * k + 1:
-            value = g_closed(n, k, m, p)
-            assert g_series(n, k, m, p) == value
-            assert g_recurrence(n, k, m, p) == value
+            routes = [g_closed, g_series, g_from_h]
+            assert [route(n, k, m, p) for route in routes] == [value] * len(routes)
 
     def test_recurrence_at_a_large_point(self):
         assert h_recurrence(3000, 50, 3, 2) == h_closed_1(3000, 50, 3, 2)

@@ -19,10 +19,12 @@ from .counting import (
     g_closed,
     g_composition,
     g_from_h,
+    g_series,
     h_closed_1,
     h_closed_2,
     h_closed_3,
     h_composition,
+    h_series,
     partition_sizes,
 )
 from .omega_phi import (
@@ -47,7 +49,7 @@ from .oracle import (
     kernel_backend,
     list_brute,
 )
-from .series import PowerSeries, binomial_series, g_series, h_series, phi_residue
+from .series import PowerSeries, binomial_series, phi_residue
 from .audit import (
     AuditReport,
     GridSpec,

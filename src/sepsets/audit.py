@@ -35,6 +35,9 @@ from .counting import (
     SeparationParams,
     Topology,
     _check_hg_args,
+    _check_range,
+    alternating_in_range,
+    circle_in_range,
     count_query,
     g_closed,
     g_for_identity,
@@ -44,6 +47,7 @@ from .counting import (
     h_closed_3_value,
     h_composition,
     h_for_identity,
+    line_in_range,
 )
 from .omega_phi import (
     OmegaQuery,
@@ -231,13 +235,9 @@ def g_alternating(n: int, k: int, m: int, p: int) -> int:
     """Circle count as an alternating sum of line counts:
     ``sum_j (-1)^j binom(m,j) p^j (p+1)^(m-j) H(n-p*m-j, k)``.
 
-    Valid for ``n >= m*(p*k+1)``.
+    Valid where ``alternating_in_range`` holds.
     """
-    _check_hg_args(n, k, m, p)
-    if n < m * (p * k + 1):
-        raise ValueError(
-            f"g_alternating needs n >= m*(p*k+1) = {m * (p * k + 1)}, got n={n}"
-        )
+    _check_range("g_alternating needs", "alternating", n, k, m, p)
     total = 0
     for j in range(m + 1):
         total += (
@@ -254,14 +254,10 @@ def h_from_g(n: int, k: int, m: int, p: int) -> int:
     """Line count as an alternating sum of circle counts:
     ``sum_j (-1)^j binom(m+j-1,j) p^j G(n+p*m-(p+1)*j, k-j)``.
 
-    Stated for ``n >= m*p*(k-1)``; circle terms below the closed-form range
-    come from the cycle composition.
+    Stated where ``line_in_range`` holds; circle terms below the closed-form
+    range come from the cycle composition.
     """
-    _check_hg_args(n, k, m, p)
-    if n < m * p * (k - 1):
-        raise ValueError(
-            f"h_from_g needs n >= m*p*(k-1) = {m * p * (k - 1)}, got n={n}"
-        )
+    _check_range("h_from_g needs", "line", n, k, m, p)
     total = 0
     for j in range(k + 1):
         total += (
@@ -277,12 +273,9 @@ def bijection_count_check(
     n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP
 ) -> tuple[int, int]:
     """Both brute-force circle counts compared by the bijection-cardinality
-    audit: separation parameters (m, p) versus (1, p).  They agree for
-    ``n >= m*p*k + 1`` (the catalogue's BijectionCount claim)."""
-    if n < m * p * k + 1:
-        raise ValueError(
-            f"bijection check needs n >= m*p*k+1 = {m * p * k + 1}, got n={n}"
-        )
+    audit: separation parameters (m, p) versus (1, p).  They agree where
+    ``circle_in_range`` holds (the catalogue's BijectionCount claim)."""
+    _check_range("bijection check needs", "circle", n, k, m, p)
     lhs = count_brute(CountQuery(Topology.CIRCLE, n, k, SeparationParams(m, p)), cap)
     rhs = count_brute(CountQuery(Topology.CIRCLE, n, k, SeparationParams(1, p)), cap)
     return lhs, rhs
@@ -309,24 +302,16 @@ def _grid_cases(
                         yield params, lhs(n, k, m, p), rhs(n, k, m, p)
 
 
-def _line_range(n: int, k: int, m: int, p: int) -> bool:
-    return n >= p * m * (k - 1)
-
-
-def _circle_range(n: int, k: int, m: int, p: int) -> bool:
-    return n >= m * p * k + 1
-
-
 def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
     # count-level validity: at n == p*m*(k-1) with m, k >= 2 the H(n-1, k)
     # term falls below the closed-form regime and the identity fails; the
     # k == 1, n == 0 cell fails because H(n-p-1, 0) = 1 has no subset to
     # extend.  Both slices are regression-tested as counterexamples.
-    if k < 1 or n < p * m * (k - 1):
+    if k < 1 or not line_in_range(n, k, m, p):
         return False
     if k == 1 and n == 0:
         return False
-    if k >= 2 and m >= 2 and n == p * m * (k - 1):
+    if k >= 2 and m >= 2 and not line_in_range(n - 1, k, m, p):
         return False
     return True
 
@@ -335,9 +320,9 @@ def _eq4_2_applies(n: int, k: int, m: int, p: int) -> bool:
     # at m == 1, n == p*k + 1 the G(n-1, k) term sits where the closed form
     # is singular and the count-level identity fails; skipped (regression-
     # tested as a counterexample).
-    if k < 1 or n < m * (p * k + 1):
+    if k < 1 or not alternating_in_range(n, k, m, p):
         return False
-    if m == 1 and k >= 2 and n == p * k + 1:
+    if m == 1 and k >= 2 and not circle_in_range(n - 1, k, m, p):
         return False
     return True
 
@@ -434,7 +419,7 @@ def _cases(
         case IdentityId.EQ2_1:
             return _grid_cases(grid, lambda *_: True, line_brute, h_composition)
         case IdentityId.EQ2_2:
-            return _grid_cases(grid, _circle_range, circle_brute, g_from_h)
+            return _grid_cases(grid, circle_in_range, circle_brute, g_from_h)
         case IdentityId.EQ3_1:
             return _omega_cases(grid, rng, omega_direct, omega_closed_1)
         case IdentityId.EQ3_2:
@@ -446,16 +431,16 @@ def _cases(
         case IdentityId.EQ3_4:
             return _omega_cases(grid, rng, phi_direct, phi_closed)
         case IdentityId.EQ3_5:
-            return _grid_cases(grid, _circle_range, circle_brute, g_closed)
+            return _grid_cases(grid, circle_in_range, circle_brute, g_closed)
         case IdentityId.THM_H1:
-            return _grid_cases(grid, _line_range, h_composition, h_closed_1)
+            return _grid_cases(grid, line_in_range, h_composition, h_closed_1)
         case IdentityId.THM_H2:
-            return _grid_cases(grid, _line_range, h_composition, h_closed_2)
+            return _grid_cases(grid, line_in_range, h_composition, h_closed_2)
         case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
             variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
             return _grid_cases(
                 grid,
-                lambda n, k, m, p: k >= 1 and _line_range(n, k, m, p),
+                lambda n, k, m, p: k >= 1 and line_in_range(n, k, m, p),
                 h_composition,
                 partial(h_closed_3_value, variant=variant),
             )
@@ -479,7 +464,7 @@ def _cases(
         case IdentityId.EQ4_4:
             return _grid_cases(
                 grid,
-                lambda n, k, m, p: n >= m * (p * k + 1),
+                alternating_in_range,
                 g_for_identity,
                 g_alternating,
             )
@@ -492,7 +477,7 @@ def _cases(
         case IdentityId.BIJECTION_COUNT:
             return _grid_cases(
                 grid,
-                lambda n, k, m, p: k >= 1 and _circle_range(n, k, m, p),
+                lambda n, k, m, p: k >= 1 and circle_in_range(n, k, m, p),
                 circle_brute,
                 lambda n, k, m, p: circle_brute(n, k, 1, p),
             )
@@ -521,6 +506,3 @@ def run_audit(
         failures=failures,
     )
 
-
-def run_all_audits(grid: GridSpec, cap: int = DEFAULT_CAP) -> list[AuditReport]:
-    return [run_audit(identity, grid, cap) for identity in IdentityId]

@@ -23,16 +23,19 @@ from .audit import (
     run_audit,
 )
 from .counting import (
+    circle_in_range,
     count_query,
     g_closed,
     g_composition,
+    g_series,
     h_closed_1,
     h_closed_2,
     h_closed_3,
     h_composition,
+    h_series,
+    line_in_range,
 )
 from .oracle import DEFAULT_CAP, EnumerationCapError, count_brute, list_brute
-from .series import g_series, h_series
 
 METHODS = (
     "auto",
@@ -122,9 +125,11 @@ def _routes():
 def _resolve_count(topology, n, k, m, p, method, cap):
     if method == "auto":
         if topology == "line":
-            method = "closed1" if n >= p * m * (k - 1) else "composition"
+            method = "closed1" if line_in_range(n, k, m, p) else "composition"
+        elif not circle_in_range(n, k, m, p):
+            method = "brute" if n <= cap else "composition"
         else:
-            method = "closed1" if n >= m * p * k + 1 else "brute"
+            method = "closed1"
     if method == "brute":
         return count_brute(count_query(topology, n, k, m, p), cap), method
     routes = _routes()[topology]
@@ -179,8 +184,8 @@ def _cmd_table(args) -> int:
         payload = []
         for n, k, value, method in rows:
             cell = {"n": n, "k": k, "count": value}
-            if args.topology == "circle" and method == "brute":
-                cell["method"] = "brute"
+            if args.topology == "circle" and method != "closed1":
+                cell["method"] = method
             payload.append(cell)
         text = json.dumps(payload, indent=2) + "\n"
 

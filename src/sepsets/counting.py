@@ -1,6 +1,7 @@
-"""Core domain types and every closed-form / composition-sum count evaluator;
-one composition engine serves the line's residue rows and the circle's
-residue cycles, and nothing here calls the brute-force oracle.
+"""Core domain types, every closed-form, series and composition-sum count
+evaluator, and the validity rules they share; one composition engine serves
+the line's residue rows and the circle's residue cycles, and nothing here
+calls the brute-force oracle.
 
 Conventions, fixed once here:
 
@@ -9,6 +10,9 @@ Conventions, fixed once here:
   circle: either arc's distance) is one of m, 2m, ..., p*m; a k-subset
   counts when no pair conflicts.
 * ``h_*`` evaluators count line subsets, ``g_*`` circle subsets.
+* Every route, the CLI's ``auto`` and the audit read the validity rules
+  from here: ``_check_hg_args`` (n, k >= 0; m, p >= 1) and one range
+  predicate per formula family, such as ``line_in_range``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
-from .series import truncated_product
+from .series import binomial_series, from_coeffs, truncated_product
 
 
 class Topology(Enum):
@@ -68,10 +72,7 @@ class CountQuery:
     params: SeparationParams
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got n={self.n}")
-        if self.k < 0:
-            raise ValueError(f"need k >= 0, got k={self.k}")
+        _check_hg_args(self.n, self.k, self.params.m, self.params.p)
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,14 @@ def _composition(
 
 
 def h_closed_1(n: int, k: int, m: int, p: int) -> int:
-    """First single-sum line formula, valid for ``n >= p*m*(k-1)``."""
-    _check_h_closed_args(n, k, m, p)
+    """First single-sum line formula, valid where ``line_in_range`` holds."""
+    _check_range("closed line formulas need", "line", n, k, m, p)
     return omega_closed_1_total(n + m * p, -p, m, k)
 
 
 def h_closed_2(n: int, k: int, m: int, p: int) -> int:
-    """Second single-sum line formula, valid for ``n >= p*m*(k-1)``."""
-    _check_h_closed_args(n, k, m, p)
+    """Second single-sum line formula, valid where ``line_in_range`` holds."""
+    _check_range("closed line formulas need", "line", n, k, m, p)
     return omega_closed_2_total(n + m * p, -p, m, k)
 
 
@@ -183,7 +184,7 @@ def h_closed_3(n: int, k: int, m: int, p: int, variant: str = "corrected") -> in
     matches the definitional count; ``printed`` keeps ``k-j`` and is wrong
     (the audit subsystem exhibits its counterexamples).
     """
-    _check_h_closed_args(n, k, m, p)
+    _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
         raise ValueError("h_closed_3 needs k >= 1")
     return _as_count(
@@ -200,10 +201,9 @@ def h_closed_3_value(
 
 
 def g_closed(n: int, k: int, m: int, p: int) -> int:
-    """Circle count ``n/(n - p*k) * binom(n - p*k, k)``, valid for ``n >= m*p*k + 1``."""
-    _check_hg_args(n, k, m, p)
-    if n < m * p * k + 1:
-        raise ValueError(f"g_closed needs n >= m*p*k+1 = {m*p*k + 1}, got n={n}")
+    """Circle count ``n/(n - p*k) * binom(n - p*k, k)``, valid where
+    ``circle_in_range`` holds."""
+    _check_range("g_closed needs", "circle", n, k, m, p)
     value, rest = divmod(n * binom_nat(n - p * k, k), n - p * k)
     if rest:
         raise ValueError(f"g_closed produced a non-integer value at n={n}, k={k}")
@@ -229,7 +229,7 @@ def g_for_identity(n: int, k: int, m: int, p: int) -> int:
     In-range points use the closed form, the rest the cycle composition."""
     if k <= 0 or n < k:
         return int(k == 0)
-    if n >= m * p * k + 1:
+    if circle_in_range(n, k, m, p):
         return g_closed(n, k, m, p)
     return g_composition(n, k, m, p)
 
@@ -238,12 +238,10 @@ def g_from_h(n: int, k: int, m: int, p: int) -> int:
     """Circle count assembled from line counts by deleting the wrap-around
     zone: ``sum_j binom(m, j) p^j H(n - p*m - (p+1)*j, k - j)``.
 
-    Valid for ``n >= m*p*k + 1``.  The j = k boundary term relies on the
-    empty-selection convention H(n, 0) = 1 for every n.
+    Valid where ``circle_in_range`` holds.  The j = k boundary term relies
+    on the empty-selection convention H(n, 0) = 1 for every n.
     """
-    _check_hg_args(n, k, m, p)
-    if n < m * p * k + 1:
-        raise ValueError(f"g_from_h needs n >= m*p*k+1 = {m*p*k + 1}, got n={n}")
+    _check_range("g_from_h needs", "circle", n, k, m, p)
     total = 0
     for j in range(min(m, k) + 1):
         total += (
@@ -254,10 +252,55 @@ def g_from_h(n: int, k: int, m: int, p: int) -> int:
     return total
 
 
+def h_series(n: int, k: int, m: int, p: int) -> int:
+    """Line count via coefficient extraction, valid where ``line_in_range``
+    holds: ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``."""
+    _check_range("h_series needs", "line", n, k, m, p)
+    numer = binomial_series(n + p * m + m - p * k - 1, 1, k)
+    denom = binomial_series(-(m - 1), p + 1, k)
+    return (numer * denom).coeff(k)
+
+
+def g_series(n: int, k: int, m: int, p: int) -> int:
+    """Circle count via coefficient extraction, valid where
+    ``circle_in_range`` holds: ``[y^k] (1+y)**(n-p*k-1) * (1+(p+1)*y)``."""
+    _check_range("g_series needs", "circle", n, k, m, p)
+    kernel = binomial_series(n - p * k - 1, 1, k)
+    linear = from_coeffs([1, p + 1], k)
+    return (kernel * linear).coeff(k)
+
+
 def count_query(topology: str | Topology, n: int, k: int, m: int, p: int) -> CountQuery:
     """Convenience constructor used by the CLI and tests."""
     topo = Topology(topology) if not isinstance(topology, Topology) else topology
     return CountQuery(topo, n, k, SeparationParams(m, p))
+
+
+# each formula family's range of n, stated only here: (the rule as range
+# errors print it, the least valid n for (k, m, p))
+
+_RANGES = {
+    "line": ("p*m*(k-1)", lambda k, m, p: p * m * (k - 1)),
+    "circle": ("m*p*k+1", lambda k, m, p: m * p * k + 1),
+    "alternating": ("m*(p*k+1)", lambda k, m, p: m * (p * k + 1)),
+}
+
+
+def line_in_range(n: int, k: int, m: int, p: int) -> bool:
+    """Whether n is in the range of the closed line forms, ``h_series`` and
+    ``h_from_g``."""
+    return n >= _RANGES["line"][1](k, m, p)
+
+
+def circle_in_range(n: int, k: int, m: int, p: int) -> bool:
+    """Whether n is in the range of ``g_closed``, ``g_series``, ``g_from_h``
+    and the bijection check."""
+    return n >= _RANGES["circle"][1](k, m, p)
+
+
+def alternating_in_range(n: int, k: int, m: int, p: int) -> bool:
+    """Whether n is in the range of the alternating sum ``g_alternating``."""
+    return n >= _RANGES["alternating"][1](k, m, p)
 
 
 def _check_hg_args(n: int, k: int, m: int, p: int) -> None:
@@ -269,12 +312,13 @@ def _check_hg_args(n: int, k: int, m: int, p: int) -> None:
         raise ValueError(f"need n >= 0, got n={n}")
 
 
-def _check_h_closed_args(n: int, k: int, m: int, p: int) -> None:
+def _check_range(what: str, family: str, n: int, k: int, m: int, p: int) -> None:
+    """The argument check, then the range error when n is below the range
+    of ``family``; ``what`` is the message's subject with its verb."""
     _check_hg_args(n, k, m, p)
-    if n < p * m * (k - 1):
-        raise ValueError(
-            f"closed line formulas need n >= p*m*(k-1) = {p*m*(k-1)}, got n={n}"
-        )
+    rule, bound = _RANGES[family]
+    if n < bound(k, m, p):
+        raise ValueError(f"{what} n >= {rule} = {bound(k, m, p)}, got n={n}")
 
 
 def _as_count(value: Fraction, what: str) -> int:
@@ -298,6 +342,11 @@ __all__ = [
     "h_closed_3_value",
     "g_closed",
     "g_from_h",
+    "h_series",
+    "g_series",
+    "line_in_range",
+    "circle_in_range",
+    "alternating_in_range",
     "h_for_identity",
     "g_for_identity",
     "count_query",

@@ -192,7 +192,8 @@ def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
 def gould_check(
     a: Rational, b: Rational, c: Rational, n: int
 ) -> tuple[Fraction, Fraction]:
-    """Both sides of the two-part convolution identity.
+    """Both sides of the two-part convolution identity: Phi with the two
+    lambdas (a, b) and mu = c at k = n, as its direct sum and its closed form.
 
     Left: ``sum_{k=0}^{n} a/(a+ck) binom(a+ck, k) * b/(b+c(n-k)) binom(b+c(n-k), n-k)``.
     Right: ``(a+b)/(a+b+cn) * binom(a+b+cn, n)`` (evaluated at n).
@@ -200,16 +201,5 @@ def gould_check(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a + b + c * n == 0:
-        raise SingularTermError("a + b + c*n = 0")
-    left = Fraction(0)
-    for k in range(n + 1):
-        d1 = a + c * k
-        d2 = b + c * (n - k)
-        if d1 == 0 or d2 == 0:
-            raise SingularTermError(f"zero denominator at k={k}")
-        left += a / d1 * binom_gen(d1, k) * b / d2 * binom_gen(d2, n - k)
-    right = (a + b) / (a + b + c * n) * binom_gen(a + b + c * n, n)
-    return left, right
-
+    q = OmegaQuery((a, b), c, n)
+    return phi_direct(q), phi_closed(q)

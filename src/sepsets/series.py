@@ -1,10 +1,12 @@
-"""Truncated formal power series over exact coefficients.
+"""Truncated formal power series over exact coefficients: pure algebra,
+with no counting semantics and no validity rules.
 
-This is the coefficient-extraction engine behind the closed counting
-formulas: every residue that appears in their derivations has the shape
+This is the coefficient-extraction engine behind the counting formulas:
+every residue that appears in their derivations has the shape
 "coefficient of y^k in an explicit product of binomial kernels", so a
 plain truncated series with a Cauchy product is all that is needed.
-Truncation order is always the target degree; callers pass T = k.
+Truncation order is always the target degree; callers pass T = k.  The
+series count routes ``h_series`` and ``g_series`` live in ``counting``.
 
 Coefficients are kept as given: integer parameters give ``int``
 coefficients and rational ones ``Fraction``.  ``truncated_product`` is the
@@ -107,38 +109,3 @@ def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
     kernel = binomial_series(lam + mu * k - 1, 1, k)
     linear = from_coeffs([1, -(mu - 1)], k)
     return (kernel * linear).coeff(k)
-
-
-def h_series(n: int, k: int, m: int, p: int) -> int:
-    """Line count via coefficient extraction:
-    ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``.
-
-    Valid for ``n >= p*m*(k-1)``, ``m, p >= 1``, ``k >= 0``.
-    """
-    _check_series_params(m, p, k)
-    if n < p * m * (k - 1):
-        raise ValueError(f"h_series needs n >= p*m*(k-1) = {p*m*(k-1)}, got n={n}")
-    numer = binomial_series(n + p * m + m - p * k - 1, 1, k)
-    denom = binomial_series(-(m - 1), p + 1, k)
-    return (numer * denom).coeff(k)
-
-
-def g_series(n: int, k: int, m: int, p: int) -> int:
-    """Circle count via coefficient extraction:
-    ``[y^k] (1+y)**(n-p*k-1) * (1+(p+1)*y)``.
-
-    Valid for ``n >= m*p*k + 1``.
-    """
-    _check_series_params(m, p, k)
-    if n < m * p * k + 1:
-        raise ValueError(f"g_series needs n >= m*p*k+1 = {m*p*k + 1}, got n={n}")
-    kernel = binomial_series(n - p * k - 1, 1, k)
-    linear = from_coeffs([1, p + 1], k)
-    return (kernel * linear).coeff(k)
-
-
-def _check_series_params(m: int, p: int, k: int) -> None:
-    if m < 1 or p < 1:
-        raise ValueError(f"need m, p >= 1, got m={m}, p={p}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")

@@ -44,7 +44,7 @@ from sepsets.omega_phi import (
     phi_direct,
 )
 from sepsets.oracle import count_brute, list_brute
-from sepsets.series import g_series, h_series
+from sepsets.counting import g_series, h_series
 
 F = Fraction
 

@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from sepsets.cli import main
+from sepsets.cli import METHODS, main
+from sepsets.counting import count_query
+from sepsets.oracle import count_brute
 
 
 def run(capsys, *argv):
@@ -128,9 +130,10 @@ class TestCount:
         assert len(out) > 4300
         assert int(out) == n * comb(n - k, k) // (n - k)
 
-    @pytest.mark.parametrize("method", ["recurrence", "composition"])
+    @pytest.mark.parametrize("method", ["recurrence", "composition", "auto"])
     def test_circle_below_range_past_the_cap(self, capsys, method):
-        # the value of --method brute --cap 64; no formula route reads the cap
+        # the value of --method brute --cap 64; no formula route reads the
+        # cap, and auto sends cells past it to the cycle composition
         code, out, err = run(
             capsys, "count", "--topology", "circle",
             "--n", "40", "--k", "12", "--m", "3", "--p", "2",
@@ -148,6 +151,30 @@ class TestCount:
             "--method", method,
         )
         assert (code, out, err) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "n,k,m,p,message",
+        [
+            (-1, 0, 1, 1, "need n >= 0, got n=-1"),
+            (-1, -1, 1, 1, "need k >= 0, got k=-1"),
+            (5, 2, 0, 1, "need m, p >= 1, got m=0, p=1"),
+        ],
+    )
+    def test_invalid_arguments_get_one_message(
+        self, capsys, topology, method, n, k, m, p, message
+    ):
+        code, out, err = run(
+            capsys, "count", "--topology", topology,
+            "--n", str(n), "--k", str(k), "--m", str(m), "--p", str(p),
+            "--method", method,
+        )
+        assert (code, out) == (1, "")
+        if topology == "circle" and method in ("closed2", "closed3"):
+            assert "applies only to line topology" in err
+        else:
+            assert err == f"error: {message}\n"
 
     def test_composition_with_many_rows(self, capsys):
         code, out, _ = run(
@@ -289,12 +316,23 @@ class TestTable:
         assert target.read_text().splitlines()[0] == "n,k,count"
 
     def test_cap_violation(self, capsys):
-        code, _, err = run(
-            capsys, "table", "--topology", "circle", "--m", "3", "--p", "2",
-            "--n-max", "40", "--k-max", "3", "--cap", "10",
-        )
-        assert code == 1
-        assert "capped" in err
+        # below-range circle cells past the cap come from the cycle
+        # composition instead of failing; the note lists the brute cells only
+        args = ("table", "--topology", "circle", "--m", "3", "--p", "2",
+                "--n-max", "40", "--k-max", "3", "--cap", "10")
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            n, k, value = map(int, line.split(","))
+            assert value == count_brute(count_query("circle", n, k, 3, 2), cap=64)
+        assert "(10,2)" in err and "(11,2)" not in err
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        methods = {(cell["n"], cell["k"]): cell.get("method") for cell in json.loads(out)}
+        # k = 2: the closed form starts at n = m*p*k + 1 = 13
+        assert [methods[(n, 2)] for n in (10, 11, 12, 13)] == [
+            "brute", "composition", "composition", None,
+        ]
 
 
 class TestAudit:

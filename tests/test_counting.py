@@ -29,7 +29,7 @@ from sepsets.counting import (
     partition_sizes,
 )
 from sepsets.oracle import count_brute, count_brute_row
-from sepsets.series import g_series, h_series
+from sepsets.counting import g_series, h_series
 
 
 class TestSeparationParams:

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from sepsets.binomials import binom_gen
 from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
-from sepsets.counting import count_query
+from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
     PowerSeries,
     binomial_series,
     from_coeffs,
-    g_series,
-    h_series,
     one,
     phi_residue,
 )

@@ -179,14 +179,27 @@ def _recurrence(
     boundary: Callable[[int], int], seed: Callable[[int, int], int],
 ) -> int:
     """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
-    nn >= boundary(kk); below the boundary and on row 0, T = seed.  Rows
-    kk = 1..k are built in turn, each only as far as row k needs, and only
-    the previous row is kept."""
+    nn >= boundary(kk); below the boundary and on row 0, T = seed.
+
+    Rows kk = 1..k are built in turn up to ``top = min(n, boundary(k) + k)``
+    (row kk stops at ``top - step*(k - kk)``, as far as row k needs), and
+    only the previous row is kept.  If n lies past ``top``, row k's k + 1
+    values from x0 = boundary(k) on are extended to n by Newton's forward
+    formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
+    because row k is a polynomial of degree k from boundary(k) - 1 on, which
+    holds when (1) seed(nn, 0) is the same for every nn, and (2)
+    boundary(kk) - step >= boundary(kk-1) - 1: then row kk, from
+    boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
+    stretch where that row is a polynomial of degree kk-1.  Cost, with
+    boundary(kk) spaced p*m apart: O(k*(min(n, boundary(k)+k) - boundary(k))
+    + p*m*k^2) big-int operations plus the seeds, the same at any n."""
     if k == 0 or n < boundary(k):
         return seed(n, k)
-    prev_lo, prev = n + 1, []  # row 0 comes from the seed
+    x0 = boundary(k)
+    top = min(n, x0 + k)
+    prev_lo, prev = top + 1, []  # row 0 comes from the seed
     for kk in range(1, k + 1):
-        lo, hi = boundary(kk), n - step * (k - kk)
+        lo, hi = boundary(kk), top - step * (k - kk)
         row = []
         left = seed(lo - 1, kk) if lo <= hi else 0
         for nn in range(lo, hi + 1):
@@ -194,7 +207,14 @@ def _recurrence(
             left += prev[i] if i >= 0 else seed(nn - step, kk - 1)
             row.append(left)
         prev_lo, prev = lo, row
-    return prev[-1]
+    if top == n:
+        return prev[-1]
+    total, binom, x = 0, 1, n - x0
+    for j in range(k + 1):
+        total += prev[0] * binom
+        prev = [b - a for a, b in zip(prev, prev[1:])]
+        binom = binom * (x - j) // (j + 1)
+    return total
 
 
 def h_recurrence(n: int, k: int, m: int, p: int) -> int:
@@ -202,7 +222,9 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
 
     The recurrence is applied for n >= p*m*(k-1) + 1; cells at or below
     that boundary are seeded from the definitional composition sum, so the
-    result equals ``h_composition`` for every n, k >= 0.
+    result equals ``h_composition`` for every n, k >= 0.  Rows are built
+    only to p*m*(k-1) + 1 + k and extended by Newton's forward formula, so
+    the cost does not grow with n.
     """
     _check_hg_args(n, k, m, p)
     return _recurrence(
@@ -219,7 +241,9 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
     G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
     for n >= m*(p*k+1) + 1; cells below are seeded from the closed form
     when in range, else from the cycle composition, so it equals
-    ``g_composition`` for every n, k >= 0.
+    ``g_composition`` for every n, k >= 0.  Rows are built only to
+    m*(p*k+1) + 1 + k and extended by Newton's forward formula, so the cost
+    does not grow with n.
     """
     _check_hg_args(n, k, m, p)
     if variant not in ("printed", "corrected"):

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .audit import (
     DEFAULT_GRID,
@@ -35,7 +36,13 @@ from .counting import (
     h_series,
     line_in_range,
 )
-from .oracle import DEFAULT_CAP, EnumerationCapError, count_brute, list_brute
+from .oracle import (
+    DEFAULT_CAP,
+    EnumerationCapError,
+    count_brute,
+    count_brute_row,
+    list_brute,
+)
 
 METHODS = (
     "auto",
@@ -122,7 +129,9 @@ def _routes():
     }
 
 
-def _resolve_count(topology, n, k, m, p, method, cap):
+def _resolve_count(topology, n, k, m, p, method, cap, brute=None):
+    """The count and the method that gave it.  ``brute(query, cap)`` answers
+    the oracle cells; it defaults to ``count_brute``."""
     if method == "auto":
         if topology == "line":
             method = "closed1" if line_in_range(n, k, m, p) else "composition"
@@ -131,7 +140,8 @@ def _resolve_count(topology, n, k, m, p, method, cap):
         else:
             method = "closed1"
     if method == "brute":
-        return count_brute(count_query(topology, n, k, m, p), cap), method
+        query = count_query(topology, n, k, m, p)
+        return (brute or count_brute)(query, cap), method
     routes = _routes()[topology]
     if method not in routes:
         raise ValueError(
@@ -156,12 +166,20 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # one oracle scan per n answers every brute cell of that n
+    brute_rows = cache(lambda n: count_brute_row(
+        count_query(args.topology, n, args.k_max, args.m, args.p), args.cap
+    ))
+
+    def brute(q, cap):
+        return brute_rows(q.n)[q.k]
+
     rows = []
     brute_cells = []
     for n in range(args.n_max + 1):
         for k in range(args.k_max + 1):
             value, method = _resolve_count(
-                args.topology, n, k, args.m, args.p, "auto", args.cap
+                args.topology, n, k, args.m, args.p, "auto", args.cap, brute
             )
             rows.append((n, k, value, method))
             if args.topology == "circle" and method == "brute":

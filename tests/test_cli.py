@@ -141,6 +141,17 @@ class TestCount:
         )
         assert (code, out, err) == (0, "4550\n", "")
 
+    @pytest.mark.parametrize("topology", ["circle", "line"])
+    def test_recurrence_at_a_huge_n(self, capsys, topology):
+        # the rows stop at boundary(k) + k, so n does not set the cost
+        argv = ("count", "--topology", topology, "--n", "1000000000000",
+                "--k", "3", "--m", "2", "--p", "1")
+        code, out, err = run(capsys, *argv, "--method", "recurrence")
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--method", "composition") == (0, out, "")
+        if topology == "circle":
+            assert out == "166666666665166666666670000000000000\n"
+
     @pytest.mark.parametrize(
         "topology,method", [("line", "auto"), ("circle", "composition")],
     )
@@ -333,6 +344,18 @@ class TestTable:
         assert [methods[(n, 2)] for n in (10, 11, 12, 13)] == [
             "brute", "composition", "composition", None,
         ]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_circle_cells_equal_the_oracle(self, capsys, m, p):
+        code, out, _ = run(
+            capsys, "table", "--topology", "circle", "--m", str(m), "--p", str(p),
+            "--n-max", "32", "--k-max", "8",
+        )
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            n, k, value = map(int, line.split(","))
+            assert value == count_brute(count_query("circle", n, k, m, p)), (n, k)
 
 
 class TestAudit:

@@ -38,7 +38,6 @@ from .counting import (
 )
 from .oracle import (
     DEFAULT_CAP,
-    EnumerationCapError,
     count_brute,
     count_brute_row,
     list_brute,
@@ -216,11 +215,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        grid = parse_grid(args.grid) if args.grid else DEFAULT_GRID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    grid = parse_grid(args.grid) if args.grid else DEFAULT_GRID
     if args.identity == "all":
         identities = list(IdentityId)
     else:
@@ -228,12 +223,10 @@ def _cmd_audit(args) -> int:
             identities = [IdentityId(args.identity)]
         except ValueError:
             valid = ", ".join(i.value for i in IdentityId)
-            print(
-                f"error: unknown identity {args.identity!r}; expected one of "
-                f"{valid} or 'all'",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(
+                f"unknown identity {args.identity!r}; expected one of "
+                f"{valid} or 'all'"
+            ) from None
     reports = [run_audit(identity, grid, args.cap) for identity in identities]
     if args.format == "json":
         payload = [r.to_json_dict() for r in reports]
@@ -257,10 +250,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # EnumerationCapError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

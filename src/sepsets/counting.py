@@ -32,7 +32,7 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
-from .series import binomial_series, from_coeffs, truncated_product
+from .series import binomial_series, phi_residue, truncated_product
 
 
 class Topology(Enum):
@@ -48,8 +48,7 @@ class SeparationParams:
     p: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
-            raise ValueError(f"need m, p >= 1, got m={self.m}, p={self.p}")
+        _check_mp(self.m, self.p)
 
     @property
     def forbidden_gaps(self) -> frozenset[int]:
@@ -263,11 +262,10 @@ def h_series(n: int, k: int, m: int, p: int) -> int:
 
 def g_series(n: int, k: int, m: int, p: int) -> int:
     """Circle count via coefficient extraction, valid where
-    ``circle_in_range`` holds: ``[y^k] (1+y)**(n-p*k-1) * (1+(p+1)*y)``."""
+    ``circle_in_range`` holds: ``[y^k] (1+y)**(n-p*k-1) * (1+(p+1)*y)``,
+    which is ``phi_residue(n, -p, k)``."""
     _check_range("g_series needs", "circle", n, k, m, p)
-    kernel = binomial_series(n - p * k - 1, 1, k)
-    linear = from_coeffs([1, p + 1], k)
-    return (kernel * linear).coeff(k)
+    return phi_residue(n, -p, k)
 
 
 def count_query(topology: str | Topology, n: int, k: int, m: int, p: int) -> CountQuery:
@@ -303,9 +301,13 @@ def alternating_in_range(n: int, k: int, m: int, p: int) -> bool:
     return n >= _RANGES["alternating"][1](k, m, p)
 
 
-def _check_hg_args(n: int, k: int, m: int, p: int) -> None:
+def _check_mp(m: int, p: int) -> None:
     if m < 1 or p < 1:
         raise ValueError(f"need m, p >= 1, got m={m}, p={p}")
+
+
+def _check_hg_args(n: int, k: int, m: int, p: int) -> None:
+    _check_mp(m, p)
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
     if n < 0:

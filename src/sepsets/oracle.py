@@ -1,15 +1,18 @@
 """Brute-force ground truth: test, count and enumerate subsets directly
 from the separation definition.
 
-``count_brute_row`` counts on the conflict graph of the positions: two
-positions are joined when their difference is one of m, 2m, ..., p*m (on
-the circle also n minus one of them), the pair rule of
-``is_separate_line``/``is_separate_circle``.  A valid subset is an
-independent set of that graph.  The vertices are put in Cuthill-McKee order
-(Cuthill & McKee 1969), which keeps every edge short, and a transfer-matrix
-scan (Stanley, *Enumerative Combinatorics I*, section 4.7) decides them in
-that order.  Its state is the set of vertices ahead that the choices so far
-rule out, all within the bandwidth of the order, so the scan holds at most
+The pair rule is stated once, in ``_forbidden``: the differences in 1..n-1
+that are one of m, 2m, ..., p*m or, on the circle, n minus one of them.
+The predicates, the conflict graph and ``list_brute`` all read that set,
+whose size is bounded by n, not by p.
+
+``count_brute_row`` counts on the conflict graph, whose edges join the
+positions that conflict; a valid subset is an independent set of it.  The
+vertices are put in Cuthill-McKee order (Cuthill & McKee 1969), which keeps
+every edge short, and a transfer-matrix scan (Stanley, *Enumerative
+Combinatorics I*, section 4.7) decides them in that order.  Its state is
+the set of vertices ahead that the choices so far rule out, all within the
+bandwidth of the order, so the scan holds at most
 2^bandwidth states; tests check a bandwidth of at most 2p + 2 for every m
 at n <= 40, p <= 3, so at most 2^(2p+2) states.  Each state's value packs
 the counts for every size 0..k into one int, so one scan gives the whole
@@ -17,12 +20,13 @@ row; ``count_brute`` reads one entry of it, and the audit reuses one row
 across k.  The scan never
 splits the positions into residue rows, so it stays independent of the
 composition sums and closed forms it checks.  ``list_brute`` enumerates the
-subsets by an iterative depth-first walk that shares no code with the scan;
-tests check that the two agree.
+subsets by an iterative depth-first walk that shares only the rule with the
+scan, not its algorithm; tests check that the two agree.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .counting import CountQuery, SeparationParams, Topology
@@ -47,13 +51,7 @@ def kernel_backend() -> str:
 def is_separate_line(positions: Sequence[int], params: SeparationParams) -> bool:
     """True iff no pair of positions differs by m, 2m, ..., p*m."""
     _check_positions(positions)
-    forbidden = params.forbidden_diffs
-    pos = list(positions)
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if pos[j] - pos[i] in forbidden:
-                return False
-    return True
+    return _separate(positions, positions[-1] if positions else 0, params, False)
 
 
 def is_separate_circle(
@@ -64,14 +62,25 @@ def is_separate_circle(
     _check_positions(positions)
     if positions and positions[-1] > n:
         raise ValueError(f"position {positions[-1]} outside 1..{n}")
-    forbidden = params.forbidden_diffs
-    pos = list(positions)
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            d = pos[j] - pos[i]
-            if d in forbidden or (n - d) in forbidden:
-                return False
-    return True
+    return _separate(positions, n, params, True)
+
+
+def _separate(
+    positions: Sequence[int], n: int, params: SeparationParams, circular: bool
+) -> bool:
+    """True iff no pair of the positions, all in 1..n, conflicts."""
+    forbidden = _forbidden(n, params.m, params.p, circular)
+    return all(b - a not in forbidden for a, b in combinations(positions, 2))
+
+
+def _forbidden(n: int, m: int, p: int, circular: bool) -> frozenset[int]:
+    """The differences in 1..n-1 at which two of n positions conflict: m,
+    2m, ..., p*m and, on the circle, n minus each of them.  Only the
+    multiples below n are built, so a huge p builds no huge set."""
+    diffs = range(m, min(p * m, n - 1) + 1, m)
+    if circular:
+        return frozenset(diffs).union(n - d for d in diffs)
+    return frozenset(diffs)
 
 
 def count_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> int:
@@ -96,16 +105,11 @@ def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 
 def _conflict_graph(q: CountQuery) -> list[list[int]]:
     """Neighbour lists of positions 0..n-1 (position x+1 is vertex x): two
-    positions conflict when their difference is one of m, 2m, ..., p*m (the
-    distances of ``forbidden_diffs`` below n, taken from a range so that a
-    huge p builds no huge set) or, on the circle, n minus one of them.
-    Edges come straight from the differences, O(n*p)."""
-    n, m, p = q.n, q.params.m, q.params.p
-    diffs = set(range(m, min(p * m, n - 1) + 1, m))
-    if q.topology is Topology.CIRCLE:
-        diffs |= {n - d for d in diffs}
+    positions are joined when their difference is in ``_forbidden``.  Edges
+    come straight from the differences, O(n) per difference."""
+    n = q.n
     adj: list[list[int]] = [[] for _ in range(n)]
-    for d in diffs:
+    for d in _forbidden(n, q.params.m, q.params.p, q.topology is Topology.CIRCLE):
         for x in range(n - d):
             adj[x].append(x + d)
             adj[x + d].append(x)
@@ -178,20 +182,14 @@ def list_brute(q: CountQuery, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...
     """Yield every valid k-subset as a tuple of positions, lexicographically."""
     if q.n > cap:
         raise EnumerationCapError(q.n, cap)
-    n, k, m, p = q.n, q.k, q.params.m, q.params.p
-    circular = q.topology is Topology.CIRCLE
-    pm = p * m
+    n, k = q.n, q.k
+    forbidden = _forbidden(n, q.params.m, q.params.p, q.topology is Topology.CIRCLE)
     chosen: list[int] = []
 
     def conflicts(c: int) -> bool:
         for b in chosen:
-            d = c - b
-            if d <= pm and d % m == 0:
+            if c - b in forbidden:
                 return True
-            if circular:
-                cd = n - d
-                if cd <= pm and cd % m == 0:
-                    return True
         return False
 
     if k == 0:

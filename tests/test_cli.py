@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
 from sepsets.counting import count_query
 from sepsets.oracle import count_brute
@@ -405,16 +406,21 @@ class TestAudit:
         assert failing == {"Eq3.3-printed", "Thm-H3-printed", "Eq4.2-printed"}
 
     def test_malformed_grid(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "audit", "--identity", "Eq3.5", "--grid", "m<3,p<=1",
         )
-        assert code == 1
-        assert "malformed grid" in err
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: malformed grid 'm<3,p<=1'; expected m<=A,p<=B,k<=C,n<=D\n"
+        )
 
     def test_unknown_identity(self, capsys):
-        code, _, err = run(capsys, "audit", "--identity", "Eq9.9")
-        assert code == 1
-        assert "unknown identity" in err
+        code, out, err = run(capsys, "audit", "--identity", "Eq9.9")
+        assert (code, out) == (1, "")
+        valid = ", ".join(i.value for i in IdentityId)
+        assert err == (
+            f"error: unknown identity 'Eq9.9'; expected one of {valid} or 'all'\n"
+        )
 
     def test_default_grid(self, capsys):
         code, out, _ = run(capsys, "audit", "--identity", "Gould")

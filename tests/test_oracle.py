@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle: predicates, counting and enumeration."""
 
+import hashlib
 from itertools import combinations, product
 from math import comb
 
@@ -58,6 +59,34 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_separate_circle((1, 7), 5, params)
 
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_pairs_follow_the_literal_definition(self, topology):
+        # a pair conflicts exactly when some arc between the two holds
+        # m-1, 2m-1, ..., pm-1 objects; the line has only the inner arc
+        for n, m, p in product(range(1, 15), range(1, 6), range(1, 5)):
+            params = SeparationParams(m, p)
+            gaps = {i * m - 1 for i in range(1, p + 1)}
+            for a, b in combinations(range(1, n + 1), 2):
+                between = [b - a - 1]
+                if topology == "circle":
+                    between.append(n - (b - a) - 1)
+                    separate = is_separate_circle((a, b), n, params)
+                else:
+                    separate = is_separate_line((a, b), params)
+                assert separate == gaps.isdisjoint(between), (n, m, p, a, b)
+
+    def test_huge_p_answers_at_once(self):
+        # only the multiples of m below n can conflict, so p = 10**12 is as
+        # cheap as p = n
+        huge = 10**12
+        assert not is_separate_line((1, 2), SeparationParams(1, huge))
+        assert is_separate_line((1, 3), SeparationParams(5, huge))
+        assert not is_separate_circle((1, 3), 5, SeparationParams(2, huge))
+        for topology, m, k in product(("line", "circle"), (1, 2, 3), (2, 3)):
+            assert list(list_brute(count_query(topology, 14, k, m, huge))) == list(
+                list_brute(count_query(topology, 14, k, m, 14))
+            )
+
 
 class TestCountAndList:
     def test_paper_circle_example(self):
@@ -95,6 +124,20 @@ class TestCountAndList:
             if is_separate_circle(c, 9, params)
         ]
         assert list(list_brute(q)) == expected
+
+    def test_list_order_is_pinned(self):
+        # sha256 of every subset listed over m <= 4, p <= 3, n <= 14, k <= 6
+        # on both topologies, one header line per query and one line per
+        # subset, taken from the listing before the pair rule was shared
+        digest = hashlib.sha256()
+        for topology in ("line", "circle"):
+            for m, p, n, k in product(range(1, 5), range(1, 4), range(15), range(7)):
+                digest.update(f"{topology} n={n} k={k} m={m} p={p}\n".encode())
+                for subset in list_brute(count_query(topology, n, k, m, p)):
+                    digest.update((",".join(map(str, subset)) + "\n").encode())
+        assert digest.hexdigest() == (
+            "40195a340b78f7282a4571bd89c1267ac3581af4e07627157b27dba86966efa0"
+        )
 
     def test_cap(self):
         q = count_query("line", 33, 2, 1, 1)

@@ -32,7 +32,13 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
-from .series import binomial_series, phi_residue, truncated_product
+from .series import (
+    binomial_coeffs,
+    coefficient,
+    kernel_coefficient,
+    phi_residue,
+    truncated_product,
+)
 
 
 class Topology(Enum):
@@ -96,12 +102,11 @@ def partition_sizes(n: int, m: int) -> PartitionSizes:
 
 def _row_counts(n: int, m: int) -> dict[int, int]:
     """How many rows of ``partition_sizes(n, m)`` have each length, without
-    building the m-tuple; at n = 0 all m rows are empty."""
-    if n == 0:
-        return {0: m}
+    building the m-tuple; lengths no row has are left out (at n = 0, r = -1
+    and all m rows are empty)."""
     r = (n - 1) // m
     ell = n - r * m
-    return {r + 1: ell, r: m - ell}
+    return {s: count for s, count in ((r + 1, ell), (r, m - ell)) if count}
 
 
 def h_composition(
@@ -147,25 +152,35 @@ def _composition(
     rows: dict[int, int], k: int, ways: Callable[[int, int], int]
 ) -> int:
     """[y^k] of the product over ``rows`` ({length s: count}) of
-    ``(1 + sum_j ways(s, j) * y^j) ** count``, up to the first zero
-    ``ways(s, j)``; equal factors are raised by repeated squaring.  0 when
-    k exceeds the total length, before any list is built."""
+    ``(1 + sum_j ways(s, j) * y^j) ** count`` (every count >= 1), up to
+    the first zero ``ways(s, j)``; equal factors are raised by repeated
+    squaring.  Each factor waits in ``last`` until the next one arrives, so
+    the final one meets the product only in ``coefficient``: y^k is all
+    that is read.  0 when k exceeds the total length, before any list is
+    built."""
     if k > sum(s * count for s, count in rows.items()):
         return 0
-    total = [1]
+    total, last = [1], None
     for s, count in rows.items():
         row = [1, *takewhile(bool, (ways(s, j) for j in range(1, min(k, s) + 1)))]
         while count:
             if count & 1:
-                total = truncated_product(total, row, k)
+                if last is not None:
+                    total = truncated_product(total, last, k)
+                last = row
             count >>= 1
             if count:
                 row = truncated_product(row, row, k)
-    return total[k]
+    return coefficient(total, last, k)
 
 
 def h_closed_1(n: int, k: int, m: int, p: int) -> int:
-    """First single-sum line formula, valid where ``line_in_range`` holds."""
+    """First single-sum line formula, valid where ``line_in_range`` holds.
+
+    Term by term it is ``h_series``'s sum,
+    ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, so the two
+    routes do not check each other; ``h_composition``, ``h_recurrence`` and
+    the oracle do."""
     _check_range("closed line formulas need", "line", n, k, m, p)
     return omega_closed_1_total(n + m * p, -p, m, k)
 
@@ -253,11 +268,17 @@ def g_from_h(n: int, k: int, m: int, p: int) -> int:
 
 def h_series(n: int, k: int, m: int, p: int) -> int:
     """Line count via coefficient extraction, valid where ``line_in_range``
-    holds: ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``."""
+    holds: ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, in
+    O(k) big-int steps.
+
+    This is ``h_closed_1``'s sum term by term (``omega_closed_1_total`` at
+    lam = n + p*m, mu = -p is the same coefficient), so the two routes do
+    not check each other; ``h_composition``, ``h_recurrence`` and the oracle
+    do."""
     _check_range("h_series needs", "line", n, k, m, p)
-    numer = binomial_series(n + p * m + m - p * k - 1, 1, k)
-    denom = binomial_series(-(m - 1), p + 1, k)
-    return (numer * denom).coeff(k)
+    return kernel_coefficient(
+        1 - m, p + 1, binomial_coeffs(n + p * m + m - p * k - 1, 1, k), k
+    )
 
 
 def g_series(n: int, k: int, m: int, p: int) -> int:

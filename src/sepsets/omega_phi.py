@@ -25,6 +25,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .binomials import Rational, binom_gen
+from .series import binomial_coeffs, kernel_coefficient
 
 
 class SingularTermError(ValueError):
@@ -104,24 +105,21 @@ def phi_direct(q: OmegaQuery) -> Fraction:
 
 # The closed forms depend on the lambdas only through their sum, so the
 # integer counting formulas reuse these helpers directly; int parameters
-# keep them in int arithmetic.
+# keep them in int arithmetic.  Each is the coefficient of x^k (x^(k-shift)
+# for the third) in a product of two binomial series, so it costs O(k)
+# big-int steps: binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of
+# (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1),
+# and binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).
 
 def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     upper = lam + mu * k + m - 1
-    return sum(
-        binom_gen(m + j - 2, j) * binom_gen(upper, k - j) * (mu - 1) ** j
-        for j in range(k + 1)
-    )
+    return kernel_coefficient(1 - m, 1 - mu, binomial_coeffs(upper, 1, k), k)
 
 
 def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     upper = lam + mu * k + m - 1
-    return sum(
-        binom_gen(lam + (mu - 1) * k + j, j)
-        * binom_gen(upper, k - j)
-        * (1 - mu) ** j
-        * mu ** (k - j)
-        for j in range(k + 1)
+    return kernel_coefficient(
+        -lam - (mu - 1) * k - 1, mu - 1, binomial_coeffs(upper, mu, k), k
     )
 
 
@@ -132,19 +130,16 @@ def omega_closed_3_total(
         raise ValueError("the third expansion needs k >= 1")
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    shift = 0 if variant == "printed" else 1
+    top = k - (0 if variant == "printed" else 1)
     upper = lam + mu * k + m - 1
+    # the weight lam + mu*(m+j) of the x^j term of (1+(1-mu)x)^(-m), carried
+    # by its partner x^(top-j) of (1+x)^upper
+    partner = [
+        (lam + mu * (m + top - i)) * term
+        for i, term in enumerate(binomial_coeffs(upper, 1, top))
+    ]
     # one exact division at the end: a bare / on int parameters gives a float
-    return Fraction(
-        sum(
-            (lam + mu * (m + j))
-            * binom_gen(m + j - 1, j)
-            * binom_gen(upper, k - shift - j)
-            * (mu - 1) ** j
-            for j in range(k + 1)
-        ),
-        k,
-    )
+    return Fraction(kernel_coefficient(-m, 1 - mu, partner, top), k)
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:

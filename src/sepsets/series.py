@@ -3,20 +3,33 @@ with no counting semantics and no validity rules.
 
 This is the coefficient-extraction engine behind the counting formulas:
 every residue that appears in their derivations has the shape
-"coefficient of y^k in an explicit product of binomial kernels", so a
-plain truncated series with a Cauchy product is all that is needed.
-Truncation order is always the target degree; callers pass T = k.  The
-series count routes ``h_series`` and ``g_series`` live in ``counting``.
+"coefficient of y^k in an explicit product of binomial kernels", and only
+that one coefficient is ever read.  So the counts use three helpers, each
+O(k) big-int steps:
 
-Coefficients are kept as given: integer parameters give ``int``
-coefficients and rational ones ``Fraction``.  ``truncated_product`` is the
-one polynomial product; the composition sums of both topologies use it.
+* ``binomial_coeffs`` lists the coefficients of ``(1 + c*x)**a`` up to
+  x^order, each built from the one before in one loop;
+* ``coefficient`` reads x^k of a product of two coefficient lists,
+  ``sum_j a[j] * b[k-j]``, without building the product; ``phi_residue``
+  (so ``g_series``) is one call;
+* ``kernel_coefficient`` is ``coefficient`` with a binomial kernel as its
+  first factor, built in the same pass as it is read: the three closed
+  line sums and ``h_series`` are each one call.
+
+``truncated_product`` is the one full polynomial product; the composition
+sums of both topologies square with it and answer their last product with
+``coefficient``.  ``PowerSeries`` wraps a coefficient tuple with a checked
+product.  Coefficients are kept as given: integer parameters give ``int``
+coefficients (the binomial steps divide exactly with ``//``) and rational
+ones ``Fraction``.  The series count routes ``h_series`` and ``g_series``
+live in ``counting``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul, truediv
 from typing import Sequence
 
 from .binomials import Rational
@@ -81,21 +94,47 @@ def one(order: int) -> PowerSeries:
     return from_coeffs([1], order)
 
 
-def binomial_series(a: Rational, c: Rational, order: int) -> PowerSeries:
-    """Truncation of ``(1 + c*x)**a``: coefficient of x^j is binom_gen(a, j) * c^j."""
+def binomial_coeffs(a: Rational, c: Rational, order: int) -> list:
+    """Coefficients of x^0 .. x^order of ``(1 + c*x)**a``: entry j is
+    ``binom_gen(a, j) * c**j``, each built from the one before."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    exact = isinstance(a, int) and isinstance(c, int)
-    if not exact:
-        a, c = Fraction(a), Fraction(c)
-    coeffs = []
-    term = 1  # binom_gen(a, j) * c^j, built incrementally
-    for j in range(order + 1):
-        coeffs.append(term)
-        term = term * (a - j) * c
-        # binom_gen(a, j+1) is an integer for integer a, so // is exact
-        term = term // (j + 1) if exact else term / (j + 1)
-    return PowerSeries(tuple(coeffs))
+    if isinstance(a, int) and isinstance(c, int):
+        div = floordiv  # binom_gen(a, j) is an integer for integer a: exact
+    else:
+        a, c, div = Fraction(a), Fraction(c), truediv
+    coeffs = [term := 1]
+    for j in range(order):
+        coeffs.append(term := div(term * (a - j) * c, j + 1))
+    return coeffs
+
+
+def binomial_series(a: Rational, c: Rational, order: int) -> PowerSeries:
+    """Truncation of ``(1 + c*x)**a`` as a series: ``binomial_coeffs``."""
+    return PowerSeries(tuple(binomial_coeffs(a, c, order)))
+
+
+def coefficient(a: Sequence, b: Sequence, k: int) -> Rational:
+    """Coefficient of x^k in the product of two coefficient sequences,
+    ``sum_j a[j] * b[k-j]``: at most k + 1 multiplications, and no product
+    is built."""
+    lo, hi = max(0, k + 1 - len(b)), min(len(a), k + 1)
+    return sum(map(mul, a[lo:hi], reversed(b[k + 1 - hi : k + 1 - lo])))
+
+
+def kernel_coefficient(a: Rational, c: Rational, b: Sequence, k: int) -> Rational:
+    """Coefficient of x^k in ``(1 + c*x)**a`` times a series with at least
+    k + 1 coefficients ``b``: ``coefficient(binomial_coeffs(a, c, k), b, k)``
+    in one pass, each binomial built from the one before as it is read."""
+    if isinstance(a, int) and isinstance(c, int):
+        div, term = floordiv, 1
+    else:  # a rational kernel gives a Fraction, k = 0 included
+        a, c, div, term = Fraction(a), Fraction(c), truediv, Fraction(1)
+    total = term * b[k]
+    for j in range(k):
+        term = div(term * (a - j) * c, j + 1)
+        total += term * b[k - 1 - j]
+    return total
 
 
 def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
@@ -106,6 +145,4 @@ def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    kernel = binomial_series(lam + mu * k - 1, 1, k)
-    linear = from_coeffs([1, -(mu - 1)], k)
-    return (kernel * linear).coeff(k)
+    return coefficient(binomial_coeffs(lam + mu * k - 1, 1, k), [1, 1 - mu], k)

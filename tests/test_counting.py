@@ -1,6 +1,7 @@
 """Tests for domain types, the composition sum, and the closed count formulas."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -14,6 +15,7 @@ from sepsets.binomials import binom_nat
 from sepsets.counting import (
     CountQuery,
     SeparationParams,
+    _row_counts,
     Topology,
     compositions,
     count_query,
@@ -62,6 +64,18 @@ class TestPartitionSizes:
 
     def test_seven_into_three(self):
         assert partition_sizes(7, 3).sizes == (3, 2, 2)
+
+    def test_row_counts_leave_out_empty_groups(self):
+        assert _row_counts(6, 3) == {2: 3}
+        assert _row_counts(7, 3) == {3: 1, 2: 2}
+        assert _row_counts(0, 4) == {0: 4}
+
+    @given(st.integers(0, 60), st.integers(1, 12))
+    def test_row_counts_match_sizes(self, n, m):
+        counts = _row_counts(n, m)
+        assert 0 not in counts.values()
+        if n:
+            assert counts == Counter(partition_sizes(n, m).sizes)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -307,7 +321,15 @@ class TestGComposition:
 
 
 class TestRoutesAgree:
-    """Every count route equals the others wherever its precondition holds."""
+    """Every count route equals the others wherever its precondition holds.
+
+    ``h_series`` and ``h_closed_1`` are the same sum term by term, both
+    ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, so their
+    agreement checks nothing; the line closed forms are checked by
+    ``h_composition``, the recurrence and the oracle.  The ``*_in_range``
+    tests draw n as an offset above the range bound, so every draw is in
+    range, up to k = 120.
+    """
 
     params = st.integers(1, 4), st.integers(1, 4), st.integers(0, 12)
 
@@ -339,3 +361,35 @@ class TestRoutesAgree:
 
     def test_recurrence_at_a_large_point(self):
         assert h_recurrence(3000, 50, 3, 2) == h_closed_1(3000, 50, 3, 2)
+
+    in_range = st.integers(1, 4), st.integers(1, 4), st.integers(0, 120), st.integers(0, 300)
+
+    @given(*in_range)
+    @settings(max_examples=40, deadline=None)
+    def test_line_formulas_in_range(self, m, p, k, offset):
+        n = max(0, p * m * (k - 1)) + offset
+        value = h_composition(n, k, m, p)
+        routes = [h_closed_1, h_closed_2, h_series] + [h_closed_3] * (k >= 1)
+        assert [route(n, k, m, p) for route in routes] == [value] * len(routes)
+
+    @given(*in_range)
+    @settings(max_examples=40, deadline=None)
+    def test_circle_formulas_in_range(self, m, p, k, offset):
+        n = m * p * k + 1 + offset
+        value = g_composition(n, k, m, p)
+        assert [g_closed(n, k, m, p), g_series(n, k, m, p)] == [value, value]
+
+
+class TestLargeK:
+    """The formula routes take O(k) big-int steps, so k = 1000 is quick."""
+
+    def test_line_routes_agree(self):
+        n, k, m, p = 10**6 + 6 * 999, 1000, 3, 2
+        values = [route(n, k, m, p) for route in (h_closed_1, h_closed_2, h_closed_3, h_series)]
+        assert all(type(value) is int for value in values)
+        assert values == [values[0]] * 4
+
+    def test_circle_routes_agree(self):
+        n, k, m, p = 10**6, 1000, 3, 2
+        value = g_series(n, k, m, p)
+        assert type(value) is int and value == g_closed(n, k, m, p)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsets.binomials import binom_gen
 from sepsets.omega_phi import (
@@ -109,6 +111,44 @@ class TestOmegaClosedForms:
             assert omega_closed_2(query) == direct
             if query.k >= 1:
                 assert omega_closed_3(query, "corrected") == direct
+
+
+    small = st.fractions(-6, 6, max_denominator=4)
+
+    @given(st.lists(small, min_size=1, max_size=3), small, st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms_match_direct_at_rational_points(self, lambdas, mu, k):
+        query = OmegaQuery(tuple(lambdas), mu, k)
+        direct = omega_direct(query)
+        assert omega_closed_1(query) == direct
+        assert omega_closed_2(query) == direct
+        if k >= 1:
+            assert omega_closed_3(query, "corrected") == direct
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+        st.integers(-4, 4),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int_totals_match_direct(self, lambdas, mu, k):
+        # the int path divides exactly, negative upper indices included:
+        # lam + (mu-1)*k is negative at most of these points
+        lam, m = sum(lambdas), len(lambdas)
+        direct = omega_direct(OmegaQuery(tuple(lambdas), mu, k))
+        for total in (omega_closed_1_total, omega_closed_2_total):
+            value = total(lam, mu, m, k)
+            assert type(value) is int and value == direct
+        if k >= 1:
+            assert omega_closed_3_total(lam, mu, m, k) == direct
+
+    def test_int_totals_at_negative_upper_indices(self):
+        # lam + (mu-1)*k = -11 and lam + mu*k + m - 1 = -6
+        lam, mu, m, k = -3, -1, 2, 4
+        direct = omega_direct(q((-1, -2), mu, k))
+        assert omega_closed_1_total(lam, mu, m, k) == direct
+        assert omega_closed_2_total(lam, mu, m, k) == direct
+        assert omega_closed_3_total(lam, mu, m, k) == direct
 
 
 class TestPhi:

@@ -13,10 +13,14 @@ from sepsets.oracle import count_brute
 from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
     PowerSeries,
+    binomial_coeffs,
     binomial_series,
+    coefficient,
     from_coeffs,
+    kernel_coefficient,
     one,
     phi_residue,
+    truncated_product,
 )
 
 F = Fraction
@@ -54,6 +58,41 @@ class TestBinomialSeries:
         assert all(type(c) is int for c in f.coeffs)
         g = binomial_series(F(-4), F(3), 6) * from_coeffs([F(1), F(5)], 6)
         assert f == g
+
+
+class TestCoefficient:
+    def test_reads_one_coefficient_of_the_product(self):
+        a, b = [1, 2, 3], [4, 5, 6, 7]
+        product = truncated_product(a, b, 6)
+        assert [coefficient(a, b, k) for k in range(7)] == product
+
+    def test_short_factors(self):
+        assert coefficient([1, -1], [1, 1], 1) == 0
+        assert coefficient([5], [1, 2, 3], 2) == 15
+        assert coefficient([1, 2], [3], 2) == 0
+        assert coefficient([], [1], 0) == 0
+
+    def test_binomial_coeffs_is_the_series(self):
+        for a, c in [(7, 1), (-3, 2), (F(5, 3), F(-2, 7)), (0, 4)]:
+            assert tuple(binomial_coeffs(a, c, 6)) == binomial_series(a, c, 6).coeffs
+
+    def test_binomial_coeffs_past_a_nonnegative_upper_index(self):
+        assert binomial_coeffs(2, 3, 4) == [1, 6, 9, 0, 0]
+        with pytest.raises(ValueError):
+            binomial_coeffs(2, 1, -1)
+
+    @given(
+        st.integers(-30, 30) | st.fractions(-8, 8, max_denominator=5),
+        st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=5),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    )
+    @settings(max_examples=80)
+    def test_kernel_coefficient_is_one_pass_of_coefficient(self, a, c, b):
+        k = len(b) - 1
+        value = kernel_coefficient(a, c, b, k)
+        assert value == coefficient(binomial_coeffs(a, c, k), b, k)
+        if isinstance(a, int) and isinstance(c, int):
+            assert type(value) is int
 
 
 class TestMulAndCoeff:

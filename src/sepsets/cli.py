@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or validity error, 2 an audit found
 mismatches (expected when auditing the known-bad printed variants).
 Data goes to stdout, diagnostics to stderr, and output is byte-identical
-for identical flags.
+for identical flags.  ``main()`` may be called repeatedly in one process;
+the argument parser is built on the first call and reused after it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .audit import (
     run_audit,
 )
 from .counting import (
+    _check_mp,
     circle_in_range,
     count_query,
     g_closed,
@@ -63,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache  # built on first use, not at import; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sepsets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -165,6 +168,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_mp(args.m, args.p)
+    for name, value in (("k-max", args.k_max), ("n-max", args.n_max)):
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={value}")
     # one oracle scan per n answers every brute cell of that n
     brute_rows = cache(lambda n: count_brute_row(
         count_query(args.topology, n, args.k_max, args.m, args.p), args.cap
@@ -191,12 +198,6 @@ def _cmd_table(args) -> int:
         for n, k, value, _ in rows:
             writer.writerow([n, k, value])
         text = buf.getvalue()
-        if brute_cells:
-            print(
-                "note: brute-force cells (below the circle formula range): "
-                + " ".join(f"({n},{k})" for n, k in brute_cells),
-                file=sys.stderr,
-            )
     else:
         payload = []
         for n, k, value, method in rows:
@@ -207,10 +208,21 @@ def _cmd_table(args) -> int:
         text = json.dumps(payload, indent=2) + "\n"
 
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    # after the write, so a failed --out leaves the error as the only line
+    if args.format == "csv" and brute_cells:
+        print(
+            "note: brute-force cells (below the circle formula range): "
+            + " ".join(f"({n},{k})" for n, k in brute_cells),
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from sepsets import cli
 from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
 from sepsets.counting import count_query
@@ -327,6 +328,36 @@ class TestTable:
         assert out == ""
         assert target.read_text().splitlines()[0] == "n,k,count"
 
+    def test_out_path_that_cannot_be_opened(self, capsys, tmp_path):
+        # a circle grid with brute cells: the stderr note must not precede
+        # the error, which is the only line
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run(
+            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+            "--n-max", "6", "--k-max", "2", "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # an empty grid is still checked, m and p first
+            (["--m", "0", "--p", "0", "--n-max", "-1", "--k-max", "3"],
+             "need m, p >= 1, got m=0, p=0"),
+            (["--m", "2", "--p", "1", "--n-max", "3", "--k-max", "-1"],
+             "need k-max >= 0, got k-max=-1"),
+            (["--m", "2", "--p", "1", "--n-max", "-1", "--k-max", "3"],
+             "need n-max >= 0, got n-max=-1"),
+            (["--m", "2", "--p", "1", "--n-max", "-1", "--k-max", "-1"],
+             "need k-max >= 0, got k-max=-1"),
+        ],
+    )
+    def test_invalid_grid_is_an_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "table", "--topology", "circle", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cap_violation(self, capsys):
         # below-range circle cells past the cap come from the cycle
         # composition instead of failing; the note lists the brute cells only
@@ -357,6 +388,46 @@ class TestTable:
         for line in out.splitlines()[1:]:
             n, k, value = map(int, line.split(","))
             assert value == count_brute(count_query("circle", n, k, m, p)), (n, k)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_is_unchanged_by_a_call_between(self, capsys):
+        def usage_error():
+            with pytest.raises(SystemExit) as exc:
+                main(["count", "--topology", "line", "--n", "5"])
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        first = usage_error()
+        assert run(
+            capsys, "count", "--topology", "line",
+            "--n", "6", "--k", "2", "--m", "2", "--p", "1", "--method", "brute",
+        ) == (0, "11\n", "")
+        assert usage_error() == first
+        assert first[:2] == (1, "")
+        assert "error: the following arguments are required" in first[2]
+
+    def test_method_default_after_brute(self, capsys):
+        args = ("count", "--topology", "line", "--n", "40", "--k", "3",
+                "--m", "1", "--p", "1")
+        # n = 40 is past the default cap, so only auto answers; m = p = 1
+        # forbids neighbours, which leaves C(n - k + 1, k) subsets
+        code, _, err = run(capsys, *args, "--method", "brute")
+        assert code == 1 and err.startswith("error: ")
+        assert run(capsys, *args) == (0, f"{comb(38, 3)}\n", "")
+
+    def test_format_default_after_json(self, capsys):
+        args = ("table", "--topology", "line", "--m", "2", "--p", "1",
+                "--n-max", "2", "--k-max", "1")
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0 and out.startswith("[")
+        code, out, _ = run(capsys, *args)
+        assert (code, out) == (0, "n,k,count\n0,0,1\n0,1,0\n1,0,1\n1,1,1\n2,0,1\n2,1,2\n")
 
 
 class TestAudit:

@@ -109,11 +109,18 @@ _GRID_RE = re.compile(
 
 
 def parse_grid(text: str) -> GridSpec:
-    """Parse a grid description of the form ``m<=A,p<=B,k<=C,n<=D``."""
+    """Parse a grid description of the form ``m<=A,p<=B,k<=C,n<=D``.
+
+    A and B must be at least 1: m and p start at 1, so a smaller bound
+    would leave no point to check.
+    """
     match = _GRID_RE.match(text)
     if not match:
         raise ValueError(f"malformed grid {text!r}; expected m<=A,p<=B,k<=C,n<=D")
-    return GridSpec(*(int(g) for g in match.groups()))
+    grid = GridSpec(*(int(g) for g in match.groups()))
+    if grid.m_max < 1 or grid.p_max < 1:
+        raise ValueError(f"empty grid {text!r}; need m<=A and p<=B with A, B >= 1")
+    return grid
 
 
 @dataclass

@@ -19,7 +19,7 @@ Mixing them up silently produces wrong counts, hence the two names.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -33,14 +33,22 @@ def binom_nat(a: int, k: int) -> int:
 
 
 def falling_factorial(a: Rational, k: int) -> Fraction:
-    """``a(a-1)...(a-k+1)`` for rational ``a``; the empty product is 1."""
+    """``a(a-1)...(a-k+1)`` for rational ``a``; the empty product is 1.
+
+    For a = p/q it is ``prod_{i<k} (p - i*q) / q**k``: one Fraction, built
+    from an int product.
+    """
     if k < 0:
         raise ValueError(f"falling_factorial needs k >= 0, got k={k}")
-    result = Fraction(1)
     a = Fraction(a)
-    for i in range(k):
-        result *= a - i
-    return result
+    p, q = a.numerator, a.denominator
+    return Fraction(_falling(p, k, q), q**k)
+
+
+def _falling(top: int, k: int, step: int) -> int:
+    """``top * (top - step) * ... * (top - (k-1)*step)`` for ``step >= 1``;
+    1 for k = 0."""
+    return prod(range(top, top - k * step, -step))
 
 
 def binom_gen(a: Rational, k: int) -> Rational:

@@ -12,6 +12,12 @@ exhibit the discrepancy) and ``corrected`` shifts the inner binomial's
 lower index from ``k-j`` to ``k-1-j``, which agrees with the direct sum
 everywhere.  ``corrected`` is the default.
 
+The direct sums are evaluated as [y^k] of a product of one row polynomial
+per lambda, through the same ``series.truncated_product``/``coefficient``
+pair as the line composition sum.  Every row entry is an integer over one
+common denominator (the lcm D of the parameters' denominators), so the
+sum costs O(m*k^2) int steps and builds a single Fraction at the end.
+
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
 suite and the audit subsystem rely on.
@@ -22,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from math import factorial, lcm
+from typing import Iterable, Iterator, Sequence
 
-from .binomials import Rational, binom_gen
-from .series import binomial_coeffs, kernel_coefficient
+from .binomials import Rational, _falling, binom_gen
+from .series import binomial_coeffs, coefficient, kernel_coefficient, truncated_product
 
 
 class SingularTermError(ValueError):
@@ -75,32 +82,76 @@ def compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
 
 
 def omega_direct(q: OmegaQuery) -> Fraction:
-    """Direct composition sum of products binom_gen(lam_i + mu*k_i, k_i)."""
-    total = Fraction(0)
-    for parts in compositions(q.k, q.m):
-        term = Fraction(1)
-        for lam_i, k_i in zip(q.lambdas, parts):
-            term *= binom_gen(lam_i + q.mu * k_i, k_i)
-            if term == 0:
-                break
-        total += term
-    return total
+    """Direct composition sum of products binom_gen(lam_i + mu*k_i, k_i).
+
+    Row i holds D**j * j! * binom_gen(lam_i + mu*j, j) =
+    prod_{t<j} (L_i + M*j - t*D) at y^j (see ``_direct_sum``).  The
+    expanded row product is the composition sum term by term, so this stays
+    definitional and the audits' reference side.
+    """
+    d, big_ls, big_m = _scaled(q)
+    rows = (
+        [_falling(big_l + big_m * j, j, d) for j in range(q.k + 1)]
+        for big_l in big_ls
+    )
+    return _direct_sum(q, d, rows)
 
 
 def phi_direct(q: OmegaQuery) -> Fraction:
-    """Weighted composition sum; raises SingularTermError on a zero denominator."""
-    total = Fraction(0)
-    for parts in compositions(q.k, q.m):
-        term = Fraction(1)
-        for i, (lam_i, k_i) in enumerate(zip(q.lambdas, parts)):
-            denom = lam_i + q.mu * k_i
-            if denom == 0:
-                raise SingularTermError(
-                    f"lambda_{i + 1} + mu*k_{i + 1} = 0 in composition {parts}"
-                )
-            term *= lam_i / denom * binom_gen(denom, k_i)
-        total += term
-    return total
+    """Weighted composition sum: each factor of ``omega_direct``'s terms
+    times ``lam_i/(lam_i + mu*k_i)``.  Raises SingularTermError when some
+    composition makes that denominator 0, naming the first such composition
+    in lexicographic order.
+
+    The weight cancels the falling product's first factor, so row i is 1 at
+    y^0 and ``L_i * prod_{1<=t<j} (L_i + M*j - t*D)`` at y^j, j >= 1.  The
+    sum stays definitional in the same way as ``omega_direct``.
+    """
+    d, big_ls, big_m = _scaled(q)
+    # for m >= 2 each j in 0..k is a part of some composition; for m = 1 only k
+    parts = range(q.k, q.k + 1) if q.m == 1 else range(q.k + 1)
+    if any(big_l + big_m * j == 0 for big_l in big_ls for j in parts):
+        for comp in compositions(q.k, q.m):
+            for i, (lam_i, k_i) in enumerate(zip(q.lambdas, comp)):
+                if lam_i + q.mu * k_i == 0:
+                    raise SingularTermError(
+                        f"lambda_{i + 1} + mu*k_{i + 1} = 0 in composition {comp}"
+                    )
+    rows = (
+        [1, *(
+            big_l * _falling(big_l + big_m * j - d, j - 1, d)
+            for j in range(1, q.k + 1)
+        )]
+        for big_l in big_ls
+    )
+    return _direct_sum(q, d, rows)
+
+
+def _scaled(q: OmegaQuery) -> tuple[int, list[int], int]:
+    """The common denominator D of mu and the lambdas, each L_i = lam_i*D,
+    and M = mu*D."""
+    d = lcm(q.mu.denominator, *(lam.denominator for lam in q.lambdas))
+    big_ls = [lam.numerator * (d // lam.denominator) for lam in q.lambdas]
+    return d, big_ls, q.mu.numerator * (d // q.mu.denominator)
+
+
+def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
+    """[y^k] of the product of the m integer rows, each entry j scaled by
+    k!/j!, over ``D**k * (k!)**m``.
+
+    Entry j of row i is D**j * j! times the i-th factor of a composition
+    term at k_i = j, so every composition's term is its entries' product
+    over that one denominator: O(m*k^2) int steps through
+    ``truncated_product`` and ``coefficient`` instead of one Fraction
+    product per composition.
+    """
+    k = q.k
+    scale = [factorial(k) // factorial(j) for j in range(k + 1)]
+    *heads, last = ([x * s for x, s in zip(row, scale)] for row in rows)
+    total = [1]
+    for row in heads:
+        total = truncated_product(total, row, k)
+    return Fraction(coefficient(total, last, k), d**k * factorial(k) ** q.m)
 
 
 # The closed forms depend on the lambdas only through their sum, so the

@@ -1,5 +1,6 @@
 """Tests for recurrence evaluators, the bijection check, and the audit engine."""
 
+import hashlib
 import json
 from itertools import product
 
@@ -262,6 +263,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             parse_grid(text)
 
+    @pytest.mark.parametrize("text", ["m<=0,p<=2,k<=4,n<=5", "m<=3,p<=0,k<=4,n<=5"])
+    def test_rejects_empty_m_or_p_range(self, text):
+        with pytest.raises(ValueError, match="empty grid"):
+            parse_grid(text)
+
     def test_describe_roundtrip(self):
         grid = GridSpec(3, 2, 4, 24)
         assert parse_grid(grid.describe()) == grid
@@ -379,6 +385,28 @@ class TestRunAudit:
         # Eq3.4 checks 41 of its 42 instances: one is singular and skipped
         report = run_audit(identity, DEFAULT_GRID)
         assert (report.checked, len(report.failures)) == (checked, failed)
+
+    @pytest.mark.parametrize(
+        "identity,digest",
+        [
+            (IdentityId.EQ3_1, "8ca4e658f92ce68b39d24cd3e9f9012613020caea7e402ce7b0bc963feaca8ef"),
+            (IdentityId.EQ3_2, "e357628e48e11354fe2d4c38f013c07d490ea475f4097771347696c581fbea50"),
+            (IdentityId.EQ3_3_PRINTED,
+             "17e6ef97715c1673da8787c1d21f0b278df4446a7afc73fc1c33b143cfde759c"),
+            (IdentityId.EQ3_3_CORRECTED,
+             "d81a4b207890781f466ca682bf153da095d5f4157cdf0e61478d206174182a79"),
+            (IdentityId.EQ3_4, "3cb89f0122fc9461a778cb85506b658fd3d9b3a3790d614fb36a4e26ab58901f"),
+            (IdentityId.HWANG_WEI,
+             "39fbe73087b09b4c2deacf5edf9606088c3563c0aa1a099c63176d0f98b20838"),
+            (IdentityId.GOULD, "3ae88dc6cbd6d8a6d17be82def3e46613b3d286a08955a0ec16a534ff9ce74a2"),
+        ],
+    )
+    def test_rational_identity_reports_are_pinned(self, identity, digest):
+        # sha256 of the default-grid JSON report of each identity whose
+        # left side is an Omega/Phi direct sum: any drift in the values, the
+        # order or the skipped instances changes it
+        report = run_audit(identity, DEFAULT_GRID)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 # g_recurrence(n, k, m, p, "printed") for n = 0..60, keyed (m, p, k)

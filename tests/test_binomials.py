@@ -88,3 +88,15 @@ class TestFallingFactorial:
     )
     def test_relates_to_binom_gen(self, a, k):
         assert binom_gen(a, k) * factorial(k) == falling_factorial(a, k)
+
+    @given(
+        st.fractions(min_value=-30, max_value=30, max_denominator=40),
+        st.integers(0, 12),
+    )
+    def test_matches_the_fraction_loop(self, a, k):
+        # the product built one Fraction factor at a time
+        expected = Fraction(1)
+        for i in range(k):
+            expected *= a - i
+        value = falling_factorial(a, k)
+        assert value == expected and type(value) is Fraction

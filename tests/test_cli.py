@@ -485,6 +485,17 @@ class TestAudit:
             "error: malformed grid 'm<3,p<=1'; expected m<=A,p<=B,k<=C,n<=D\n"
         )
 
+    @pytest.mark.parametrize(
+        "grid", ["m<=0,p<=1,k<=2,n<=8", "m<=1,p<=0,k<=2,n<=8", "m<=0,p<=0,k<=2,n<=8"]
+    )
+    def test_empty_grid(self, capsys, grid):
+        # m and p start at 1, so a zero bound leaves nothing to check
+        code, out, err = run(capsys, "audit", "--identity", "Eq3.5", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: empty grid '{grid}'; need m<=A and p<=B with A, B >= 1\n"
+        )
+
     def test_unknown_identity(self, capsys):
         code, out, err = run(capsys, "audit", "--identity", "Eq9.9")
         assert (code, out) == (1, "")

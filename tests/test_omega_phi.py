@@ -69,6 +69,85 @@ class TestOmegaDirect:
             OmegaQuery((F(1),), F(1), -1)
 
 
+def reference_omega(query):
+    """The composition sum, one Fraction product per composition."""
+    total = F(0)
+    for parts in compositions(query.k, query.m):
+        term = F(1)
+        for lam_i, k_i in zip(query.lambdas, parts):
+            term *= binom_gen(lam_i + query.mu * k_i, k_i)
+        total += term
+    return total
+
+
+def reference_phi(query):
+    """The weighted composition sum, raising at its first zero denominator."""
+    total = F(0)
+    for parts in compositions(query.k, query.m):
+        term = F(1)
+        for i, (lam_i, k_i) in enumerate(zip(query.lambdas, parts)):
+            denom = lam_i + query.mu * k_i
+            if denom == 0:
+                raise SingularTermError(
+                    f"lambda_{i + 1} + mu*k_{i + 1} = 0 in composition {parts}"
+                )
+            term *= lam_i / denom * binom_gen(denom, k_i)
+        total += term
+    return total
+
+
+def outcome(f, query):
+    try:
+        value = f(query)
+    except SingularTermError as exc:
+        return "singular", str(exc)
+    return type(value), value
+
+
+# rational, integer and zero parameters; small integers make singular
+# Phi terms common
+parameter = st.one_of(
+    st.fractions(-6, 6, max_denominator=5), st.integers(-6, 6), st.just(0)
+)
+
+
+class TestDirectSumsMatchTheCompositionLoop:
+    @given(st.lists(parameter, min_size=1, max_size=4), parameter, st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_omega(self, lambdas, mu, k):
+        query = OmegaQuery(tuple(lambdas), mu, k)
+        assert outcome(omega_direct, query) == (Fraction, reference_omega(query))
+
+    @given(st.lists(parameter, min_size=1, max_size=4), parameter, st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_phi_values_and_singular_messages(self, lambdas, mu, k):
+        query = OmegaQuery(tuple(lambdas), mu, k)
+        assert outcome(phi_direct, query) == outcome(reference_phi, query)
+
+    @pytest.mark.parametrize(
+        "lambdas,mu,k",
+        [
+            ((0, 1), 1, 0),  # lambda_1 + mu*0 = 0 at the first composition
+            ((3, -2), 1, 3),  # (1, 2) is the first composition with k_2 = 2
+            ((F(1, 2), F(-3, 2)), F(1, 2), 4),  # k_2 = 3, after k_1 hits nothing
+            ((-4,), 2, 2),  # m = 1: only k itself is a part
+            ((-4,), 2, 3),  # m = 1, lambda + mu*j = 0 at j = 2 < k: regular
+        ],
+    )
+    def test_phi_singular_edges(self, lambdas, mu, k):
+        query = q(lambdas, mu, k)
+        assert outcome(phi_direct, query) == outcome(reference_phi, query)
+
+    def test_large_k_against_closed_forms(self):
+        # 861 compositions of 40 into 3 parts, with 40-factor binomials
+        lambdas, mu = (F(1, 3), F(-5, 2), F(7, 4)), F(2, 5)
+        query = q(lambdas, mu, 40)
+        assert omega_direct(query) == omega_closed_1(query)
+        assert phi_direct(query) == phi_closed(query)
+        integral = q((4, -7, 2), -3, 40)
+        assert omega_direct(integral) == omega_closed_1(integral)
+
+
 class TestOmegaClosedForms:
     def test_first_expansion_instance(self):
         # binom(7,2) - 2*binom(7,1) + 4 = 11

@@ -24,6 +24,7 @@ from .counting import (
     h_closed_2,
     h_closed_3,
     h_composition,
+    h_composition_row,
     h_series,
     partition_sizes,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "compositions",
     "count_query",
     "h_composition",
+    "h_composition_row",
     "h_closed_1",
     "h_closed_2",
     "h_closed_3",

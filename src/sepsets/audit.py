@@ -36,16 +36,16 @@ from .counting import (
     Topology,
     _check_hg_args,
     _check_range,
+    _g_from_h_sum,
     alternating_in_range,
     circle_in_range,
     count_query,
     g_closed,
     g_for_identity,
-    g_from_h,
     h_closed_1,
     h_closed_2,
     h_closed_3_value,
-    h_composition,
+    h_composition_row,
     h_for_identity,
     line_in_range,
 )
@@ -269,6 +269,13 @@ def g_alternating(n: int, k: int, m: int, p: int) -> int:
     Valid where ``alternating_in_range`` holds.
     """
     _check_range("g_alternating needs", "alternating", n, k, m, p)
+    return _g_alternating_sum(n, k, m, p, h_for_identity)
+
+
+def _g_alternating_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
+    """``g_alternating``'s sum with no range check, each line count
+    H(nn, k) taken from ``h(nn, k, m, p)`` with ``h_for_identity``'s
+    conventions, so the audit can pass one that reads a cached row."""
     total = 0
     for j in range(m + 1):
         total += (
@@ -276,7 +283,7 @@ def g_alternating(n: int, k: int, m: int, p: int) -> int:
             * binom_nat(m, j)
             * p**j
             * (p + 1) ** (m - j)
-            * h_for_identity(n - p * m - j, k, m, p)
+            * h(n - p * m - j, k, m, p)
         )
     return total
 
@@ -446,11 +453,26 @@ def _cases(
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
+    @cache
+    def line_row(n: int, m: int, p: int) -> list[int]:
+        # one composition product gives the line counts for every k of the grid
+        return h_composition_row(n, grid.k_max, m, p)
+
+    def line(n: int, k: int, m: int, p: int) -> int:
+        # h_for_identity's extension to every integer n and k; from n = 0 on
+        # the zero-padded row already gives H(n, 0) = 1 and 0 past n
+        return line_row(n, m, p)[k] if n >= 0 and k >= 0 else int(k == 0)
+
     match identity:
         case IdentityId.EQ2_1:
-            return _grid_cases(grid, lambda *_: True, line_brute, h_composition)
+            return _grid_cases(grid, lambda *_: True, line_brute, line)
         case IdentityId.EQ2_2:
-            return _grid_cases(grid, circle_in_range, circle_brute, g_from_h)
+            return _grid_cases(
+                grid,
+                circle_in_range,
+                circle_brute,
+                lambda n, k, m, p: _g_from_h_sum(n, k, m, p, line),
+            )
         case IdentityId.EQ3_1:
             return _omega_cases(grid, rng, omega_direct, omega_closed_1)
         case IdentityId.EQ3_2:
@@ -464,24 +486,23 @@ def _cases(
         case IdentityId.EQ3_5:
             return _grid_cases(grid, circle_in_range, circle_brute, g_closed)
         case IdentityId.THM_H1:
-            return _grid_cases(grid, line_in_range, h_composition, h_closed_1)
+            return _grid_cases(grid, line_in_range, line, h_closed_1)
         case IdentityId.THM_H2:
-            return _grid_cases(grid, line_in_range, h_composition, h_closed_2)
+            return _grid_cases(grid, line_in_range, line, h_closed_2)
         case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
             variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
             return _grid_cases(
                 grid,
                 lambda n, k, m, p: k >= 1 and line_in_range(n, k, m, p),
-                h_composition,
+                line,
                 partial(h_closed_3_value, variant=variant),
             )
         case IdentityId.EQ4_1:
             return _grid_cases(
                 grid,
                 _eq4_1_applies,
-                h_for_identity,
-                lambda n, k, m, p: h_for_identity(n - 1, k, m, p)
-                + h_for_identity(n - p - 1, k - 1, m, p),
+                line,
+                lambda n, k, m, p: line(n - 1, k, m, p) + line(n - p - 1, k - 1, m, p),
             )
         case IdentityId.EQ4_2_PRINTED | IdentityId.EQ4_2_CORRECTED:
             delta = 0 if identity is IdentityId.EQ4_2_PRINTED else 1
@@ -497,10 +518,10 @@ def _cases(
                 grid,
                 alternating_in_range,
                 g_for_identity,
-                g_alternating,
+                lambda n, k, m, p: _g_alternating_sum(n, k, m, p, line),
             )
         case IdentityId.EQ4_5:
-            return _grid_cases(grid, _eq4_5_applies, h_composition, h_from_g)
+            return _grid_cases(grid, _eq4_5_applies, line, h_from_g)
         case IdentityId.HWANG_WEI:
             return _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:

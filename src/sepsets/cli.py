@@ -240,6 +240,13 @@ def _cmd_audit(args) -> int:
                 f"{valid} or 'all'"
             ) from None
     reports = [run_audit(identity, grid, args.cap) for identity in identities]
+    vacuous = [r.identity for r in reports if not r.checked]
+    if vacuous:
+        # a report that checked nothing would pass with nothing to show
+        raise ValueError(
+            f"grid {args.grid or grid.describe()!r} leaves no case for "
+            + ", ".join(vacuous)
+        )
     if args.format == "json":
         payload = [r.to_json_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))

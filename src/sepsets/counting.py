@@ -129,7 +129,25 @@ def h_composition(
         if len(sizes) != m or any(s < 0 for s in sizes) or sum(sizes) != n:
             raise ValueError("sizes must be m nonnegative integers summing to n")
         rows = Counter(sizes)
-    return _composition(rows, k, lambda s, j: binom_nat(s - p * (j - 1), j))
+    return _composition(rows, k, _line_ways(p))
+
+
+def h_composition_row(n: int, k: int, m: int, p: int) -> list[int]:
+    """``[H(n, 0), ..., H(n, k)]`` from one product: ``h_composition``'s
+    row polynomials, with the last product taken whole by
+    ``truncated_product`` up to y^min(k, n) instead of read at y^k alone;
+    zero past n.  This is what ``count_brute_row`` is to ``count_brute``."""
+    _check_hg_args(n, k, m, p)
+    top = min(k, n)
+    row = _composition(_row_counts(n, m), top, _line_ways(p), truncated_product)
+    return row + [0] * (k - top)
+
+
+def _line_ways(p: int) -> Callable[[int, int], int]:
+    """Entry j of the row polynomial of a length-s residue row: the
+    j-subsets of a path of s objects with every two chosen ones more than p
+    places apart."""
+    return lambda s, j: binom_nat(s - p * (j - 1), j)
 
 
 def g_composition(n: int, k: int, m: int, p: int) -> int:
@@ -149,15 +167,20 @@ def g_composition(n: int, k: int, m: int, p: int) -> int:
 
 
 def _composition(
-    rows: dict[int, int], k: int, ways: Callable[[int, int], int]
-) -> int:
+    rows: dict[int, int],
+    k: int,
+    ways: Callable[[int, int], int],
+    read: Callable = coefficient,
+) -> int | list[int]:
     """[y^k] of the product over ``rows`` ({length s: count}) of
     ``(1 + sum_j ways(s, j) * y^j) ** count`` (every count >= 1), up to
     the first zero ``ways(s, j)``; equal factors are raised by repeated
     squaring.  Each factor waits in ``last`` until the next one arrives, so
-    the final one meets the product only in ``coefficient``: y^k is all
-    that is read.  0 when k exceeds the total length, before any list is
-    built."""
+    the final one meets the product only in ``read(total, last, k)``:
+    ``coefficient`` reads y^k alone, ``truncated_product`` gives the list
+    of y^0..y^k.  The count is 0 when k exceeds the total length, before
+    any list is built; a caller passing ``truncated_product`` keeps k
+    within that length."""
     if k > sum(s * count for s, count in rows.items()):
         return 0
     total, last = [1], None
@@ -171,7 +194,7 @@ def _composition(
             count >>= 1
             if count:
                 row = truncated_product(row, row, k)
-    return coefficient(total, last, k)
+    return read(total, last, k)
 
 
 def h_closed_1(n: int, k: int, m: int, p: int) -> int:
@@ -256,13 +279,16 @@ def g_from_h(n: int, k: int, m: int, p: int) -> int:
     on the empty-selection convention H(n, 0) = 1 for every n.
     """
     _check_range("g_from_h needs", "circle", n, k, m, p)
+    return _g_from_h_sum(n, k, m, p, h_for_identity)
+
+
+def _g_from_h_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
+    """``g_from_h``'s sum with no range check, each line count H(nn, kk)
+    taken from ``h(nn, kk, m, p)``; ``h`` keeps ``h_for_identity``'s
+    conventions, so the audit can pass one that reads a cached row."""
     total = 0
     for j in range(min(m, k) + 1):
-        total += (
-            binom_nat(m, j)
-            * p**j
-            * h_for_identity(n - p * m - (p + 1) * j, k - j, m, p)
-        )
+        total += binom_nat(m, j) * p**j * h(n - p * m - (p + 1) * j, k - j, m, p)
     return total
 
 
@@ -358,6 +384,7 @@ __all__ = [
     "partition_sizes",
     "compositions",
     "h_composition",
+    "h_composition_row",
     "g_composition",
     "h_closed_1",
     "h_closed_2",

@@ -17,6 +17,8 @@ per lambda, through the same ``series.truncated_product``/``coefficient``
 pair as the line composition sum.  Every row entry is an integer over one
 common denominator (the lcm D of the parameters' denominators), so the
 sum costs O(m*k^2) int steps and builds a single Fraction at the end.
+The closed forms' rational path works over the same kind of common
+denominator (of lambda and mu), so it too builds one Fraction.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .binomials import Rational, _falling, binom_gen
@@ -89,7 +91,7 @@ def omega_direct(q: OmegaQuery) -> Fraction:
     expanded row product is the composition sum term by term, so this stays
     definitional and the audits' reference side.
     """
-    d, big_ls, big_m = _scaled(q)
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
     rows = (
         [_falling(big_l + big_m * j, j, d) for j in range(q.k + 1)]
         for big_l in big_ls
@@ -107,7 +109,7 @@ def phi_direct(q: OmegaQuery) -> Fraction:
     y^0 and ``L_i * prod_{1<=t<j} (L_i + M*j - t*D)`` at y^j, j >= 1.  The
     sum stays definitional in the same way as ``omega_direct``.
     """
-    d, big_ls, big_m = _scaled(q)
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
     # for m >= 2 each j in 0..k is a part of some composition; for m = 1 only k
     parts = range(q.k, q.k + 1) if q.m == 1 else range(q.k + 1)
     if any(big_l + big_m * j == 0 for big_l in big_ls for j in parts):
@@ -127,12 +129,14 @@ def phi_direct(q: OmegaQuery) -> Fraction:
     return _direct_sum(q, d, rows)
 
 
-def _scaled(q: OmegaQuery) -> tuple[int, list[int], int]:
+def _scaled(
+    mu: Rational, lambdas: Sequence[Rational]
+) -> tuple[int, list[int], int]:
     """The common denominator D of mu and the lambdas, each L_i = lam_i*D,
     and M = mu*D."""
-    d = lcm(q.mu.denominator, *(lam.denominator for lam in q.lambdas))
-    big_ls = [lam.numerator * (d // lam.denominator) for lam in q.lambdas]
-    return d, big_ls, q.mu.numerator * (d // q.mu.denominator)
+    d = lcm(mu.denominator, *(lam.denominator for lam in lambdas))
+    big_ls = [lam.numerator * (d // lam.denominator) for lam in lambdas]
+    return d, big_ls, mu.numerator * (d // mu.denominator)
 
 
 def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
@@ -161,16 +165,32 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # big-int steps: binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of
 # (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1),
 # and binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).
+# Rational parameters take the same sums over the common denominator D of
+# lam and mu (``_scaled_binomials``), in int, with one Fraction at the end.
 
 def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    upper = lam + mu * k + m - 1
-    return kernel_coefficient(1 - m, 1 - mu, binomial_coeffs(upper, 1, k), k)
+    if isinstance(lam, int) and isinstance(mu, int):
+        upper = lam + mu * k + m - 1
+        return kernel_coefficient(1 - m, 1 - mu, binomial_coeffs(upper, 1, k), k)
+    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
+    return _scaled_coefficient(
+        _scaled_binomials((1 - m) * d, d - big_m, d, k),
+        _scaled_binomials(upper, d, d, k),
+        d,
+    )
 
 
 def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    upper = lam + mu * k + m - 1
-    return kernel_coefficient(
-        -lam - (mu - 1) * k - 1, mu - 1, binomial_coeffs(upper, mu, k), k
+    if isinstance(lam, int) and isinstance(mu, int):
+        upper = lam + mu * k + m - 1
+        return kernel_coefficient(
+            -lam - (mu - 1) * k - 1, mu - 1, binomial_coeffs(upper, mu, k), k
+        )
+    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
+    return _scaled_coefficient(
+        _scaled_binomials(-big_l - (big_m - d) * k - d, big_m - d, d, k),
+        _scaled_binomials(upper, big_m, d, k),
+        d,
     )
 
 
@@ -182,15 +202,58 @@ def omega_closed_3_total(
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     top = k - (0 if variant == "printed" else 1)
-    upper = lam + mu * k + m - 1
-    # the weight lam + mu*(m+j) of the x^j term of (1+(1-mu)x)^(-m), carried
-    # by its partner x^(top-j) of (1+x)^upper
+    if isinstance(lam, int) and isinstance(mu, int):
+        upper = lam + mu * k + m - 1
+        # the weight lam + mu*(m+j) of the x^j term of (1+(1-mu)x)^(-m),
+        # carried by its partner x^(top-j) of (1+x)^upper
+        partner = [
+            (lam + mu * (m + top - i)) * term
+            for i, term in enumerate(binomial_coeffs(upper, 1, top))
+        ]
+        # one exact division at the end: a bare / on int parameters gives
+        # a float
+        return Fraction(kernel_coefficient(-m, 1 - mu, partner, top), k)
+    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
+    # the weight (L + M*(m+j))/D joins the partner's denominator
     partner = [
-        (lam + mu * (m + top - i)) * term
-        for i, term in enumerate(binomial_coeffs(upper, 1, top))
+        (big_l + big_m * (m + top - i)) * term
+        for i, term in enumerate(_scaled_binomials(upper, d, d, top))
     ]
-    # one exact division at the end: a bare / on int parameters gives a float
-    return Fraction(kernel_coefficient(-m, 1 - mu, partner, top), k)
+    kernel = _scaled_binomials(-m * d, d - big_m, d, top)
+    return _scaled_coefficient(kernel, partner, d, d * k)
+
+
+def _scaled_upper(
+    lam: Rational, mu: Rational, m: int, k: int
+) -> tuple[int, int, int, int]:
+    """D, L = lam*D and M = mu*D (``_scaled``), and the closed forms' upper
+    index lam + mu*k + m - 1 times D."""
+    d, (big_l,), big_m = _scaled(mu, (lam,))
+    return d, big_l, big_m, big_l + big_m * k + (m - 1) * d
+
+
+def _scaled_binomials(a: int, c: int, d: int, order: int) -> list[int]:
+    """``D**(2j) * j!`` times the x^j coefficient of
+    ``(1 + (c/D)*x)**(a/D)``, for j = 0..order: the int
+    ``a*(a-D)*...*(a-(j-1)*D) * c**j``, each built from the one before."""
+    out = [term := 1]
+    for j in range(order):
+        out.append(term := term * (a - j * d) * c)
+    return out
+
+
+def _scaled_coefficient(
+    kernel: list[int], series: list[int], d: int, extra: int = 1
+) -> Fraction:
+    """[x^k] of the product of two ``_scaled_binomials``-style lists of
+    length k + 1, divided by ``extra``: term j is
+    ``binom(k, j) * kernel[j] * series[k-j]`` over the one denominator
+    ``D**(2k) * k!``, so the single Fraction is built last."""
+    k = len(kernel) - 1
+    total = sum(
+        comb(k, j) * x * y for j, (x, y) in enumerate(zip(kernel, reversed(series)))
+    )
+    return Fraction(total, extra * d ** (2 * k) * factorial(k))
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:

@@ -19,11 +19,12 @@ from sepsets.audit import (
     parse_grid,
     run_audit,
 )
-from sepsets import oracle
+from sepsets import counting, oracle
 from sepsets.counting import g_closed, g_composition, h_composition, h_for_identity
 from sepsets.oracle import EnumerationCapError
 
 SMALL_GRID = GridSpec(m_max=2, p_max=2, k_max=3, n_max=14)
+WIDE_GRID = GridSpec(m_max=4, p_max=3, k_max=6, n_max=30)
 
 
 class TestHRecurrence:
@@ -407,6 +408,85 @@ class TestRunAudit:
         # order or the skipped instances changes it
         report = run_audit(identity, DEFAULT_GRID)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "grid,identity,digest",
+        [
+            (DEFAULT_GRID, "Eq2.1",
+             "ed73db9581807043ed779643a03625d900f9840aca9bcac7c9caa591dedb893f"),
+            (DEFAULT_GRID, "Eq2.2",
+             "908bd843f92b2eea81afdad32c433aad715233eee9ccf0cfcce82b121c967136"),
+            (DEFAULT_GRID, "Eq3.5",
+             "d5a0b0cc24af7aaec7e0342116d26b06c384ee9c02a576fde964e4bc64b01261"),
+            (DEFAULT_GRID, "Thm-H1",
+             "a25709f83247cab58fdc0b6b9343007b729c38ceca2c7782fe54060091654800"),
+            (DEFAULT_GRID, "Thm-H2",
+             "534c3d48c21b4e3f39f918671005b2da5df2ea748da78424ae0e4ffd91dc0135"),
+            (DEFAULT_GRID, "Thm-H3-printed",
+             "6fb87dd79ec0b41988ab04559f59d7f6298e6db9c61736d9455a8ce3db009f0b"),
+            (DEFAULT_GRID, "Thm-H3-corrected",
+             "3f5ba043a433dcee14bed0f0f1567a405cfea6a809e5201547267cac28a05668"),
+            (DEFAULT_GRID, "Eq4.1",
+             "092be2a340e33996f33a902e7d0536de52ec1eb135836ba29468763b2a46eca8"),
+            (DEFAULT_GRID, "Eq4.2-printed",
+             "48a535ba5882f0ff3063806a683229128886d735252179372d99fae6c478c699"),
+            (DEFAULT_GRID, "Eq4.2-corrected",
+             "1d64f38f508ef1498a1479c66f7f13f1afc3aadc48a0425c7e513d2c969bd59e"),
+            (DEFAULT_GRID, "Eq4.4",
+             "594068703476908c3970ab954a0263130bd6159debc64f851f07ee8fe7bb3972"),
+            (DEFAULT_GRID, "Eq4.5",
+             "217c0652bd2c36f8f9912a81cfb725a45a3d286386942fbdec55b4f5de11778d"),
+            (DEFAULT_GRID, "BijectionCount",
+             "fc2a6a5f4fb8fc51d04742ceb77f5c5009d8db9f4abe0e1ea7f9f3159bff1dc9"),
+            (WIDE_GRID, "Eq2.1",
+             "6843c5f3938339081c851b0a523a62a2e55f442179fe4e82e3742df32fd2b9eb"),
+            (WIDE_GRID, "Eq2.2",
+             "36aeed41efd3a76c322fbc5f1d0b547c7674f7ea5106ec6b5df1900c03cf4397"),
+            (WIDE_GRID, "Eq3.5",
+             "bd811154bc874952bb9eede3caa3171a0896977caef1bb091ceeca35098212db"),
+            (WIDE_GRID, "Thm-H1",
+             "9c9bd77707a60628479e0ff71f0a3764f9f4b7ade82cfa41d1494422c31826a0"),
+            (WIDE_GRID, "Thm-H2",
+             "1e2594013bc67cc10a6270cad93be864a4bdc01514873ef37ffb57a428f1cb7a"),
+            (WIDE_GRID, "Thm-H3-printed",
+             "730f9dc6cbc720985fe357867d514c38bfea0aceccad70f831f975c9f87df02f"),
+            (WIDE_GRID, "Thm-H3-corrected",
+             "e7390a0bcaacd95bcd40743c57b405220aa466986a148a7eac484e4bfc2780fc"),
+            (WIDE_GRID, "Eq4.1",
+             "641ad5169a9ea1f067f11db4b35a7394a43772a187a778b2616bdf19e4b90da2"),
+            (WIDE_GRID, "Eq4.2-printed",
+             "f0929f0edc4a045a94178839cbaad4c5f042db6a518cb0967141312b214dcb17"),
+            (WIDE_GRID, "Eq4.2-corrected",
+             "2aea9ae9dea8de74ba35ea9ed6e76cb984aa004378bf2820b32d58dbf6f552e3"),
+            (WIDE_GRID, "Eq4.4",
+             "00fd3e0521536bd018e1b322183360328a90b91ef02382838d21b7826ccc2989"),
+            (WIDE_GRID, "Eq4.5",
+             "55728100fc729a62c306e08c9070a8de80c218e00863d5e1097118e8ed507cbe"),
+            (WIDE_GRID, "BijectionCount",
+             "2627f18bf4e6c937b7f4f5d5646e8b4caa145039d748ff6a27cd2f9658a50ac0"),
+        ],
+    )
+    def test_grid_identity_reports_are_pinned(self, grid, identity, digest):
+        # sha256 of the JSON report of each grid identity, fixed before the
+        # line counts were read from one composition row per (n, m, p)
+        report = run_audit(IdentityId(identity), grid)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("identity", ["Eq2.1", "Eq2.2", "Eq4.1", "Eq4.4", "Eq4.5"])
+    def test_line_counts_come_from_one_row_per_n_m_p(self, identity, monkeypatch):
+        # the default grid has 25 * 3 * 2 = 150 (n, m, p) rows, and Eq4.5's
+        # circle terms add a few cycle compositions; one product per (n, k)
+        # cell and identity term would make several hundred calls
+        calls = []
+        engine = counting._composition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_composition", counted)
+        assert run_audit(IdentityId(identity), DEFAULT_GRID).passed
+        assert 0 < len(calls) <= 160
 
 
 # g_recurrence(n, k, m, p, "printed") for n = 0..60, keyed (m, p, k)

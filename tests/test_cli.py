@@ -1,10 +1,15 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import sepsets
 from sepsets import cli
 from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
@@ -496,6 +501,26 @@ class TestAudit:
             f"error: empty grid '{grid}'; need m<=A and p<=B with A, B >= 1\n"
         )
 
+    def test_grid_with_no_case_for_the_identity(self, capsys):
+        # the circle identities need n > m*p*k, which n = 0 never meets
+        grid = "m<=1,p<=1,k<=0,n<=0"
+        code, out, err = run(capsys, "audit", "--identity", "Eq3.5", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert err == f"error: grid '{grid}' leaves no case for Eq3.5\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_grid_with_no_case_for_some_identities(self, capsys, fmt):
+        # every identity without a case is named, in catalogue order
+        grid = "m<=1,p<=1,k<=1,n<=1"
+        code, out, err = run(
+            capsys, "audit", "--identity", "all", "--grid", grid, "--format", fmt
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: grid '{grid}' leaves no case for Eq4.2-printed, "
+            "Eq4.2-corrected, BijectionCount\n"
+        )
+
     def test_unknown_identity(self, capsys):
         code, out, err = run(capsys, "audit", "--identity", "Eq9.9")
         assert (code, out) == (1, "")
@@ -508,3 +533,15 @@ class TestAudit:
         code, out, _ = run(capsys, "audit", "--identity", "Gould")
         assert code == 0
         assert "grid: m<=3,p<=2,k<=4,n<=24" in out
+
+
+@pytest.mark.parametrize("k", ["2", "-1"])
+def test_python_dash_m_runs_the_cli(capsys, k):
+    # ``python -m sepsets`` from a checkout, with only the source on the path
+    argv = ["count", "--topology", "circle", "--n", "5", "--k", k, "--m", "2", "--p", "1"]
+    src = Path(sepsets.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "sepsets", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)

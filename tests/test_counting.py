@@ -7,7 +7,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets.audit import g_recurrence, h_recurrence
@@ -27,6 +27,7 @@ from sepsets.counting import (
     h_closed_3,
     h_closed_3_value,
     h_composition,
+    h_composition_row,
     h_for_identity,
     partition_sizes,
 )
@@ -189,6 +190,36 @@ class TestHComposition:
             h_composition(6, 2, 2, 1, sizes=(5, 2))
         with pytest.raises(ValueError):
             h_composition(6, 2, 2, 1, sizes=(7, -1))
+
+
+class TestHCompositionRow:
+    @given(
+        st.integers(0, 80), st.integers(0, 14), st.integers(1, 6), st.integers(1, 4)
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(0, 14, 1, 1)
+    @example(0, 0, 6, 4)
+    @example(5, 14, 6, 4)
+    def test_entries_are_the_single_counts(self, n, k, m, p):
+        row = h_composition_row(n, k, m, p)
+        assert len(row) == k + 1
+        assert all(type(value) is int for value in row)
+        assert row == [h_composition(n, j, m, p) for j in range(k + 1)]
+
+    def test_zero_past_n(self):
+        # of the three 2-subsets of 1..3, {1, 3} is at the forbidden distance 2
+        row = h_composition_row(3, 6, 2, 1)
+        assert row == [1, 3, 2, 0, 0, 0, 0]
+        assert tuple(row) == count_brute_row(count_query("line", 3, 6, 2, 1))
+
+    @pytest.mark.parametrize(
+        "n,k,m,p", [(5, 2, 0, 1), (5, 2, 1, 0), (5, -1, 1, 1), (-1, 2, 1, 1)]
+    )
+    def test_rejects_what_the_single_count_rejects(self, n, k, m, p):
+        with pytest.raises(ValueError) as single:
+            h_composition(n, k, m, p)
+        with pytest.raises(ValueError, match=f"^{single.value}$"):
+            h_composition_row(n, k, m, p)
 
 
 class TestHClosedForms:

@@ -17,14 +17,18 @@ from .counting import (
     compositions,
     count_query,
     g_closed,
+    g_alternating,
     g_composition,
     g_from_h,
+    g_recurrence,
     g_series,
     h_closed_1,
     h_closed_2,
     h_closed_3,
     h_composition,
     h_composition_row,
+    h_from_g,
+    h_recurrence,
     h_series,
     partition_sizes,
 )
@@ -56,10 +60,6 @@ from .audit import (
     GridSpec,
     IdentityId,
     bijection_count_check,
-    g_alternating,
-    g_recurrence,
-    h_from_g,
-    h_recurrence,
     run_audit,
 )
 

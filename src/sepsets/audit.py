@@ -1,6 +1,6 @@
-"""Identity audits: recurrence evaluators, the bijection cardinality check,
-and the catalogue of identities with the one loop that verifies them and
-records counterexamples.
+"""Identity audits: the catalogue of identities, the one loop that verifies
+them and records counterexamples, and the bijection cardinality check.
+The count routes the catalogue checks live in ``counting``.
 
 Each identity in the catalogue is a generator of ``(params, lhs, rhs)``
 cases; ``run_audit`` counts, compares and records them.  Each identity is
@@ -29,13 +29,12 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterator
 
-from .binomials import binom_nat
 from .counting import (
     CountQuery,
     SeparationParams,
     Topology,
-    _check_hg_args,
     _check_range,
+    _g_alternating_sum,
     _g_from_h_sum,
     alternating_in_range,
     circle_in_range,
@@ -46,7 +45,7 @@ from .counting import (
     h_closed_2,
     h_closed_3_value,
     h_composition_row,
-    h_for_identity,
+    h_from_g,
     line_in_range,
 )
 from .omega_phi import (
@@ -176,135 +175,6 @@ def _failure(params: dict, lhs, rhs) -> dict:
         "lhs": _jsonable(lhs),
         "rhs": _jsonable(rhs),
     }
-
-
-# ---------------------------------------------------------------------------
-# recurrence evaluators
-
-def _recurrence(
-    n: int, k: int, step: int,
-    boundary: Callable[[int], int], seed: Callable[[int, int], int],
-) -> int:
-    """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
-    nn >= boundary(kk); below the boundary and on row 0, T = seed.
-
-    Rows kk = 1..k are built in turn up to ``top = min(n, boundary(k) + k)``
-    (row kk stops at ``top - step*(k - kk)``, as far as row k needs), and
-    only the previous row is kept.  If n lies past ``top``, row k's k + 1
-    values from x0 = boundary(k) on are extended to n by Newton's forward
-    formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
-    because row k is a polynomial of degree k from boundary(k) - 1 on, which
-    holds when (1) seed(nn, 0) is the same for every nn, and (2)
-    boundary(kk) - step >= boundary(kk-1) - 1: then row kk, from
-    boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
-    stretch where that row is a polynomial of degree kk-1.  Cost, with
-    boundary(kk) spaced p*m apart: O(k*(min(n, boundary(k)+k) - boundary(k))
-    + p*m*k^2) big-int operations plus the seeds, the same at any n."""
-    if k == 0 or n < boundary(k):
-        return seed(n, k)
-    x0 = boundary(k)
-    top = min(n, x0 + k)
-    prev_lo, prev = top + 1, []  # row 0 comes from the seed
-    for kk in range(1, k + 1):
-        lo, hi = boundary(kk), top - step * (k - kk)
-        row = []
-        left = seed(lo - 1, kk) if lo <= hi else 0
-        for nn in range(lo, hi + 1):
-            i = nn - step - prev_lo
-            left += prev[i] if i >= 0 else seed(nn - step, kk - 1)
-            row.append(left)
-        prev_lo, prev = lo, row
-    if top == n:
-        return prev[-1]
-    total, binom, x = 0, 1, n - x0
-    for j in range(k + 1):
-        total += prev[0] * binom
-        prev = [b - a for a, b in zip(prev, prev[1:])]
-        binom = binom * (x - j) // (j + 1)
-    return total
-
-
-def h_recurrence(n: int, k: int, m: int, p: int) -> int:
-    """Line count via the recurrence H(n,k) = H(n-1,k) + H(n-p-1,k-1).
-
-    The recurrence is applied for n >= p*m*(k-1) + 1; cells at or below
-    that boundary are seeded from the definitional composition sum, so the
-    result equals ``h_composition`` for every n, k >= 0.  Rows are built
-    only to p*m*(k-1) + 1 + k and extended by Newton's forward formula, so
-    the cost does not grow with n.
-    """
-    _check_hg_args(n, k, m, p)
-    return _recurrence(
-        n, k, p + 1, lambda kk: p * m * (kk - 1) + 1,
-        lambda nn, kk: h_for_identity(nn, kk, m, p),
-    )
-
-
-def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
-    """Circle count via the recurrence in n.
-
-    ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
-    closed form on its whole validity range; ``printed`` uses the
-    G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
-    for n >= m*(p*k+1) + 1; cells below are seeded from the closed form
-    when in range, else from the cycle composition, so it equals
-    ``g_composition`` for every n, k >= 0.  Rows are built only to
-    m*(p*k+1) + 1 + k and extended by Newton's forward formula, so the cost
-    does not grow with n.
-    """
-    _check_hg_args(n, k, m, p)
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
-    delta = 1 if variant == "corrected" else 0
-    return _recurrence(
-        n, k, p + delta, lambda kk: m * (p * kk + 1) + 1,
-        lambda nn, kk: g_for_identity(nn, kk, m, p),
-    )
-
-
-def g_alternating(n: int, k: int, m: int, p: int) -> int:
-    """Circle count as an alternating sum of line counts:
-    ``sum_j (-1)^j binom(m,j) p^j (p+1)^(m-j) H(n-p*m-j, k)``.
-
-    Valid where ``alternating_in_range`` holds.
-    """
-    _check_range("g_alternating needs", "alternating", n, k, m, p)
-    return _g_alternating_sum(n, k, m, p, h_for_identity)
-
-
-def _g_alternating_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
-    """``g_alternating``'s sum with no range check, each line count
-    H(nn, k) taken from ``h(nn, k, m, p)`` with ``h_for_identity``'s
-    conventions, so the audit can pass one that reads a cached row."""
-    total = 0
-    for j in range(m + 1):
-        total += (
-            (-1) ** j
-            * binom_nat(m, j)
-            * p**j
-            * (p + 1) ** (m - j)
-            * h(n - p * m - j, k, m, p)
-        )
-    return total
-
-
-def h_from_g(n: int, k: int, m: int, p: int) -> int:
-    """Line count as an alternating sum of circle counts:
-    ``sum_j (-1)^j binom(m+j-1,j) p^j G(n+p*m-(p+1)*j, k-j)``.
-
-    Stated where ``line_in_range`` holds; circle terms below the closed-form
-    range come from the cycle composition.
-    """
-    _check_range("h_from_g needs", "line", n, k, m, p)
-    total = 0
-    for j in range(k + 1):
-        total += (
-            (-1) ** j
-            * binom_nat(m + j - 1, j)
-            * p**j
-            * g_for_identity(n + p * m - (p + 1) * j, k - j, m, p)
-        )
-    return total
 
 
 def bijection_count_check(

@@ -16,26 +16,14 @@ import json
 import sys
 from functools import cache
 
-from .audit import (
-    DEFAULT_GRID,
-    IdentityId,
-    g_recurrence,
-    h_recurrence,
-    parse_grid,
-    run_audit,
-)
+from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
 from .counting import (
+    ROUTES,
     _check_mp,
+    _route,
     circle_in_range,
     count_query,
-    g_closed,
-    g_composition,
-    g_series,
-    h_closed_1,
-    h_closed_2,
-    h_closed_3,
-    h_composition,
-    h_series,
+    h_composition_row,
     line_in_range,
 )
 from .oracle import (
@@ -45,16 +33,7 @@ from .oracle import (
     list_brute,
 )
 
-METHODS = (
-    "auto",
-    "closed1",
-    "closed2",
-    "closed3",
-    "composition",
-    "series",
-    "recurrence",
-    "brute",
-)
+METHODS = ("auto", *ROUTES["line"], "brute")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,54 +88,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _routes():
-    """The formula routes, by topology and method name.  Built on each call,
-    so every route is looked up by name when it is used, as a tracer that
-    rebinds module attributes expects."""
-    return {
-        "line": {
-            "closed1": h_closed_1,
-            "closed2": h_closed_2,
-            "closed3": h_closed_3,
-            "composition": h_composition,
-            "series": h_series,
-            "recurrence": h_recurrence,
-        },
-        "circle": {
-            "closed1": g_closed,
-            "composition": g_composition,
-            "series": g_series,
-            "recurrence": g_recurrence,
-        },
-    }
-
-
-def _resolve_count(topology, n, k, m, p, method, cap, brute=None):
-    """The count and the method that gave it.  ``brute(query, cap)`` answers
-    the oracle cells; it defaults to ``count_brute``."""
-    if method == "auto":
-        if topology == "line":
-            method = "closed1" if line_in_range(n, k, m, p) else "composition"
-        elif not circle_in_range(n, k, m, p):
-            method = "brute" if n <= cap else "composition"
-        else:
-            method = "closed1"
-    if method == "brute":
-        query = count_query(topology, n, k, m, p)
-        return (brute or count_brute)(query, cap), method
-    routes = _routes()[topology]
-    if method not in routes:
-        raise ValueError(
-            f"method {method} applies only to line topology; the circle has a "
-            "single closed form (use closed1)"
-        )
-    return routes[method](n, k, m, p), method
+def _auto(topology, n, k, m, p, cap):
+    """The method ``auto`` picks: a closed form in its range; below it the
+    composition on the line, and on the circle the oracle within the cap
+    and the cycle composition past it."""
+    if topology == "line":
+        return "closed1" if line_in_range(n, k, m, p) else "composition"
+    if not circle_in_range(n, k, m, p):
+        return "brute" if n <= cap else "composition"
+    return "closed1"
 
 
 def _cmd_count(args) -> int:
-    value, _ = _resolve_count(args.topology, args.n, args.k, args.m, args.p,
-                              args.method, args.cap)
-    print(value)
+    topology, n, k, m, p = args.topology, args.n, args.k, args.m, args.p
+    method = args.method
+    if method == "auto":
+        method = _auto(topology, n, k, m, p, args.cap)
+    if method == "brute":
+        print(count_brute(count_query(topology, n, k, m, p), args.cap))
+    else:
+        print(_route(topology, method)(n, k, m, p))
     return 0
 
 
@@ -172,21 +123,26 @@ def _cmd_table(args) -> int:
     for name, value in (("k-max", args.k_max), ("n-max", args.n_max)):
         if value < 0:
             raise ValueError(f"need {name} >= 0, got {name}={value}")
-    # one oracle scan per n answers every brute cell of that n
-    brute_rows = cache(lambda n: count_brute_row(
-        count_query(args.topology, n, args.k_max, args.m, args.p), args.cap
-    ))
+    # below the formula range, one composition product (line) or one oracle
+    # scan (circle) per n answers every cell of that n
+    row_method = "composition" if args.topology == "line" else "brute"
 
-    def brute(q, cap):
-        return brute_rows(q.n)[q.k]
+    @cache
+    def row(n):
+        if args.topology == "line":
+            return h_composition_row(n, args.k_max, args.m, args.p)
+        query = count_query(args.topology, n, args.k_max, args.m, args.p)
+        return count_brute_row(query, args.cap)
 
     rows = []
     brute_cells = []
     for n in range(args.n_max + 1):
         for k in range(args.k_max + 1):
-            value, method = _resolve_count(
-                args.topology, n, k, args.m, args.p, "auto", args.cap, brute
-            )
+            method = _auto(args.topology, n, k, args.m, args.p, args.cap)
+            if method == row_method:
+                value = row(n)[k]
+            else:
+                value = _route(args.topology, method)(n, k, args.m, args.p)
             rows.append((n, k, value, method))
             if args.topology == "circle" and method == "brute":
                 brute_cells.append((n, k))

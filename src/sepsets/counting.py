@@ -1,7 +1,10 @@
-"""Core domain types, every closed-form, series and composition-sum count
-evaluator, and the validity rules they share; one composition engine serves
-the line's residue rows and the circle's residue cycles, and nothing here
-calls the brute-force oracle.
+"""Core domain types, every count route and the validity rules they share.
+
+The routes are the composition sums, the closed forms, the series, the
+recurrences in n and the alternating sums between line and circle; one
+composition engine serves the line's residue rows and the circle's residue
+cycles.  ``ROUTES`` names the routes that ``count --method`` selects.
+Nothing here calls the brute-force oracle.
 
 Conventions, fixed once here:
 
@@ -292,6 +295,132 @@ def _g_from_h_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
     return total
 
 
+def _recurrence(
+    n: int, k: int, step: int,
+    boundary: Callable[[int], int], seed: Callable[[int, int], int],
+) -> int:
+    """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
+    nn >= boundary(kk); below the boundary and on row 0, T = seed.
+
+    Rows kk = 1..k are built in turn up to ``top = min(n, boundary(k) + k)``
+    (row kk stops at ``top - step*(k - kk)``, as far as row k needs), and
+    only the previous row is kept.  If n lies past ``top``, row k's k + 1
+    values from x0 = boundary(k) on are extended to n by Newton's forward
+    formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
+    because row k is a polynomial of degree k from boundary(k) - 1 on, which
+    holds when (1) seed(nn, 0) is the same for every nn, and (2)
+    boundary(kk) - step >= boundary(kk-1) - 1: then row kk, from
+    boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
+    stretch where that row is a polynomial of degree kk-1.  Cost, with
+    boundary(kk) spaced p*m apart: O(k*(min(n, boundary(k)+k) - boundary(k))
+    + p*m*k^2) big-int operations plus the seeds, the same at any n."""
+    if k == 0 or n < boundary(k):
+        return seed(n, k)
+    x0 = boundary(k)
+    top = min(n, x0 + k)
+    prev_lo, prev = top + 1, []  # row 0 comes from the seed
+    for kk in range(1, k + 1):
+        lo, hi = boundary(kk), top - step * (k - kk)
+        row = []
+        left = seed(lo - 1, kk) if lo <= hi else 0
+        for nn in range(lo, hi + 1):
+            i = nn - step - prev_lo
+            left += prev[i] if i >= 0 else seed(nn - step, kk - 1)
+            row.append(left)
+        prev_lo, prev = lo, row
+    if top == n:
+        return prev[-1]
+    total, binom, x = 0, 1, n - x0
+    for j in range(k + 1):
+        total += prev[0] * binom
+        prev = [b - a for a, b in zip(prev, prev[1:])]
+        binom = binom * (x - j) // (j + 1)
+    return total
+
+
+def h_recurrence(n: int, k: int, m: int, p: int) -> int:
+    """Line count via the recurrence H(n,k) = H(n-1,k) + H(n-p-1,k-1).
+
+    The recurrence is applied for n >= p*m*(k-1) + 1; cells at or below
+    that boundary are seeded from the definitional composition sum, so the
+    result equals ``h_composition`` for every n, k >= 0.  Rows are built
+    only to p*m*(k-1) + 1 + k and extended by Newton's forward formula, so
+    the cost does not grow with n.
+    """
+    _check_hg_args(n, k, m, p)
+    return _recurrence(
+        n, k, p + 1, lambda kk: p * m * (kk - 1) + 1,
+        lambda nn, kk: h_for_identity(nn, kk, m, p),
+    )
+
+
+def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
+    """Circle count via the recurrence in n.
+
+    ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
+    closed form on its whole validity range; ``printed`` uses the
+    G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
+    for n >= m*(p*k+1) + 1; cells below are seeded from the closed form
+    when in range, else from the cycle composition, so it equals
+    ``g_composition`` for every n, k >= 0.  Rows are built only to
+    m*(p*k+1) + 1 + k and extended by Newton's forward formula, so the cost
+    does not grow with n.
+    """
+    _check_hg_args(n, k, m, p)
+    if variant not in ("printed", "corrected"):
+        raise ValueError(f"unknown variant {variant!r}")
+    delta = 1 if variant == "corrected" else 0
+    return _recurrence(
+        n, k, p + delta, lambda kk: m * (p * kk + 1) + 1,
+        lambda nn, kk: g_for_identity(nn, kk, m, p),
+    )
+
+
+def g_alternating(n: int, k: int, m: int, p: int) -> int:
+    """Circle count as an alternating sum of line counts:
+    ``sum_j (-1)^j binom(m,j) p^j (p+1)^(m-j) H(n-p*m-j, k)``.
+
+    Valid where ``alternating_in_range`` holds.
+    """
+    _check_range("g_alternating needs", "alternating", n, k, m, p)
+    return _g_alternating_sum(n, k, m, p, h_for_identity)
+
+
+def _g_alternating_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
+    """``g_alternating``'s sum with no range check, each line count
+    H(nn, k) taken from ``h(nn, k, m, p)`` with ``h_for_identity``'s
+    conventions, so the audit can pass one that reads a cached row."""
+    total = 0
+    for j in range(m + 1):
+        total += (
+            (-1) ** j
+            * binom_nat(m, j)
+            * p**j
+            * (p + 1) ** (m - j)
+            * h(n - p * m - j, k, m, p)
+        )
+    return total
+
+
+def h_from_g(n: int, k: int, m: int, p: int) -> int:
+    """Line count as an alternating sum of circle counts:
+    ``sum_j (-1)^j binom(m+j-1,j) p^j G(n+p*m-(p+1)*j, k-j)``.
+
+    Stated where ``line_in_range`` holds; circle terms below the closed-form
+    range come from the cycle composition.
+    """
+    _check_range("h_from_g needs", "line", n, k, m, p)
+    total = 0
+    for j in range(k + 1):
+        total += (
+            (-1) ** j
+            * binom_nat(m + j - 1, j)
+            * p**j
+            * g_for_identity(n + p * m - (p + 1) * j, k - j, m, p)
+        )
+    return total
+
+
 def h_series(n: int, k: int, m: int, p: int) -> int:
     """Line count via coefficient extraction, valid where ``line_in_range``
     holds: ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, in
@@ -319,6 +448,39 @@ def count_query(topology: str | Topology, n: int, k: int, m: int, p: int) -> Cou
     """Convenience constructor used by the CLI and tests."""
     topo = Topology(topology) if not isinstance(topology, Topology) else topology
     return CountQuery(topo, n, k, SeparationParams(m, p))
+
+
+# each ``count --method`` route by topology: method name -> name of the
+# counting function here (the CLI's method list is the line's keys)
+ROUTES = {
+    "line": {
+        "closed1": "h_closed_1",
+        "closed2": "h_closed_2",
+        "closed3": "h_closed_3",
+        "composition": "h_composition",
+        "series": "h_series",
+        "recurrence": "h_recurrence",
+    },
+    "circle": {
+        "closed1": "g_closed",
+        "composition": "g_composition",
+        "series": "g_series",
+        "recurrence": "g_recurrence",
+    },
+}
+
+
+def _route(topology: str, method: str) -> Callable[..., int]:
+    """The counting function behind ``method`` on ``topology``."""
+    name = ROUTES[topology].get(method)
+    if name is None:
+        raise ValueError(
+            f"method {method} applies only to line topology; the circle has a "
+            "single closed form (use closed1)"
+        )
+    # read from the module namespace at each call, never stored: a tracer
+    # or a test that rebinds a module attribute must see every route call
+    return globals()[name]
 
 
 # each formula family's range of n, stated only here: (the rule as range
@@ -392,6 +554,10 @@ __all__ = [
     "h_closed_3_value",
     "g_closed",
     "g_from_h",
+    "h_from_g",
+    "h_recurrence",
+    "g_recurrence",
+    "g_alternating",
     "h_series",
     "g_series",
     "line_in_range",
@@ -400,4 +566,5 @@ __all__ = [
     "h_for_identity",
     "g_for_identity",
     "count_query",
+    "ROUTES",
 ]

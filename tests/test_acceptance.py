@@ -14,22 +14,22 @@ from sepsets.audit import (
     DEFAULT_GRID,
     IdentityId,
     bijection_count_check,
-    g_alternating,
-    g_recurrence,
-    h_recurrence,
     run_audit,
 )
 from sepsets.binomials import binom_nat
 from sepsets.cli import main as cli_main
 from sepsets.counting import (
     count_query,
+    g_alternating,
     g_closed,
     g_from_h,
+    g_recurrence,
     h_closed_1,
     h_closed_2,
     h_closed_3,
     h_composition,
     h_for_identity,
+    h_recurrence,
 )
 from sepsets.omega_phi import (
     OmegaQuery,

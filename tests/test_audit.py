@@ -11,16 +11,21 @@ from sepsets.audit import (
     GridSpec,
     IdentityId,
     bijection_count_check,
-    g_alternating,
-    g_for_identity,
-    g_recurrence,
-    h_from_g,
-    h_recurrence,
     parse_grid,
     run_audit,
 )
 from sepsets import counting, oracle
-from sepsets.counting import g_closed, g_composition, h_composition, h_for_identity
+from sepsets.counting import (
+    g_alternating,
+    g_closed,
+    g_composition,
+    g_for_identity,
+    g_recurrence,
+    h_composition,
+    h_for_identity,
+    h_from_g,
+    h_recurrence,
+)
 from sepsets.oracle import EnumerationCapError
 
 SMALL_GRID = GridSpec(m_max=2, p_max=2, k_max=3, n_max=14)

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import sepsets
-from sepsets import cli
+from sepsets import cli, counting
 from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
-from sepsets.counting import count_query
+from sepsets.counting import ROUTES, count_query
 from sepsets.oracle import count_brute
 
 
@@ -203,6 +203,26 @@ class TestCount:
         assert (code, out) == (0, "4800\n")
 
 
+class TestRouteTable:
+    def test_methods_are_the_line_routes_between_auto_and_brute(self):
+        assert METHODS == ("auto", "closed1", "closed2", "closed3", "composition",
+                           "series", "recurrence", "brute")
+
+    def test_every_route_is_a_counting_function(self):
+        for routes in ROUTES.values():
+            for name in routes.values():
+                assert getattr(counting, name).__module__ == "sepsets.counting"
+
+    def test_route_is_looked_up_when_called(self, capsys, monkeypatch):
+        # a tracer that rebinds module attributes must see the call
+        monkeypatch.setattr(counting, "h_closed_1", lambda n, k, m, p: -7)
+        code, out, _ = run(
+            capsys, "count", "--topology", "line",
+            "--n", "9", "--k", "3", "--m", "2", "--p", "1", "--method", "closed1",
+        )
+        assert (code, out) == (0, "-7\n")
+
+
 class TestList:
     def test_circle_paper_example(self, capsys):
         code, out, _ = run(
@@ -381,6 +401,22 @@ class TestTable:
         assert [methods[(n, 2)] for n in (10, 11, 12, 13)] == [
             "brute", "composition", "composition", None,
         ]
+
+    def test_line_cells_come_from_one_row_per_n(self, capsys, monkeypatch):
+        # every n = 0..40 has a cell below the closed-form range at k = 8;
+        # one composition product per (n, k) cell made 167 calls
+        calls = []
+        engine = counting._composition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_composition", counted)
+        code, _, _ = run(capsys, "table", "--topology", "line", "--m", "3", "--p", "2",
+                         "--n-max", "40", "--k-max", "8")
+        assert code == 0
+        assert 0 < len(calls) <= 41
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2, 3])

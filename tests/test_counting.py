@@ -10,13 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepsets.audit import g_recurrence, h_recurrence
 from sepsets.binomials import binom_nat
+from sepsets import counting
 from sepsets.counting import (
+    ROUTES,
     CountQuery,
     SeparationParams,
     _row_counts,
     Topology,
+    circle_in_range,
     compositions,
     count_query,
     g_closed,
@@ -29,6 +31,8 @@ from sepsets.counting import (
     h_composition,
     h_composition_row,
     h_for_identity,
+    h_recurrence,
+    line_in_range,
     partition_sizes,
 )
 from sepsets.oracle import count_brute, count_brute_row
@@ -352,7 +356,9 @@ class TestGComposition:
 
 
 class TestRoutesAgree:
-    """Every count route equals the others wherever its precondition holds.
+    """Every count route equals the others and the oracle wherever its
+    precondition holds; ``test_line_routes`` and ``test_circle_routes`` take
+    the routes from ``counting.ROUTES``.
 
     ``h_series`` and ``h_closed_1`` are the same sum term by term, both
     ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, so their
@@ -364,15 +370,20 @@ class TestRoutesAgree:
 
     params = st.integers(1, 4), st.integers(1, 4), st.integers(0, 12)
 
+    @staticmethod
+    def check_routes(topology, in_range, n, k, m, p):
+        # every ``ROUTES`` entry of the topology that applies, and the oracle
+        expected = count_brute(count_query(topology, n, k, m, p), cap=200)
+        for method, name in ROUTES[topology].items():
+            if method in ("composition", "recurrence") or (
+                in_range and (k >= 1 or method != "closed3")
+            ):
+                assert getattr(counting, name)(n, k, m, p) == expected, method
+
     @given(st.integers(0, 200), *params)
     @settings(max_examples=150, deadline=None)
     def test_line_routes(self, n, m, p, k):
-        value = h_composition(n, k, m, p)
-        if n >= p * m * (k - 1):
-            routes = [h_closed_1, h_closed_2, h_series, h_recurrence]
-            if k >= 1:
-                routes.append(h_closed_3)
-            assert [route(n, k, m, p) for route in routes] == [value] * len(routes)
+        self.check_routes("line", line_in_range(n, k, m, p), n, k, m, p)
 
     @given(st.integers(0, 32), *params)
     @settings(max_examples=150, deadline=None)
@@ -384,11 +395,9 @@ class TestRoutesAgree:
     @given(st.integers(0, 200), *params)
     @settings(max_examples=150, deadline=None)
     def test_circle_routes(self, n, m, p, k):
-        value = g_composition(n, k, m, p)
-        assert g_recurrence(n, k, m, p) == value
-        if n >= m * p * k + 1:
-            routes = [g_closed, g_series, g_from_h]
-            assert [route(n, k, m, p) for route in routes] == [value] * len(routes)
+        self.check_routes("circle", circle_in_range(n, k, m, p), n, k, m, p)
+        if circle_in_range(n, k, m, p):
+            assert g_from_h(n, k, m, p) == g_composition(n, k, m, p)
 
     def test_recurrence_at_a_large_point(self):
         assert h_recurrence(3000, 50, 3, 2) == h_closed_1(3000, 50, 3, 2)

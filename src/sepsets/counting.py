@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import takewhile
 from math import gcd
 from typing import Callable, Sequence
@@ -307,13 +308,25 @@ def _recurrence(
     only the previous row is kept.  If n lies past ``top``, row k's k + 1
     values from x0 = boundary(k) on are extended to n by Newton's forward
     formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
-    because row k is a polynomial of degree k from boundary(k) - 1 on, which
-    holds when (1) seed(nn, 0) is the same for every nn, and (2)
-    boundary(kk) - step >= boundary(kk-1) - 1: then row kk, from
-    boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
-    stretch where that row is a polynomial of degree kk-1.  Cost, with
-    boundary(kk) spaced p*m apart: O(k*(min(n, boundary(k)+k) - boundary(k))
-    + p*m*k^2) big-int operations plus the seeds, the same at any n."""
+    whenever row k is a polynomial of degree k from x0 - 1 on.  Two ways
+    to get there:
+
+    * Per-row starts: (1) seed(nn, 0) is the same for every nn, and (2)
+      boundary(kk) - step >= boundary(kk-1) - 1.  Then row kk, from
+      boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
+      stretch where that row is a polynomial of degree kk-1.  Each row
+      reads its seeds near its own start, so there are about k of them;
+      with boundary(kk) spaced p*m apart the rows cost
+      O(k*(top - x0) + p*m*k^2) big-int operations.
+    * One start column shared by every row (boundary constant at x0): the
+      seeds are read only at columns x0 - step .. x0 - 1.  If they are the
+      true counts and the true counts obey the recurrence on every row
+      from x0 on, every row equals the true count from x0 on; so the
+      extension is exact when the true count of row k is a polynomial of
+      degree k from x0 - 1 on.  This costs the step seed columns plus
+      O(k^2) row and Newton steps.
+
+    Either way the cost is the same at any n."""
     if k == 0 or n < boundary(k):
         return seed(n, k)
     x0 = boundary(k)
@@ -341,16 +354,29 @@ def _recurrence(
 def h_recurrence(n: int, k: int, m: int, p: int) -> int:
     """Line count via the recurrence H(n,k) = H(n-1,k) + H(n-p-1,k-1).
 
-    The recurrence is applied for n >= p*m*(k-1) + 1; cells at or below
-    that boundary are seeded from the definitional composition sum, so the
-    result equals ``h_composition`` for every n, k >= 0.  Rows are built
-    only to p*m*(k-1) + 1 + k and extended by Newton's forward formula, so
-    the cost does not grow with n.
+    Row kk obeys the recurrence from p*m*(kk-1) + 1 on, so every row
+    starts at the one column x0 = p*m*(k-1) + 1.  The seeds are the
+    definitional counts at the p + 1 columns x0-p-1 .. x0-1, each column
+    one ``h_composition_row`` product (a column below 0 counts only the
+    empty selection), so the result equals ``h_composition`` for every
+    n, k >= 0.  Row k is a polynomial of degree k from x0 - 1 on, where
+    the closed line sums hold, so it is built only to x0 + k and extended
+    by Newton's forward formula.  Cost: p + 1 composition products plus
+    O(k^2) row and Newton steps, the same at any n.  Below x0 and at
+    k = 0 the answer is ``h_for_identity``.
     """
     _check_hg_args(n, k, m, p)
+    x0 = p * m * (k - 1) + 1
+    if k == 0 or n < x0:
+        return h_for_identity(n, k, m, p)
+
+    @cache
+    def column(nn: int) -> list[int]:
+        return h_composition_row(nn, k, m, p)
+
     return _recurrence(
-        n, k, p + 1, lambda kk: p * m * (kk - 1) + 1,
-        lambda nn, kk: h_for_identity(nn, kk, m, p),
+        n, k, p + 1, lambda kk: x0,
+        lambda nn, kk: column(nn)[kk] if kk and nn >= 0 else int(kk == 0),
     )
 
 
@@ -365,6 +391,13 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
     ``g_composition`` for every n, k >= 0.  Rows are built only to
     m*(p*k+1) + 1 + k and extended by Newton's forward formula, so the cost
     does not grow with n.
+
+    Unlike ``h_recurrence``, each row kk keeps its own start,
+    m*(p*kk+1) + 1.  The ``printed`` step is not the true recurrence, so
+    its values depend on where each row starts, and the audit pins them.
+    On the corrected circle one shared start column measured no faster at
+    k near 50 and slower at (n, k, m, p) = (10^5, 400, 2, 2), because its
+    seeds are cheap closed forms in range.
     """
     _check_hg_args(n, k, m, p)
     if variant not in ("printed", "corrected"):

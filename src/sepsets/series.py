@@ -10,11 +10,13 @@ O(k) big-int steps:
 * ``binomial_coeffs`` lists the coefficients of ``(1 + c*x)**a`` up to
   x^order, each built from the one before in one loop;
 * ``coefficient`` reads x^k of a product of two coefficient lists,
-  ``sum_j a[j] * b[k-j]``, without building the product; ``phi_residue``
-  (so ``g_series``) is one call;
+  ``sum_j a[j] * b[k-j]``, without building the product;
 * ``kernel_coefficient`` is ``coefficient`` with a binomial kernel as its
   first factor, built in the same pass as it is read: the three closed
   line sums and ``h_series`` are each one call.
+
+``phi_residue`` (so ``g_series``) needs no helper: its linear second
+factor meets only two binomials, read directly with ``binom_gen``.
 
 ``truncated_product`` is the one full polynomial product; the composition
 sums of both topologies square with it and answer their last product with
@@ -32,7 +34,7 @@ from fractions import Fraction
 from operator import floordiv, mul, truediv
 from typing import Sequence
 
-from .binomials import Rational
+from .binomials import Rational, binom_gen
 
 
 def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
@@ -145,4 +147,5 @@ def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return coefficient(binomial_coeffs(lam + mu * k - 1, 1, k), [1, 1 - mu], k)
+    a = lam + mu * k - 1  # only C(a, k) and C(a, k-1) meet the linear factor
+    return binom_gen(a, k) + (1 - mu) * binom_gen(a, k - 1)

@@ -107,14 +107,16 @@ class TestRowsExtendedPastTheBoundary:
     formula past it; both branches must give the composition counts."""
 
     @staticmethod
-    def points(boundary, k):
-        yield from range(max(0, boundary - 2), boundary + k + 4)
+    def points(boundary, k, below=2):
+        yield from range(max(0, boundary - below), boundary + k + 4)
         yield boundary + 50
         yield 10**6
 
     def test_line_equals_composition_around_the_switch(self):
-        for m, p, k in product(range(1, 4), range(1, 4), range(7)):
-            for n in self.points(p * m * (k - 1) + 1, k):
+        # the points start at the seed columns x0-p-1 .. x0-1 below the
+        # shared start x0 (below 0 at k = 1, where only n = 0 is a point)
+        for m, p, k in product(range(1, 6), range(1, 5), range(9)):
+            for n in self.points(p * m * (k - 1) + 1, k, p + 1):
                 assert h_recurrence(n, k, m, p) == h_composition(n, k, m, p), (
                     n, k, m, p,
                 )
@@ -133,6 +135,35 @@ class TestRowsExtendedPastTheBoundary:
                 assert g_recurrence(n, k, m, p, "printed") == value, (n, k, m, p)
         for (n, k, m, p), value in PRINTED_G_RECURRENCE_FAR.items():
             assert g_recurrence(n, k, m, p, "printed") == value, (n, k, m, p)
+
+
+class TestLineRecurrenceSeeds:
+    def test_at_most_p_plus_one_composition_products(self, monkeypatch):
+        # from x0 = p*m*(k-1) + 1 on, the seeds are p + 1 composition rows;
+        # one seed product per row would make k calls.  The calls at k = 10
+        # and 11 share seed column 9, and the two at k = 20 share columns
+        # 37 and 38 with other (m, p), so a seed column kept from one call
+        # to the next would fail or give a wrong value below.
+        calls = []
+        engine = counting._composition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_composition", counted)
+        values = {}
+        for m, p, k in [
+            (1, 1, 2), (1, 1, 10), (1, 1, 11), (1, 2, 20), (2, 1, 20),
+            (3, 2, 25), (2, 3, 40), (3, 2, 60),
+        ]:
+            x0 = p * m * (k - 1) + 1
+            for n in (x0, x0 + k // 2, x0 + 5 * k, 10**6):
+                calls.clear()
+                values[n, k, m, p] = h_recurrence(n, k, m, p)
+                assert len(calls) <= p + 1, (n, k, m, p, len(calls))
+        for (n, k, m, p), value in values.items():
+            assert value == h_composition(n, k, m, p), (n, k, m, p)
 
 
 class TestGAlternating:

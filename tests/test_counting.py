@@ -421,7 +421,8 @@ class TestRoutesAgree:
 
 
 class TestLargeK:
-    """The formula routes take O(k) big-int steps, so k = 1000 is quick."""
+    """The formula routes take O(k) big-int steps, so k = 1000 is quick; the
+    line recurrence, O(k^2) steps, is checked at k = 400."""
 
     def test_line_routes_agree(self):
         n, k, m, p = 10**6 + 6 * 999, 1000, 3, 2
@@ -433,3 +434,7 @@ class TestLargeK:
         n, k, m, p = 10**6, 1000, 3, 2
         value = g_series(n, k, m, p)
         assert type(value) is int and value == g_closed(n, k, m, p)
+
+    def test_line_recurrence_at_k_400(self):
+        # p + 1 seed products and O(k^2) row steps: well under a second
+        assert h_recurrence(10**5, 400, 3, 2) == h_closed_1(10**5, 400, 3, 2)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets.binomials import binom_gen
@@ -208,6 +208,19 @@ class TestPhiResidue:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             phi_residue(1, 1, -1)
+
+    # int and Fraction parameters; a = lam + mu*k - 1 runs negative
+    params = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
+
+    @given(params, params, st.integers(0, 25))
+    @example(lam=-3, mu=2, k=0)
+    @example(lam=F(-7, 2), mu=F(1, 3), k=0)
+    @example(lam=-5, mu=-1, k=4)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_binomial_list(self, lam, mu, k):
+        # the two binomials read directly equal the whole product's x^k
+        expected = coefficient(binomial_coeffs(lam + mu * k - 1, 1, k), [1, 1 - mu], k)
+        assert phi_residue(lam, mu, k) == expected
 
     def test_matches_weighted_binomial_randomized(self):
         rng = random.Random(1207)

@@ -11,10 +11,8 @@ subsystem sweeps each identity over parameter grids.
 from .binomials import binom_gen, binom_nat, falling_factorial
 from .counting import (
     CountQuery,
-    PartitionSizes,
     SeparationParams,
     Topology,
-    compositions,
     count_query,
     g_closed,
     g_alternating,
@@ -30,11 +28,11 @@ from .counting import (
     h_from_g,
     h_recurrence,
     h_series,
-    partition_sizes,
 )
 from .omega_phi import (
     OmegaQuery,
     SingularTermError,
+    compositions,
     gould_check,
     hwang_wei_check,
     omega_closed_1,
@@ -78,8 +76,6 @@ __all__ = [
     "Topology",
     "SeparationParams",
     "CountQuery",
-    "PartitionSizes",
-    "partition_sizes",
     "compositions",
     "count_query",
     "h_composition",

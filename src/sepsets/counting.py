@@ -20,18 +20,16 @@ Conventions, fixed once here:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import takewhile
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 from .binomials import binom_nat
 from .omega_phi import (
-    compositions,
     omega_closed_1_total,
     omega_closed_2_total,
     omega_closed_3_total,
@@ -52,23 +50,13 @@ class Topology(Enum):
 
 @dataclass(frozen=True)
 class SeparationParams:
-    """The pair (m, p) and its derived forbidden distance sets."""
+    """The pair (m, p): no two chosen positions at distance m, 2m, ..., p*m."""
 
     m: int
     p: int
 
     def __post_init__(self) -> None:
         _check_mp(self.m, self.p)
-
-    @property
-    def forbidden_gaps(self) -> frozenset[int]:
-        """Forbidden counts of objects strictly between a chosen pair."""
-        return frozenset(i * self.m - 1 for i in range(1, self.p + 1))
-
-    @property
-    def forbidden_diffs(self) -> frozenset[int]:
-        """Forbidden position differences (gaps shifted by one)."""
-        return frozenset(i * self.m for i in range(1, self.p + 1))
 
 
 @dataclass(frozen=True)
@@ -84,38 +72,17 @@ class CountQuery:
         _check_hg_args(self.n, self.k, self.params.m, self.params.p)
 
 
-@dataclass(frozen=True)
-class PartitionSizes:
-    """Row lengths of the residue-class array splitting 1..n into m rows."""
-
-    sizes: tuple[int, ...]
-    r: int
-    ell: int
-
-
-def partition_sizes(n: int, m: int) -> PartitionSizes:
-    """The unique split n = r*m + ell with 1 <= ell <= m; row i has r+1
-    elements for i <= ell and r elements beyond."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    r = (n - 1) // m
-    ell = n - r * m
-    sizes = tuple(r + 1 if i < ell else r for i in range(m))
-    return PartitionSizes(sizes, r, ell)
-
-
 def _row_counts(n: int, m: int) -> dict[int, int]:
-    """How many rows of ``partition_sizes(n, m)`` have each length, without
-    building the m-tuple; lengths no row has are left out (at n = 0, r = -1
-    and all m rows are empty)."""
+    """How many of the m residue rows ``range(i, n + 1, m)``, i = 1..m, have
+    each length, without building them: with n = r*m + ell, 1 <= ell <= m,
+    ell rows hold r + 1 positions and m - ell rows r; lengths no row has are
+    left out (at n = 0, r = -1 and all m rows are empty)."""
     r = (n - 1) // m
     ell = n - r * m
     return {s: count for s, count in ((r + 1, ell), (r, m - ell)) if count}
 
 
-def h_composition(
-    n: int, k: int, m: int, p: int, sizes: Sequence[int] | None = None
-) -> int:
+def h_composition(n: int, k: int, m: int, p: int) -> int:
     """Definitional line count: sum over row-wise compositions of k.
 
     Each composition (k_1..k_m) contributes
@@ -126,14 +93,7 @@ def h_composition(
     n, k >= 0 and always equals the brute-force count.
     """
     _check_hg_args(n, k, m, p)
-    if sizes is None:
-        rows = _row_counts(n, m)
-    else:
-        sizes = tuple(sizes)
-        if len(sizes) != m or any(s < 0 for s in sizes) or sum(sizes) != n:
-            raise ValueError("sizes must be m nonnegative integers summing to n")
-        rows = Counter(sizes)
-    return _composition(rows, k, _line_ways(p))
+    return _composition(_row_counts(n, m), k, _line_ways(p))
 
 
 def h_composition_row(n: int, k: int, m: int, p: int) -> list[int]:
@@ -575,9 +535,6 @@ __all__ = [
     "Topology",
     "SeparationParams",
     "CountQuery",
-    "PartitionSizes",
-    "partition_sizes",
-    "compositions",
     "h_composition",
     "h_composition_row",
     "g_composition",

@@ -17,8 +17,9 @@ per lambda, through the same ``series.truncated_product``/``coefficient``
 pair as the line composition sum.  Every row entry is an integer over one
 common denominator (the lcm D of the parameters' denominators), so the
 sum costs O(m*k^2) int steps and builds a single Fraction at the end.
-The closed forms' rational path works over the same kind of common
-denominator (of lambda and mu), so it too builds one Fraction.
+The closed forms have one int path for every parameter: they scale lambda
+and mu by their common denominator D (1 for ints), take one
+``series.kernel_coefficient`` over D, and divide once at the end.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .binomials import Rational, _falling, binom_gen
@@ -159,39 +160,35 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 
 
 # The closed forms depend on the lambdas only through their sum, so the
-# integer counting formulas reuse these helpers directly; int parameters
-# keep them in int arithmetic.  Each is the coefficient of x^k (x^(k-shift)
-# for the third) in a product of two binomial series, so it costs O(k)
-# big-int steps: binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of
-# (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1),
-# and binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).
-# Rational parameters take the same sums over the common denominator D of
-# lam and mu (``_scaled_binomials``), in int, with one Fraction at the end.
+# integer counting formulas reuse these helpers directly.  Each is the
+# coefficient of x^k (x^(k-shift) for the third) in a product of two
+# binomial series, so it costs O(k) big-int steps: binom(m+j-2, j) * (mu-1)^j
+# is the x^j coefficient of (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that
+# of (1+(mu-1)x)^(-a-1), and binom(upper, k-j) * c^(k-j) that of
+# (1+cx)^upper at x^(k-j).  Every parameter takes the one int path: lam, mu
+# and the kernels' numerators are scaled by the common denominator D of lam
+# and mu, ``binomial_coeffs``/``kernel_coefficient`` scale the x^j entry by
+# D^(3j), and the sum is divided once at the end.  Int parameters (D = 1)
+# get an int from the first two expansions; rational ones get one Fraction.
 
 def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    if isinstance(lam, int) and isinstance(mu, int):
-        upper = lam + mu * k + m - 1
-        return kernel_coefficient(1 - m, 1 - mu, binomial_coeffs(upper, 1, k), k)
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    return _scaled_coefficient(
-        _scaled_binomials((1 - m) * d, d - big_m, d, k),
-        _scaled_binomials(upper, d, d, k),
-        d,
+    total = kernel_coefficient(
+        (1 - m) * d, d - big_m, binomial_coeffs(upper, d, k, d), k, d
     )
+    return _unscaled(total, d ** (3 * k), lam, mu)
 
 
 def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    if isinstance(lam, int) and isinstance(mu, int):
-        upper = lam + mu * k + m - 1
-        return kernel_coefficient(
-            -lam - (mu - 1) * k - 1, mu - 1, binomial_coeffs(upper, mu, k), k
-        )
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    return _scaled_coefficient(
-        _scaled_binomials(-big_l - (big_m - d) * k - d, big_m - d, d, k),
-        _scaled_binomials(upper, big_m, d, k),
+    total = kernel_coefficient(
+        -big_l - (big_m - d) * k - d,
+        big_m - d,
+        binomial_coeffs(upper, big_m, k, d),
+        k,
         d,
     )
+    return _unscaled(total, d ** (3 * k), lam, mu)
 
 
 def omega_closed_3_total(
@@ -202,58 +199,36 @@ def omega_closed_3_total(
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     top = k - (0 if variant == "printed" else 1)
-    if isinstance(lam, int) and isinstance(mu, int):
-        upper = lam + mu * k + m - 1
-        # the weight lam + mu*(m+j) of the x^j term of (1+(1-mu)x)^(-m),
-        # carried by its partner x^(top-j) of (1+x)^upper
-        partner = [
-            (lam + mu * (m + top - i)) * term
-            for i, term in enumerate(binomial_coeffs(upper, 1, top))
-        ]
-        # one exact division at the end: a bare / on int parameters gives
-        # a float
-        return Fraction(kernel_coefficient(-m, 1 - mu, partner, top), k)
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    # the weight (L + M*(m+j))/D joins the partner's denominator
+    # the weight lam + mu*(m+j) = (L + M*(m+j))/D of the x^j term of
+    # (1+(1-mu)x)^(-m), carried by its partner x^(top-j) of (1+x)^upper;
+    # its 1/D joins the final denominator
     partner = [
         (big_l + big_m * (m + top - i)) * term
-        for i, term in enumerate(_scaled_binomials(upper, d, d, top))
+        for i, term in enumerate(binomial_coeffs(upper, d, top, d))
     ]
-    kernel = _scaled_binomials(-m * d, d - big_m, d, top)
-    return _scaled_coefficient(kernel, partner, d, d * k)
+    total = kernel_coefficient(-m * d, d - big_m, partner, top, d)
+    return Fraction(total, d ** (3 * top + 1) * k)
 
 
 def _scaled_upper(
     lam: Rational, mu: Rational, m: int, k: int
 ) -> tuple[int, int, int, int]:
-    """D, L = lam*D and M = mu*D (``_scaled``), and the closed forms' upper
-    index lam + mu*k + m - 1 times D."""
-    d, (big_l,), big_m = _scaled(mu, (lam,))
+    """``_scaled(mu, (lam,))``: D, L = lam*D and M = mu*D, and the closed
+    forms' upper index lam + mu*k + m - 1 times D.  Written out for one
+    lambda, since every closed line count makes this call: ``_scaled``'s
+    generic form costs more than the rest of a small count."""
+    d = lcm(lam.denominator, mu.denominator)
+    big_l = lam.numerator * (d // lam.denominator)
+    big_m = mu.numerator * (d // mu.denominator)
     return d, big_l, big_m, big_l + big_m * k + (m - 1) * d
 
 
-def _scaled_binomials(a: int, c: int, d: int, order: int) -> list[int]:
-    """``D**(2j) * j!`` times the x^j coefficient of
-    ``(1 + (c/D)*x)**(a/D)``, for j = 0..order: the int
-    ``a*(a-D)*...*(a-(j-1)*D) * c**j``, each built from the one before."""
-    out = [term := 1]
-    for j in range(order):
-        out.append(term := term * (a - j * d) * c)
-    return out
-
-
-def _scaled_coefficient(
-    kernel: list[int], series: list[int], d: int, extra: int = 1
-) -> Fraction:
-    """[x^k] of the product of two ``_scaled_binomials``-style lists of
-    length k + 1, divided by ``extra``: term j is
-    ``binom(k, j) * kernel[j] * series[k-j]`` over the one denominator
-    ``D**(2k) * k!``, so the single Fraction is built last."""
-    k = len(kernel) - 1
-    total = sum(
-        comb(k, j) * x * y for j, (x, y) in enumerate(zip(kernel, reversed(series)))
-    )
-    return Fraction(total, extra * d ** (2 * k) * factorial(k))
+def _unscaled(total: int, denom: int, lam: Rational, mu: Rational) -> Rational:
+    """``total / denom`` in the parameters' type: the int ``total`` itself
+    for int lam and mu (D = 1, so denom = 1), else one Fraction, also when
+    D = 1."""
+    return Fraction(total, denom) if isinstance(lam + mu, Fraction) else total
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:

@@ -8,7 +8,9 @@ that one coefficient is ever read.  So the counts use three helpers, each
 O(k) big-int steps:
 
 * ``binomial_coeffs`` lists the coefficients of ``(1 + c*x)**a`` up to
-  x^order, each built from the one before in one loop;
+  x^order, each built from the one before in one loop, in ``int``: a and
+  c are int numerators over one common denominator d (d = 1 for the
+  counts), and entry j is scaled by d**(3*j);
 * ``coefficient`` reads x^k of a product of two coefficient lists,
   ``sum_j a[j] * b[k-j]``, without building the product;
 * ``kernel_coefficient`` is ``coefficient`` with a binomial kernel as its
@@ -21,17 +23,15 @@ factor meets only two binomials, read directly with ``binom_gen``.
 ``truncated_product`` is the one full polynomial product; the composition
 sums of both topologies square with it and answer their last product with
 ``coefficient``.  ``PowerSeries`` wraps a coefficient tuple with a checked
-product.  Coefficients are kept as given: integer parameters give ``int``
-coefficients (the binomial steps divide exactly with ``//``) and rational
-ones ``Fraction``.  The series count routes ``h_series`` and ``g_series``
-live in ``counting``.
+product, and ``binomial_series`` gives it the coefficients
+``binom_gen(a, j) * c**j`` for int or ``Fraction`` parameters.  The series
+count routes ``h_series`` and ``g_series`` live in ``counting``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import floordiv, mul, truediv
+from operator import mul
 from typing import Sequence
 
 from .binomials import Rational, binom_gen
@@ -96,24 +96,36 @@ def one(order: int) -> PowerSeries:
     return from_coeffs([1], order)
 
 
-def binomial_coeffs(a: Rational, c: Rational, order: int) -> list:
-    """Coefficients of x^0 .. x^order of ``(1 + c*x)**a``: entry j is
-    ``binom_gen(a, j) * c**j``, each built from the one before."""
+def binomial_coeffs(a: int, c: int, order: int, d: int = 1) -> list[int]:
+    """Coefficients of x^0 .. x^order of ``(1 + (c/d)*x)**(a/d)``, for int
+    a, c and d >= 1, each scaled to the int ``d**(3*j) * binom(a/d, j) *
+    (c/d)**j`` and built from the one before; d = 1 gives
+    ``binom_gen(a, j) * c**j``.
+
+    Each step ``term * top * (d*c) // (j + 1)`` divides exactly, because
+    ``d**(2*j) * binom(a/d, j) = d**j * a(a-d)...(a-(j-1)d) / j!`` is an
+    integer: a prime dividing d meets d**j against v_p(j!) < j, and for any
+    other prime the j terms of a progression whose step d is coprime to it
+    carry at least v_p(j!) of its factors, as j consecutive integers do.
+    A ``Fraction`` a or c would be floored silently by ``//``: pass a
+    rational kernel as its numerators over d.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if isinstance(a, int) and isinstance(c, int):
-        div = floordiv  # binom_gen(a, j) is an integer for integer a: exact
-    else:
-        a, c, div = Fraction(a), Fraction(c), truediv
     coeffs = [term := 1]
+    top, step = a, d * c
     for j in range(order):
-        coeffs.append(term := div(term * (a - j) * c, j + 1))
+        coeffs.append(term := term * top * step // (j + 1))
+        top -= d
     return coeffs
 
 
 def binomial_series(a: Rational, c: Rational, order: int) -> PowerSeries:
-    """Truncation of ``(1 + c*x)**a`` as a series: ``binomial_coeffs``."""
-    return PowerSeries(tuple(binomial_coeffs(a, c, order)))
+    """Truncation of ``(1 + c*x)**a`` as a series: entry j is
+    ``binom_gen(a, j) * c**j``."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return PowerSeries(tuple(binom_gen(a, j) * c**j for j in range(order + 1)))
 
 
 def coefficient(a: Sequence, b: Sequence, k: int) -> Rational:
@@ -124,17 +136,16 @@ def coefficient(a: Sequence, b: Sequence, k: int) -> Rational:
     return sum(map(mul, a[lo:hi], reversed(b[k + 1 - hi : k + 1 - lo])))
 
 
-def kernel_coefficient(a: Rational, c: Rational, b: Sequence, k: int) -> Rational:
-    """Coefficient of x^k in ``(1 + c*x)**a`` times a series with at least
-    k + 1 coefficients ``b``: ``coefficient(binomial_coeffs(a, c, k), b, k)``
-    in one pass, each binomial built from the one before as it is read."""
-    if isinstance(a, int) and isinstance(c, int):
-        div, term = floordiv, 1
-    else:  # a rational kernel gives a Fraction, k = 0 included
-        a, c, div, term = Fraction(a), Fraction(c), truediv, Fraction(1)
-    total = term * b[k]
+def kernel_coefficient(a: int, c: int, b: Sequence, k: int, d: int = 1) -> int:
+    """Coefficient of x^k in ``binomial_coeffs(a, c, k, d)`` times a series
+    with at least k + 1 coefficients ``b``:
+    ``coefficient(binomial_coeffs(a, c, k, d), b, k)`` in one pass, each
+    binomial built from the one before as it is read."""
+    term, top, step = 1, a, d * c
+    total = b[k]
     for j in range(k):
-        term = div(term * (a - j) * c, j + 1)
+        term = term * top * step // (j + 1)
+        top -= d
         total += term * b[k - 1 - j]
     return total
 

@@ -16,10 +16,11 @@ from sepsets.counting import (
     ROUTES,
     CountQuery,
     SeparationParams,
+    _composition,
+    _line_ways,
     _row_counts,
     Topology,
     circle_in_range,
-    compositions,
     count_query,
     g_closed,
     g_composition,
@@ -33,19 +34,13 @@ from sepsets.counting import (
     h_for_identity,
     h_recurrence,
     line_in_range,
-    partition_sizes,
 )
+from sepsets.omega_phi import compositions
 from sepsets.oracle import count_brute, count_brute_row
 from sepsets.counting import g_series, h_series
 
 
 class TestSeparationParams:
-    def test_forbidden_sets(self):
-        params = SeparationParams(m=2, p=3)
-        assert params.forbidden_gaps == {1, 3, 5}
-        assert params.forbidden_diffs == {2, 4, 6}
-        assert len(params.forbidden_gaps) == params.p
-
     @pytest.mark.parametrize("m,p", [(0, 1), (1, 0), (-2, 3)])
     def test_rejects_bad_params(self, m, p):
         with pytest.raises(ValueError):
@@ -56,21 +51,14 @@ class TestSeparationParams:
             CountQuery(Topology.LINE, -1, 2, SeparationParams(1, 1))
 
 
-class TestPartitionSizes:
-    def test_five_into_two_rows(self):
-        ps = partition_sizes(5, 2)
-        assert ps.sizes == (3, 2)
-        assert (ps.r, ps.ell) == (2, 1)
+def residue_rows(n, m):
+    """The lengths of the m residue rows i, i + m, ... <= n, i = 1..m."""
+    return [len(range(i, n + 1, m)) for i in range(1, m + 1)]
 
-    def test_exact_division_uses_ell_equals_m(self):
-        ps = partition_sizes(6, 3)
-        assert ps.sizes == (2, 2, 2)
-        assert ps.ell == 3
 
-    def test_seven_into_three(self):
-        assert partition_sizes(7, 3).sizes == (3, 2, 2)
-
+class TestRowCounts:
     def test_row_counts_leave_out_empty_groups(self):
+        assert _row_counts(5, 2) == {3: 1, 2: 1}
         assert _row_counts(6, 3) == {2: 3}
         assert _row_counts(7, 3) == {3: 1, 2: 2}
         assert _row_counts(0, 4) == {0: 4}
@@ -79,24 +67,16 @@ class TestPartitionSizes:
     def test_row_counts_match_sizes(self, n, m):
         counts = _row_counts(n, m)
         assert 0 not in counts.values()
-        if n:
-            assert counts == Counter(partition_sizes(n, m).sizes)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            partition_sizes(0, 2)
-        with pytest.raises(ValueError):
-            partition_sizes(5, 0)
+        assert counts == Counter(residue_rows(n, m))
 
     @given(st.integers(1, 60), st.integers(1, 12))
     def test_invariants(self, n, m):
-        ps = partition_sizes(n, m)
-        assert len(ps.sizes) == m
-        assert sum(ps.sizes) == n
-        assert 1 <= ps.ell <= m
-        assert n == ps.r * m + ps.ell
-        assert list(ps.sizes) == sorted(ps.sizes, reverse=True)
-        assert max(ps.sizes) - min(ps.sizes) <= 1
+        # m rows, n positions, lengths r + 1 and r for n = r*m + ell
+        counts = _row_counts(n, m)
+        assert sum(counts.values()) == m
+        assert sum(s * c for s, c in counts.items()) == n
+        assert max(counts) - min(counts) <= 1
+        assert counts.get((n - 1) // m + 1, 0) == n - (n - 1) // m * m
 
 
 class TestCompositions:
@@ -149,7 +129,7 @@ class TestHComposition:
         assert h_composition(5, 1, 10**9, 1) == 5
 
     def test_explicit_sizes_reproduce_balanced_split(self):
-        assert h_composition(6, 2, 2, 1, sizes=(3, 3)) == 11
+        assert _composition(Counter((3, 3)), 2, _line_ways(1)) == 11
 
     def test_independent_of_split_when_rows_long_enough(self):
         # any split whose rows all reach p*(k-1) gives the same value
@@ -163,14 +143,14 @@ class TestHComposition:
             n = sum(sizes)
             if n == 0:
                 continue
-            assert h_composition(n, k, m, p, sizes=sizes) == h_composition(
+            assert _composition(Counter(sizes), k, _line_ways(p)) == h_composition(
                 n, k, m, p
             ), (sizes, k, m, p)
 
     def test_split_with_short_row_differs(self):
         # degenerate rows below p*(k-1) break the equivalence; this anchors
         # the qualified form of the independence property
-        assert h_composition(6, 2, 2, 1, sizes=(6, 0)) == 10
+        assert _composition(Counter((6, 0)), 2, _line_ways(1)) == 10
         assert h_composition(6, 2, 2, 1) == 11
 
     def test_restriction_redundant_on_formula_range(self):
@@ -180,7 +160,7 @@ class TestHComposition:
             for n in range(p * m * (k - 1), p * m * (k - 1) + 8):
                 if n < 1:
                     continue
-                sizes = partition_sizes(n, m).sizes
+                sizes = residue_rows(n, m)
                 unrestricted = 0
                 for parts in compositions(k, m):
                     term = 1
@@ -188,12 +168,6 @@ class TestHComposition:
                         term *= binom_nat(s - p * (k_i - 1), k_i)
                     unrestricted += term
                 assert unrestricted == h_composition(n, k, m, p)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            h_composition(6, 2, 2, 1, sizes=(5, 2))
-        with pytest.raises(ValueError):
-            h_composition(6, 2, 2, 1, sizes=(7, -1))
 
 
 class TestHCompositionRow:

@@ -172,6 +172,33 @@ class TestOmegaClosedForms:
         assert value == F(20, 3) and type(value) is Fraction
         assert omega_closed_3_total(F(-2), F(0), 2, 3, "printed") == value
 
+    @pytest.mark.parametrize(
+        "lam,mu,m,k",
+        [
+            (5, -2, 3, 2),
+            (3, -1, 2, 0),
+            (-7, 4, 1, 3),
+            (F(3), F(-1), 2, 0),
+            (F(3), F(-1), 2, 3),
+            (F(-26, 9), F(-7, 3), 5, 0),
+            (F(-26, 9), F(-7, 3), 5, 2),
+            (4, F(1, 2), 2, 0),
+            (F(1, 2), -1, 3, 1),
+        ],
+    )
+    def test_return_type_follows_the_parameters(self, lam, mu, m, k):
+        # int lam and mu give an int from the first two expansions; a
+        # Fraction anywhere gives a Fraction, also when the common
+        # denominator is 1 and at k = 0
+        expected = int if type(lam) is type(mu) is int else Fraction
+        direct = omega_direct(OmegaQuery((lam,) + (0,) * (m - 1), mu, k))
+        for total in (omega_closed_1_total, omega_closed_2_total):
+            value = total(lam, mu, m, k)
+            assert type(value) is expected and value == direct
+        if k >= 1:
+            value = omega_closed_3_total(lam, mu, m, k)
+            assert type(value) is Fraction and value == direct
+
     def test_third_rejects_k_zero(self):
         with pytest.raises(ValueError):
             omega_closed_3(q((1,), 1, 0))

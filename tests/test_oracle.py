@@ -269,10 +269,9 @@ class TestCircularWindowErratum:
 class TestCountingLaws:
     def test_pair_count_complement_line(self):
         for m, p in product(range(1, 4), range(1, 4)):
-            params = SeparationParams(m, p)
             for n in range(2, 20):
                 expected = binom_nat(n, 2) - sum(
-                    n - d for d in params.forbidden_diffs if d < n
+                    n - d for d in range(m, p * m + 1, m) if d < n
                 )
                 assert count_brute(count_query("line", n, 2, m, p)) == expected
 

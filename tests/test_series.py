@@ -73,8 +73,14 @@ class TestCoefficient:
         assert coefficient([], [1], 0) == 0
 
     def test_binomial_coeffs_is_the_series(self):
-        for a, c in [(7, 1), (-3, 2), (F(5, 3), F(-2, 7)), (0, 4)]:
+        for a, c in [(7, 1), (-3, 2), (0, 4)]:
             assert tuple(binomial_coeffs(a, c, 6)) == binomial_series(a, c, 6).coeffs
+        # rational parameters go through their common denominator d
+        for a, c in [(F(5, 3), F(-2, 7)), (F(-1, 2), F(3, 4)), (F(7), F(-1, 5))]:
+            d = a.denominator * c.denominator
+            scaled = binomial_coeffs(int(a * d), int(c * d), 6, d)
+            expected = binomial_series(a, c, 6).coeffs
+            assert scaled == [x * d ** (3 * j) for j, x in enumerate(expected)]
 
     def test_binomial_coeffs_past_a_nonnegative_upper_index(self):
         assert binomial_coeffs(2, 3, 4) == [1, 6, 9, 0, 0]
@@ -82,17 +88,45 @@ class TestCoefficient:
             binomial_coeffs(2, 1, -1)
 
     @given(
-        st.integers(-30, 30) | st.fractions(-8, 8, max_denominator=5),
-        st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=5),
+        st.integers(-40, 40),
+        st.integers(-6, 6),
+        st.integers(1, 12),
+        st.integers(0, 12),
+    )
+    @example(a=-7, c=0, d=5, order=4)
+    @example(a=3, c=2, d=12, order=0)
+    @example(a=-1, c=-5, d=12, order=12)
+    @settings(max_examples=200)
+    def test_binomial_coeffs_is_the_scaled_definition(self, a, c, d, order):
+        # int numerators a, c over d: entry j is d**(3j) * binom(a/d, j) * (c/d)**j
+        coeffs = binomial_coeffs(a, c, order, d)
+        assert len(coeffs) == order + 1
+        assert all(type(x) is int for x in coeffs)
+        expected = [
+            binom_gen(F(a, d), j) * F(c, d) ** j * d ** (3 * j)
+            for j in range(order + 1)
+        ]
+        assert coeffs == expected
+
+    @given(
+        st.integers(-40, 40),
+        st.integers(-6, 6),
+        st.integers(1, 12),
         st.lists(st.integers(-9, 9), min_size=1, max_size=12),
     )
-    @settings(max_examples=80)
-    def test_kernel_coefficient_is_one_pass_of_coefficient(self, a, c, b):
+    @example(a=-7, c=0, d=5, b=[3, 1, 4])
+    @example(a=4, c=3, d=1, b=[2])
+    @settings(max_examples=200)
+    def test_kernel_coefficient_is_one_pass_of_coefficient(self, a, c, d, b):
         k = len(b) - 1
-        value = kernel_coefficient(a, c, b, k)
-        assert value == coefficient(binomial_coeffs(a, c, k), b, k)
-        if isinstance(a, int) and isinstance(c, int):
-            assert type(value) is int
+        value = kernel_coefficient(a, c, b, k, d)
+        assert type(value) is int
+        assert value == coefficient(binomial_coeffs(a, c, k, d), b, k)
+        # the definition, read without either helper
+        assert value == sum(
+            binom_gen(F(a, d), j) * F(c, d) ** j * d ** (3 * j) * b[k - j]
+            for j in range(k + 1)
+        )
 
 
 class TestMulAndCoeff:
@@ -219,7 +253,8 @@ class TestPhiResidue:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_binomial_list(self, lam, mu, k):
         # the two binomials read directly equal the whole product's x^k
-        expected = coefficient(binomial_coeffs(lam + mu * k - 1, 1, k), [1, 1 - mu], k)
+        a = lam + mu * k - 1
+        expected = coefficient([binom_gen(a, j) for j in range(k + 1)], [1, 1 - mu], k)
         assert phi_residue(lam, mu, k) == expected
 
     def test_matches_weighted_binomial_randomized(self):

@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterator
 
 from .counting import (
     CountQuery,
@@ -86,15 +86,11 @@ class IdentityId(str, Enum):
     BIJECTION_COUNT = "BijectionCount"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "m_max p_max k_max n_max")):
     """Upper bounds of the parameter sweep (each range starts at its natural
     minimum: m, p >= 1 and k, n >= 0)."""
 
-    m_max: int
-    p_max: int
-    k_max: int
-    n_max: int
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"m<={self.m_max},p<={self.p_max},k<={self.k_max},n<={self.n_max}"
@@ -122,26 +118,19 @@ def parse_grid(text: str) -> GridSpec:
     return grid
 
 
-@dataclass
-class AuditReport:
-    """Outcome of sweeping one identity over a grid."""
+class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
+    """Outcome of sweeping one identity over a grid: the identity's name, the
+    grid's description, the number of points checked and one dict per
+    mismatch."""
 
-    identity: str
-    grid: str
-    checked: int
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "checked": self.checked,
-            "failures": self.failures,
-        }
+        return self._asdict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

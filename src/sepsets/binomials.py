@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 def binom_nat(a: int, k: int) -> int:

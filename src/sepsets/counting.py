@@ -20,13 +20,13 @@ Conventions, fixed once here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import takewhile
 from math import gcd
-from typing import Callable
 
 from .binomials import binom_nat
 from .omega_phi import (
@@ -48,28 +48,26 @@ class Topology(Enum):
     CIRCLE = "circle"
 
 
-@dataclass(frozen=True)
-class SeparationParams:
+class SeparationParams(namedtuple("SeparationParams", "m p")):
     """The pair (m, p): no two chosen positions at distance m, 2m, ..., p*m."""
 
-    m: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_mp(self.m, self.p)
+    def __new__(cls, m: int, p: int) -> SeparationParams:
+        _check_mp(m, p)
+        return tuple.__new__(cls, (m, p))
 
 
-@dataclass(frozen=True)
-class CountQuery:
+class CountQuery(namedtuple("CountQuery", "topology n k params")):
     """One counting request: topology, (n, k) and the separation parameters."""
 
-    topology: Topology
-    n: int
-    k: int
-    params: SeparationParams
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_hg_args(self.n, self.k, self.params.m, self.params.p)
+    def __new__(
+        cls, topology: Topology, n: int, k: int, params: SeparationParams
+    ) -> CountQuery:
+        _check_hg_args(n, k, params.m, params.p)
+        return tuple.__new__(cls, (topology, n, k, params))
 
 
 def _row_counts(n: int, m: int) -> dict[int, int]:

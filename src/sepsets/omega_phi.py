@@ -28,11 +28,11 @@ suite and the audit subsystem rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
-from typing import Iterable, Iterator, Sequence
 
 from .binomials import Rational, _falling, binom_gen
 from .series import binomial_coeffs, coefficient, kernel_coefficient, truncated_product
@@ -42,23 +42,22 @@ class SingularTermError(ValueError):
     """A weighted composition term has a vanishing denominator."""
 
 
-@dataclass(frozen=True)
-class OmegaQuery:
-    """Parameters (lambda_1..lambda_m, mu, k) of one composition-sum evaluation."""
+class OmegaQuery(namedtuple("OmegaQuery", "lambdas mu k")):
+    """Parameters (lambda_1..lambda_m, mu, k) of one composition-sum
+    evaluation; the lambdas and mu are stored as ``Fraction``s."""
 
-    lambdas: tuple[Fraction, ...]
-    mu: Fraction
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lambdas", tuple(Fraction(v) for v in self.lambdas)
-        )
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        if len(self.lambdas) < 1:
+    def __new__(
+        cls, lambdas: Iterable[Rational], mu: Rational, k: int
+    ) -> OmegaQuery:
+        lambdas = tuple(Fraction(v) for v in lambdas)
+        mu = Fraction(mu)
+        if len(lambdas) < 1:
             raise ValueError("need at least one lambda")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be >= 0")
+        return tuple.__new__(cls, (lambdas, mu, k))
 
     @property
     def m(self) -> int:

@@ -26,8 +26,8 @@ scan, not its algorithm; tests check that the two agree.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Sequence
 
 from .counting import CountQuery, SeparationParams, Topology
 

@@ -30,9 +30,8 @@ count routes ``h_series`` and ``g_series`` live in ``counting``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import mul
-from typing import Sequence
+from collections.abc import Iterable, Sequence
+from operator import index, mul
 
 from .binomials import Rational, binom_gen
 
@@ -51,16 +50,27 @@ def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class PowerSeries:
-    """Coefficients of x^0 .. x^order; arithmetic never reads beyond order."""
+    """Coefficients of x^0 .. x^order, kept as the tuple ``coeffs``;
+    arithmetic never reads beyond order."""
 
-    coeffs: tuple[Rational, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a PowerSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -107,11 +117,13 @@ def binomial_coeffs(a: int, c: int, order: int, d: int = 1) -> list[int]:
     integer: a prime dividing d meets d**j against v_p(j!) < j, and for any
     other prime the j terms of a progression whose step d is coprime to it
     carry at least v_p(j!) of its factors, as j consecutive integers do.
-    A ``Fraction`` a or c would be floored silently by ``//``: pass a
-    rational kernel as its numerators over d.
+    a, c and d must be ints, since ``//`` would floor a ``Fraction`` step
+    silently: pass a rational kernel as its numerators over d.  A
+    ``Fraction`` or ``float`` raises ``TypeError``, and d < 1 ``ValueError``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    a, c, d = _int_kernel(a, c, d)
     coeffs = [term := 1]
     top, step = a, d * c
     for j in range(order):
@@ -140,7 +152,9 @@ def kernel_coefficient(a: int, c: int, b: Sequence, k: int, d: int = 1) -> int:
     """Coefficient of x^k in ``binomial_coeffs(a, c, k, d)`` times a series
     with at least k + 1 coefficients ``b``:
     ``coefficient(binomial_coeffs(a, c, k, d), b, k)`` in one pass, each
-    binomial built from the one before as it is read."""
+    binomial built from the one before as it is read; a, c and d are
+    checked as in ``binomial_coeffs``."""
+    a, c, d = _int_kernel(a, c, d)
     term, top, step = 1, a, d * c
     total = b[k]
     for j in range(k):
@@ -148,6 +162,15 @@ def kernel_coefficient(a: int, c: int, b: Sequence, k: int, d: int = 1) -> int:
         top -= d
         total += term * b[k - 1 - j]
     return total
+
+
+def _int_kernel(a: int, c: int, d: int) -> tuple[int, int, int]:
+    """a, c and d as ints, once per call: ``TypeError`` for a ``Fraction``
+    or ``float``, ``ValueError`` for d < 1."""
+    a, c, d = index(a), index(c), index(d)
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+    return a, c, d
 
 
 def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:

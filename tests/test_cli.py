@@ -581,3 +581,16 @@ def test_python_dash_m_runs_the_cli(capsys, k):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_import_loads_no_unused_module():
+    # every invocation pays for ``import sepsets.cli``; ``-S`` keeps ``site``
+    # from importing these modules first and masking a regression
+    src = Path(sepsets.__file__).resolve().parent.parent
+    unused = ("dataclasses", "inspect", "typing")
+    code = f"import sys, sepsets.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

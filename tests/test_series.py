@@ -128,6 +128,28 @@ class TestCoefficient:
             for j in range(k + 1)
         )
 
+    def test_fraction_kernels_are_refused(self):
+        # the true values, 11/8 and [1, 1/2, -1/8], are not what ``//`` gives
+        with pytest.raises(TypeError):
+            kernel_coefficient(F(1, 2), 1, [1, 1, 1], 2)
+        with pytest.raises(TypeError):
+            binomial_coeffs(F(1, 2), 1, 2)
+        with pytest.raises(TypeError):
+            binomial_coeffs(1, 0.5, 2)
+        with pytest.raises(TypeError):
+            kernel_coefficient(1, 1, [1, 1], 1, F(2))
+        # the same kernel as numerators over d = 2: with b[i] scaled by
+        # d**(3i) as well, the value is d**(3k) times the true one
+        assert F(kernel_coefficient(1, 2, [1, 8, 64], 2, 2), 2**6) == F(11, 8)
+        assert binomial_coeffs(1, 2, 2, 2) == [1, 8 * F(1, 2), 64 * F(-1, 8)]
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_is_refused(self, d):
+        with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
+            binomial_coeffs(3, 1, 2, d)
+        with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
+            kernel_coefficient(3, 1, [1, 1, 1], 2, d)
+
 
 class TestMulAndCoeff:
     def test_difference_of_squares(self):

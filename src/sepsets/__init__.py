@@ -52,7 +52,7 @@ from .oracle import (
     kernel_backend,
     list_brute,
 )
-from .series import PowerSeries, binomial_series, phi_residue
+from .series import PowerSeries, phi_residue
 from .audit import (
     AuditReport,
     GridSpec,
@@ -69,7 +69,6 @@ __all__ = [
     "binom_gen",
     "falling_factorial",
     "PowerSeries",
-    "binomial_series",
     "phi_residue",
     "h_series",
     "g_series",

@@ -36,6 +36,7 @@ from .counting import (
     _check_range,
     _g_alternating_sum,
     _g_from_h_sum,
+    _line_counts,
     alternating_in_range,
     circle_in_range,
     count_query,
@@ -44,7 +45,6 @@ from .counting import (
     h_closed_1,
     h_closed_2,
     h_closed_3_value,
-    h_composition_row,
     h_from_g,
     line_in_range,
 )
@@ -312,15 +312,8 @@ def _cases(
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
-    @cache
-    def line_row(n: int, m: int, p: int) -> list[int]:
-        # one composition product gives the line counts for every k of the grid
-        return h_composition_row(n, grid.k_max, m, p)
-
-    def line(n: int, k: int, m: int, p: int) -> int:
-        # h_for_identity's extension to every integer n and k; from n = 0 on
-        # the zero-padded row already gives H(n, 0) = 1 and 0 past n
-        return line_row(n, m, p)[k] if n >= 0 and k >= 0 else int(k == 0)
+    # one composition product gives the line counts for every k of the grid
+    line = _line_counts(grid.k_max)
 
     match identity:
         case IdentityId.EQ2_1:

@@ -10,8 +10,6 @@ the argument parser is built on the first call and reused after it.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from functools import cache
@@ -148,12 +146,7 @@ def _cmd_table(args) -> int:
                 brute_cells.append((n, k))
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "k", "count"])
-        for n, k, value, _ in rows:
-            writer.writerow([n, k, value])
-        text = buf.getvalue()
+        text = "n,k,count\n" + "".join(f"{n},{k},{value}\n" for n, k, value, _ in rows)
     else:
         payload = []
         for n, k, value, method in rows:

@@ -39,6 +39,7 @@ from .series import (
     coefficient,
     kernel_coefficient,
     phi_residue,
+    power_product,
     truncated_product,
 )
 
@@ -136,27 +137,18 @@ def _composition(
 ) -> int | list[int]:
     """[y^k] of the product over ``rows`` ({length s: count}) of
     ``(1 + sum_j ways(s, j) * y^j) ** count`` (every count >= 1), up to
-    the first zero ``ways(s, j)``; equal factors are raised by repeated
-    squaring.  Each factor waits in ``last`` until the next one arrives, so
-    the final one meets the product only in ``read(total, last, k)``:
-    ``coefficient`` reads y^k alone, ``truncated_product`` gives the list
-    of y^0..y^k.  The count is 0 when k exceeds the total length, before
-    any list is built; a caller passing ``truncated_product`` keeps k
-    within that length."""
+    the first zero ``ways(s, j)``, by ``series.power_product``; ``read``
+    is passed on: ``coefficient`` reads y^k alone, ``truncated_product``
+    gives the list of y^0..y^k.  The count is 0 when k exceeds the total
+    length, before any list is built; a caller passing
+    ``truncated_product`` keeps k within that length."""
     if k > sum(s * count for s, count in rows.items()):
         return 0
-    total, last = [1], None
-    for s, count in rows.items():
-        row = [1, *takewhile(bool, (ways(s, j) for j in range(1, min(k, s) + 1)))]
-        while count:
-            if count & 1:
-                if last is not None:
-                    total = truncated_product(total, last, k)
-                last = row
-            count >>= 1
-            if count:
-                row = truncated_product(row, row, k)
-    return read(total, last, k)
+    factors = (
+        ([1, *takewhile(bool, (ways(s, j) for j in range(1, min(k, s) + 1)))], count)
+        for s, count in rows.items()
+    )
+    return power_product(factors, k, read)
 
 
 def h_closed_1(n: int, k: int, m: int, p: int) -> int:
@@ -220,6 +212,23 @@ def h_for_identity(n: int, k: int, m: int, p: int) -> int:
     if n < k:
         return 0
     return h_composition(n, k, m, p)
+
+
+def _line_counts(k: int) -> Callable[[int, int, int, int], int]:
+    """``h_for_identity`` for every kk <= k, as ``h(nn, kk, m, p)``: each
+    (nn, m, p) is read from one ``h_composition_row(nn, k, m, p)``, cached
+    for as long as the returned function lives.  The empty selection counts
+    1 for every nn, even nn < 0, and a negative kk counts 0."""
+    @cache
+    def row(nn: int, m: int, p: int) -> list[int]:
+        return h_composition_row(nn, k, m, p)
+
+    def h(nn: int, kk: int, m: int, p: int) -> int:
+        if kk <= 0 or nn < 0:
+            return int(kk == 0)
+        return row(nn, m, p)[kk]
+
+    return h
 
 
 def g_for_identity(n: int, k: int, m: int, p: int) -> int:
@@ -328,14 +337,8 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
     if k == 0 or n < x0:
         return h_for_identity(n, k, m, p)
 
-    @cache
-    def column(nn: int) -> list[int]:
-        return h_composition_row(nn, k, m, p)
-
-    return _recurrence(
-        n, k, p + 1, lambda kk: x0,
-        lambda nn, kk: column(nn)[kk] if kk and nn >= 0 else int(kk == 0),
-    )
+    h = _line_counts(k)
+    return _recurrence(n, k, p + 1, lambda kk: x0, lambda nn, kk: h(nn, kk, m, p))
 
 
 def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:

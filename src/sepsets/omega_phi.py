@@ -13,8 +13,8 @@ lower index from ``k-j`` to ``k-1-j``, which agrees with the direct sum
 everywhere.  ``corrected`` is the default.
 
 The direct sums are evaluated as [y^k] of a product of one row polynomial
-per lambda, through the same ``series.truncated_product``/``coefficient``
-pair as the line composition sum.  Every row entry is an integer over one
+per lambda, through ``series.power_product``, the engine of the line and
+circle composition sums.  Every row entry is an integer over one
 common denominator (the lcm D of the parameters' denominators), so the
 sum costs O(m*k^2) int steps and builds a single Fraction at the end.
 The closed forms have one int path for every parameter: they scale lambda
@@ -35,7 +35,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .binomials import Rational, _falling, binom_gen
-from .series import binomial_coeffs, coefficient, kernel_coefficient, truncated_product
+from .series import binomial_coeffs, kernel_coefficient, power_product
 
 
 class SingularTermError(ValueError):
@@ -146,16 +146,12 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
     Entry j of row i is D**j * j! times the i-th factor of a composition
     term at k_i = j, so every composition's term is its entries' product
     over that one denominator: O(m*k^2) int steps through
-    ``truncated_product`` and ``coefficient`` instead of one Fraction
-    product per composition.
+    ``power_product`` instead of one Fraction product per composition.
     """
     k = q.k
     scale = [factorial(k) // factorial(j) for j in range(k + 1)]
-    *heads, last = ([x * s for x, s in zip(row, scale)] for row in rows)
-    total = [1]
-    for row in heads:
-        total = truncated_product(total, row, k)
-    return Fraction(coefficient(total, last, k), d**k * factorial(k) ** q.m)
+    factors = (([x * s for x, s in zip(row, scale)], 1) for row in rows)
+    return Fraction(power_product(factors, k), d**k * factorial(k) ** q.m)
 
 
 # The closed forms depend on the lambdas only through their sum, so the

@@ -583,11 +583,20 @@ def test_python_dash_m_runs_the_cli(capsys, k):
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
 
 
+def test_public_names_resolve():
+    # a name left in __all__ after its definition goes breaks ``import *``
+    for module in (sepsets, counting):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    namespace = {}
+    exec("from sepsets import *", namespace)
+    assert set(sepsets.__all__) <= set(namespace)
+
+
 def test_import_loads_no_unused_module():
     # every invocation pays for ``import sepsets.cli``; ``-S`` keeps ``site``
     # from importing these modules first and masking a regression
     src = Path(sepsets.__file__).resolve().parent.parent
-    unused = ("dataclasses", "inspect", "typing")
+    unused = ("csv", "dataclasses", "inspect", "typing")
     code = f"import sys, sepsets.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -17,6 +17,7 @@ from sepsets.counting import (
     CountQuery,
     SeparationParams,
     _composition,
+    _line_counts,
     _line_ways,
     _row_counts,
     Topology,
@@ -189,6 +190,13 @@ class TestHCompositionRow:
         row = h_composition_row(3, 6, 2, 1)
         assert row == [1, 3, 2, 0, 0, 0, 0]
         assert tuple(row) == count_brute_row(count_query("line", 3, 6, 2, 1))
+
+    def test_line_counts_read_rows_with_identity_conventions(self):
+        h = _line_counts(5)
+        for m, p in product(range(1, 4), range(1, 3)):
+            for n in range(-3, 14):
+                for k in range(-1, 6):
+                    assert h(n, k, m, p) == h_for_identity(n, k, m, p), (n, k, m, p)
 
     @pytest.mark.parametrize(
         "n,k,m,p", [(5, 2, 0, 1), (5, 2, 1, 0), (5, -1, 1, 1), (-1, 2, 1, 1)]

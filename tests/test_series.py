@@ -14,49 +14,51 @@ from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
     PowerSeries,
     binomial_coeffs,
-    binomial_series,
     coefficient,
-    from_coeffs,
     kernel_coefficient,
-    one,
     phi_residue,
+    power_product,
     truncated_product,
 )
 
 F = Fraction
 
 
-def coeffs(series):
-    return [int(c) if c.denominator == 1 else c for c in series.coeffs]
-
-
 class TestBinomialSeries:
+    """The binomial series (1 + c*x)**a, as ``binomial_coeffs`` builds it."""
+
     def test_square(self):
-        assert coeffs(binomial_series(2, 1, 3)) == [1, 2, 1, 0]
+        assert binomial_coeffs(2, 1, 3) == [1, 2, 1, 0]
 
     def test_geometric(self):
-        assert coeffs(binomial_series(-1, 1, 3)) == [1, -1, 1, -1]
+        assert binomial_coeffs(-1, 1, 3) == [1, -1, 1, -1]
 
     def test_negative_cube_with_scale(self):
-        f = binomial_series(-3, 2, 2)
-        assert coeffs(f) == [1, -6, 24]
+        f = binomial_coeffs(-3, 2, 2)
+        assert f == [1, -6, 24]
         # multiplying by the inverse kernel must give 1 up to the order
-        assert f * binomial_series(3, 2, 2) == one(2)
+        assert truncated_product(f, binomial_coeffs(3, 2, 2), 2) == [1, 0, 0]
 
     def test_coefficients_are_binom_gen(self):
+        for a in range(-4, 5):
+            for c in range(-3, 4):
+                f = binomial_coeffs(a, c, 6)
+                assert f == [binom_gen(a, j) * c**j for j in range(7)]
         a, c = F(5, 3), F(-2, 7)
-        f = binomial_series(a, c, 6)
+        f = binomial_coeffs(5 * 7, -2 * 3, 6, 21)
         for j in range(7):
-            assert f.coeff(j) == binom_gen(a, j) * c**j
+            assert f[j] == binom_gen(a, j) * c**j * 21 ** (3 * j)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            binomial_series(2, 1, -1)
+            binomial_coeffs(2, 1, -1)
 
     def test_integer_parameters_stay_int(self):
-        f = binomial_series(-4, 3, 6) * from_coeffs([1, 5], 6)
-        assert all(type(c) is int for c in f.coeffs)
-        g = binomial_series(F(-4), F(3), 6) * from_coeffs([F(1), F(5)], 6)
+        f = truncated_product(binomial_coeffs(-4, 3, 6), [1, 5], 6)
+        assert all(type(c) is int for c in f)
+        g = truncated_product(
+            [binom_gen(F(-4), j) * F(3) ** j for j in range(7)], [F(1), F(5)], 6
+        )
         assert f == g
 
 
@@ -74,13 +76,13 @@ class TestCoefficient:
 
     def test_binomial_coeffs_is_the_series(self):
         for a, c in [(7, 1), (-3, 2), (0, 4)]:
-            assert tuple(binomial_coeffs(a, c, 6)) == binomial_series(a, c, 6).coeffs
+            expected = [binom_gen(a, j) * c**j for j in range(7)]
+            assert binomial_coeffs(a, c, 6) == expected
         # rational parameters go through their common denominator d
         for a, c in [(F(5, 3), F(-2, 7)), (F(-1, 2), F(3, 4)), (F(7), F(-1, 5))]:
             d = a.denominator * c.denominator
             scaled = binomial_coeffs(int(a * d), int(c * d), 6, d)
-            expected = binomial_series(a, c, 6).coeffs
-            assert scaled == [x * d ** (3 * j) for j, x in enumerate(expected)]
+            assert scaled == [binom_gen(a, j) * c**j * d ** (3 * j) for j in range(7)]
 
     def test_binomial_coeffs_past_a_nonnegative_upper_index(self):
         assert binomial_coeffs(2, 3, 4) == [1, 6, 9, 0, 0]
@@ -151,33 +153,61 @@ class TestCoefficient:
             kernel_coefficient(3, 1, [1, 1, 1], 2, d)
 
 
+class TestPowerProduct:
+    rows = st.lists(st.integers(-5, 5), min_size=1, max_size=6)
+    factors = st.lists(st.tuples(rows, st.integers(1, 9)), min_size=1, max_size=4)
+
+    @given(
+        factors, st.integers(0, 12), st.sampled_from([coefficient, truncated_product])
+    )
+    @example(factors=[([1, 1], 1)], k=0, read=coefficient)
+    @example(factors=[([1, 2, 1], 9), ([3], 1)], k=12, read=truncated_product)
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_left_to_right_product(self, factors, k, read):
+        total = [1]
+        for row, count in factors:
+            for _ in range(count):
+                total = truncated_product(total, row, k)
+        expected = total[k] if read is coefficient else total
+        assert power_product(factors, k, read) == expected
+
+
 class TestMulAndCoeff:
     def test_difference_of_squares(self):
-        f = from_coeffs([1, 1], 2) * from_coeffs([1, -1], 2)
-        assert coeffs(f) == [1, 0, -1]
+        f = PowerSeries([1, 1, 0]) * PowerSeries([1, -1, 0])
+        assert f.coeffs == (1, 0, -1)
+
+    def test_int_coefficients_stay_int(self):
+        f = PowerSeries([1, -12, 96]) * PowerSeries([1, 5, 0])
+        assert f.coeffs == (1, -7, 36)
+        assert all(type(c) is int for c in f.coeffs)
+        assert f == PowerSeries([F(1), F(-12), F(96)]) * PowerSeries([F(1), F(5), F(0)])
 
     def test_one_is_identity(self):
-        f = binomial_series(F(4, 3), 2, 5)
-        assert f * one(5) == f
+        f = PowerSeries(binom_gen(F(4, 3), j) * 2**j for j in range(6))
+        assert f * PowerSeries([1, 0, 0, 0, 0, 0]) == f
 
     @pytest.mark.parametrize(
         "a,b",
         [(F(1), F(2)), (F(-1, 2), F(5, 3)), (F(7), F(-7)), (F(0), F(3, 4))],
     )
     def test_exponent_law(self, a, b):
-        lhs = binomial_series(a, 1, 6) * binomial_series(b, 1, 6)
-        assert lhs == binomial_series(a + b, 1, 6)
+        lhs = PowerSeries(binom_gen(a, j) for j in range(7)) * PowerSeries(
+            binom_gen(b, j) for j in range(7)
+        )
+        assert lhs == PowerSeries(binom_gen(a + b, j) for j in range(7))
 
     def test_rejects_mismatched_orders(self):
         with pytest.raises(ValueError):
-            binomial_series(1, 1, 3) * binomial_series(1, 1, 4)
+            PowerSeries([1, 1, 0, 0]) * PowerSeries([1, 1, 0, 0, 0])
 
     def test_coeff_examples(self):
-        assert binomial_series(5, 1, 5).coeff(2) == 10
-        assert binomial_series(F(-3, 5), 4, 3).coeff(0) == 1
+        assert PowerSeries(binom_gen(5, j) for j in range(6)).coeff(2) == 10
+        f = PowerSeries(binom_gen(F(-3, 5), j) * 4**j for j in range(4))
+        assert f.coeff(0) == 1
 
     def test_coeff_rejects_out_of_range(self):
-        f = one(3)
+        f = PowerSeries([1, 0, 0, 0])
         with pytest.raises(ValueError):
             f.coeff(4)
         with pytest.raises(ValueError):
@@ -185,7 +215,7 @@ class TestMulAndCoeff:
 
     def test_quotient_coefficient(self):
         # x^2 coefficient of (1+x)^7 / (1+2x) is 21 - 14 + 4 = 11
-        f = binomial_series(7, 1, 2) * binomial_series(-1, 2, 2)
+        f = PowerSeries([1, 7, 21]) * PowerSeries([1, -2, 4])
         assert f.coeff(2) == 11
 
     small_series = st.lists(

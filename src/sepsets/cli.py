@@ -5,14 +5,20 @@ mismatches (expected when auditing the known-bad printed variants).
 Data goes to stdout, diagnostics to stderr, and output is byte-identical
 for identical flags.  ``main()`` may be called repeatedly in one process;
 the argument parser is built on the first call and reused after it.
+
+``_COMMANDS`` states every command and option once.  ``main`` reads a
+plain argv (a command, then each of its flags in full at most once, each
+with a value that does not start with ``-``) straight from that table.
+argparse is imported and built only for an argv the reader declines, so
+help, usage and every error line stay argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
 from .counting import (
@@ -33,56 +39,96 @@ from .oracle import (
 
 METHODS = ("auto", *ROUTES["line"], "brute")
 
+# An option is (flag, int or str, choices or None, default or _REQUIRED,
+# help or None).  Each command lists its help and its options in --help order.
+_REQUIRED = object()
+_TOPOLOGY = ("--topology", str, ("line", "circle"), _REQUIRED, None)
+_QUERY = (
+    _TOPOLOGY,
+    ("--n", int, None, _REQUIRED, None),
+    ("--k", int, None, _REQUIRED, None),
+    ("--m", int, None, _REQUIRED, None),
+    ("--p", int, None, _REQUIRED, None),
+    ("--cap", int, None, DEFAULT_CAP, "brute-force enumeration bound on n"),
+)
+_COMMANDS = {
+    "count": ("print one exact count", (
+        *_QUERY,
+        ("--method", str, METHODS, "auto", None),
+    )),
+    "list": ("enumerate the subsets, one per line", _QUERY),
+    "table": ("emit an (n, k) grid of counts", (
+        _TOPOLOGY,
+        ("--m", int, None, _REQUIRED, None),
+        ("--p", int, None, _REQUIRED, None),
+        ("--n-max", int, None, _REQUIRED, None),
+        ("--k-max", int, None, _REQUIRED, None),
+        ("--format", str, ("csv", "json"), "csv", None),
+        ("--out", str, None, None, "write to this file instead of stdout"),
+        ("--cap", int, None, DEFAULT_CAP, None),
+    )),
+    "audit": ("verify identities over a grid", (
+        ("--identity", str, None, _REQUIRED, "an identity id or 'all'"),
+        ("--grid", str, None, None,
+         f"bounds like 'm<=3,p<=2,k<=4,n<=24' (default {DEFAULT_GRID.describe()})"),
+        ("--format", str, ("json", "text"), "text", None),
+        ("--cap", int, None, DEFAULT_CAP, None),
+    )),
+}
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+
+def _read(argv):
+    """The namespace argparse gives for a plain argv, read from
+    ``_COMMANDS``; None for anything else (help, an abbreviated, repeated,
+    unknown or missing flag, ``--flag=value``, a value starting with ``-``,
+    a bad int or choice), which is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a repeated flag
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, kind, choices, default, _ in _COMMANDS[argv[0]][1]:
+        value = given.pop(flag, None)
+        if value is None:
+            if default is _REQUIRED:
+                return None
+            value = default
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return None if given else args
 
 
 @cache  # built on first use, not at import; parse_args leaves it unchanged
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sepsets", description=__doc__)
+def _build_parser():
+    """argparse's parser for ``_COMMANDS``; it parses what ``_read``
+    declines and prints every help, usage and error line."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems must exit 1, not argparse's default 2
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    # the docstring's last paragraph is for maintainers, not for --help
+    parser = _Parser(prog="sepsets", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_query_args(sp, with_k=True):
-        sp.add_argument("--topology", required=True, choices=["line", "circle"])
-        sp.add_argument("--n", required=True, type=int)
-        if with_k:
-            sp.add_argument("--k", required=True, type=int)
-        sp.add_argument("--m", required=True, type=int)
-        sp.add_argument("--p", required=True, type=int)
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="brute-force enumeration bound on n")
-
-    sp_count = sub.add_parser("count", help="print one exact count")
-    add_query_args(sp_count)
-    sp_count.add_argument("--method", choices=METHODS, default="auto")
-
-    sp_list = sub.add_parser("list", help="enumerate the subsets, one per line")
-    add_query_args(sp_list)
-
-    sp_table = sub.add_parser("table", help="emit an (n, k) grid of counts")
-    sp_table.add_argument("--topology", required=True, choices=["line", "circle"])
-    sp_table.add_argument("--m", required=True, type=int)
-    sp_table.add_argument("--p", required=True, type=int)
-    sp_table.add_argument("--n-max", required=True, type=int)
-    sp_table.add_argument("--k-max", required=True, type=int)
-    sp_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp_table.add_argument("--out", help="write to this file instead of stdout")
-    sp_table.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    sp_audit = sub.add_parser("audit", help="verify identities over a grid")
-    sp_audit.add_argument("--identity", required=True,
-                          help="an identity id or 'all'")
-    sp_audit.add_argument("--grid",
-                          help="bounds like 'm<=3,p<=2,k<=4,n<=24' "
-                               f"(default {DEFAULT_GRID.describe()})")
-    sp_audit.add_argument("--format", choices=["json", "text"], default="text")
-    sp_audit.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
+    for command, (summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for flag, kind, choices, default, help_text in options:
+            required = default is _REQUIRED
+            sp.add_argument(flag, type=kind, choices=choices, required=required,
+                            default=None if required else default, help=help_text)
     return parser
 
 
@@ -208,8 +254,10 @@ def main(argv=None) -> int:
     # exact counts can run past the default 4300-digit int -> str limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     handlers = {
         "count": _cmd_count,
         "list": _cmd_list,

@@ -25,8 +25,9 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import takewhile
+from itertools import accumulate, chain, repeat, takewhile
 from math import gcd
+from operator import sub
 
 from .binomials import binom_nat
 from .omega_phi import (
@@ -270,9 +271,10 @@ def _recurrence(
     """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
     nn >= boundary(kk); below the boundary and on row 0, T = seed.
 
-    Rows kk = 1..k are built in turn up to ``top = min(n, boundary(k) + k)``
-    (row kk stops at ``top - step*(k - kk)``, as far as row k needs), and
-    only the previous row is kept.  If n lies past ``top``, row k's k + 1
+    Rows kk = 1..k are built in turn, each a running sum from its seed at
+    boundary(kk) - 1 up to ``top = min(n, boundary(k) + k)`` (row kk stops
+    at ``top - step*(k - kk)``, as far as row k needs), and only the
+    previous row is kept.  If n lies past ``top``, row k's k + 1
     values from x0 = boundary(k) on are extended to n by Newton's forward
     formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
     whenever row k is a polynomial of degree k from x0 - 1 on.  Two ways
@@ -301,19 +303,24 @@ def _recurrence(
     prev_lo, prev = top + 1, []  # row 0 comes from the seed
     for kk in range(1, k + 1):
         lo, hi = boundary(kk), top - step * (k - kk)
-        row = []
-        left = seed(lo - 1, kk) if lo <= hi else 0
-        for nn in range(lo, hi + 1):
-            i = nn - step - prev_lo
-            left += prev[i] if i >= 0 else seed(nn - step, kk - 1)
-            row.append(left)
-        prev_lo, prev = lo, row
+        if lo > hi:
+            prev_lo, prev = lo, []
+            continue
+        # T(nn - step, kk - 1) for nn = lo..hi: the seeds left of row
+        # kk - 1, then a slice of it
+        steps = chain(
+            map(seed, range(lo - step, min(hi - step + 1, prev_lo)), repeat(kk - 1)),
+            prev[max(lo - step - prev_lo, 0):],
+        )
+        # row kk holds columns lo - 1..hi, its seed first
+        prev_lo, prev = lo - 1, list(accumulate(steps, initial=seed(lo - 1, kk)))
     if top == n:
         return prev[-1]
+    del prev[0]  # Newton's formula starts at x0, past the seed
     total, binom, x = 0, 1, n - x0
     for j in range(k + 1):
         total += prev[0] * binom
-        prev = [b - a for a, b in zip(prev, prev[1:])]
+        prev = list(map(sub, prev[1:], prev))
         binom = binom * (x - j) // (j + 1)
     return total
 

@@ -121,12 +121,11 @@ def _cuthill_mckee(adj: list[list[int]]) -> list[int]:
     the unvisited vertex of least degree and visiting neighbours by (degree,
     index).  It keeps every edge short in the order, so the scan's frontier
     stays narrow."""
-    def rank(v: int) -> tuple[int, int]:
-        return len(adj[v]), v
-
-    seen = [False] * len(adj)
+    n = len(adj)
+    rank = [len(a) * n + v for v, a in enumerate(adj)].__getitem__  # (degree, index)
+    seen = [False] * n
     order: list[int] = []
-    for start in sorted(range(len(adj)), key=rank):
+    for start in sorted(range(n), key=rank):
         if seen[start]:
             continue
         seen[start] = True

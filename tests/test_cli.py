@@ -8,6 +8,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sepsets
 from sepsets import cli, counting
@@ -432,7 +434,8 @@ class TestTable:
 
 
 class TestParserReuse:
-    """``main`` builds its parser once; no call may leak into the next."""
+    """What the plain-argv reader declines goes to one argparse parser,
+    built once per process; no call may leak into the next."""
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -469,6 +472,115 @@ class TestParserReuse:
         assert code == 0 and out.startswith("[")
         code, out, _ = run(capsys, *args)
         assert (code, out) == (0, "n,k,count\n0,0,1\n0,1,0\n1,0,1\n1,1,1\n2,0,1\n2,1,2\n")
+
+
+# the tokens an argv is drawn from: every flag, near-flags, ints (one
+# past the 4300-digit int -> str limit), odd strings, choices and grids
+_FLAGS = sorted({opt[0] for _, options in cli._COMMANDS.values() for opt in options})
+_VALUES = (
+    "0", "1", "2", "7", "40", "-1", "-12", "9" * 4301, " 7", "1_0", "", "abc",
+    "line", "circle", "csv", "json", "text", *METHODS, "all", "Eq3.5",
+    "m<=1,p<=1,k<=2,n<=8",
+)
+_TOKEN = st.sampled_from((*_FLAGS, "--top", "--n=5", "-h", "--help", "--", *_VALUES))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    if draw(st.integers(0, 3)) == 0:
+        return [command, *draw(st.lists(_TOKEN, max_size=9))]
+    tokens = []
+    # most argv give every required flag, some optional ones, and values
+    # of the flag's own kind, so that many of them are plain
+    for flag, kind, choices, default, _ in draw(st.permutations(cli._COMMANDS[command][1])):
+        if draw(st.integers(0, 15) if default is cli._REQUIRED else st.booleans()) == 0:
+            continue
+        if draw(st.integers(0, 15)) == 0 or not (choices or kind is int):
+            values = _VALUES
+        else:
+            values = choices or [str(v) for v in range(41)]
+        tokens += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 3)) == 0:
+        tokens += draw(st.lists(_TOKEN, max_size=9))
+    return [command, *tokens]
+
+
+class TestPlainArgv:
+    """``main`` reads a plain argv from ``_COMMANDS`` without argparse, and
+    gets the values argparse would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    @example(["count", "--topology", "line", "--n", "9" * 4301, "--k", " 7",
+              "--m", "1_0", "--p", "2"])
+    @example(["audit", "--grid", "", "--identity", "all", "--format", "json"])
+    def test_reader_agrees_with_argparse(self, argv):
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)  # as main does, for the process
+        args = cli._read(argv)
+        if args is not None:
+            try:
+                parsed = cli._build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv!r}, which the reader accepts")
+            assert vars(args) == vars(parsed)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["count", "-h"], [], ["count"],
+        ["count", "--topology", "line", "--n", "5", "--m", "2", "--p", "1"],
+        ["count", "--top", "line", "--n", "5", "--k", "2", "--m", "2", "--p", "1"],
+        ["count", "--topology", "line", "--n=5", "--k", "2", "--m", "2", "--p", "1"],
+        ["count", "--topology", "line", "--n", "5", "--k", "-1", "--m", "2", "--p", "1"],
+        ["count", "--topology", "line", "--n", "5", "--n", "6", "--k", "2", "--m", "2", "--p", "1"],
+        ["count", "--topology", "ring", "--n", "5", "--k", "2", "--m", "2", "--p", "1"],
+        ["count", "--topology", "line", "--n", "abc", "--k", "2", "--m", "2", "--p", "1"],
+        ["count", "--topology", "line", "--n", "5", "--k", "2", "--m", "2", "--p", "1", "--format", "csv"],
+        ["audit", "--identity", "all", "--"],
+        ["sum", "--identity", "all"],
+    ])
+    def test_declined_argv(self, argv):
+        assert cli._read(argv) is None
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--topology", "circle", "--n", "9", "--k", "2", "--m", "2", "--p", "1"),
+        ("list", "--m", "2", "--p", "1", "--topology", "circle", "--n", "5", "--k", "2"),
+        ("table", "--topology", "line", "--m", "2", "--p", "1", "--n-max", "4",
+         "--k-max", "2", "--format", "json"),
+        ("audit", "--identity", "Eq3.5", "--grid", "m<=1,p<=1,k<=2,n<=8"),
+    ])
+    def test_plain_argv_builds_no_parser(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:  # the output through argparse
+            patch.setattr(cli, "_read", lambda argv: None)
+            expected = run(capsys, *argv)
+
+        def refuse():
+            raise AssertionError("plain argv built the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[1]
+
+
+def test_plain_argv_imports_no_argparse():
+    src = Path(sepsets.__file__).resolve().parent.parent
+    argvs = [
+        ["count", "--topology", "line", "--n", "9", "--k", "3", "--m", "2", "--p", "1"],
+        ["list", "--topology", "circle", "--n", "5", "--k", "2", "--m", "2", "--p", "1"],
+        ["table", "--topology", "circle", "--m", "2", "--p", "1", "--n-max", "4", "--k-max", "2"],
+        ["audit", "--identity", "Eq3.5", "--grid", "m<=1,p<=1,k<=2,n<=8"],
+    ]
+    code = (
+        "import contextlib, io, sys, sepsets.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [sepsets.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'argparse' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] False\n")
 
 
 class TestAudit:
@@ -596,7 +708,7 @@ def test_import_loads_no_unused_module():
     # every invocation pays for ``import sepsets.cli``; ``-S`` keeps ``site``
     # from importing these modules first and masking a regression
     src = Path(sepsets.__file__).resolve().parent.parent
-    unused = ("csv", "dataclasses", "inspect", "typing")
+    unused = ("argparse", "csv", "dataclasses", "inspect", "typing")
     code = f"import sys, sepsets.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],

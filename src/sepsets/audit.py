@@ -297,23 +297,36 @@ def _gould_cases(rng: random.Random) -> Iterator[Case]:
         yield params, *gould_check(a, b, c, n)
 
 
-def _cases(
-    identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
-) -> Iterator[Case]:
-    """The catalogue: the cases of one identity on one grid."""
+def _row_caches(grid: GridSpec, cap: int) -> tuple[Callable[..., int], Route]:
+    """The oracle and line counts the grid identities read, as
+    ``brute(topology, n, k, m, p)`` and ``line(n, k, m, p)``.  Each
+    (n, m, p) row is built once, for every k of the grid, and kept for as
+    long as the returned functions live: one ``count_brute_row`` scan with
+    the cap ``cap`` per brute row, one composition product per line row
+    (``_line_counts``).  An audit command makes one pair and passes it to
+    every identity it runs."""
     @cache
     def brute_row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
-        # one oracle scan gives the counts for every k of the grid
         return count_brute_row(count_query(topology, n, grid.k_max, m, p), cap)
 
     def brute(topology: Topology, n: int, k: int, m: int, p: int) -> int:
         return brute_row(topology, n, m, p)[k]
 
+    return brute, _line_counts(grid.k_max)
+
+
+def _cases(
+    identity: IdentityId,
+    grid: GridSpec,
+    rng: random.Random,
+    rows: tuple[Callable[..., int], Route],
+) -> Iterator[Case]:
+    """The catalogue: the cases of one identity on one grid, reading the
+    oracle and the line counts from ``rows``, as ``_row_caches`` makes
+    them for this grid."""
+    brute, line = rows
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
-
-    # one composition product gives the line counts for every k of the grid
-    line = _line_counts(grid.k_max)
 
     match identity:
         case IdentityId.EQ2_1:
@@ -389,17 +402,23 @@ def _cases(
 
 
 def run_audit(
-    identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP
+    identity: IdentityId,
+    grid: GridSpec,
+    cap: int = DEFAULT_CAP,
+    rows: tuple[Callable[..., int], Route] | None = None,
 ) -> AuditReport:
     """Check one identity at every in-range grid point, collecting mismatches.
 
     Deterministic: randomized instance families are seeded per identity.
-    Failures are data, not errors.
+    Failures are data, not errors.  ``rows``, from ``_row_caches(grid,
+    cap)``, lets several identities share the oracle and line rows; by
+    default this call makes its own.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
     checked = 0
     failures = []
-    for params, lhs, rhs in _cases(identity, grid, cap, rng):
+    rows = rows or _row_caches(grid, cap)
+    for params, lhs, rhs in _cases(identity, grid, rng, rows):
         checked += 1
         if lhs != rhs:
             failures.append(_failure(params, lhs, rhs))

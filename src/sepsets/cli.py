@@ -20,7 +20,7 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
+from .audit import DEFAULT_GRID, IdentityId, _row_caches, parse_grid, run_audit
 from .counting import (
     ROUTES,
     _check_mp,
@@ -234,7 +234,9 @@ def _cmd_audit(args) -> int:
                 f"unknown identity {args.identity!r}; expected one of "
                 f"{valid} or 'all'"
             ) from None
-    reports = [run_audit(identity, grid, args.cap) for identity in identities]
+    # the identities share one set of oracle and line rows
+    rows = _row_caches(grid, args.cap)
+    reports = [run_audit(identity, grid, args.cap, rows) for identity in identities]
     vacuous = [r.identity for r in reports if not r.checked]
     if vacuous:
         # a report that checked nothing would pass with nothing to show

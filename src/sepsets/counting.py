@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat, takewhile
 from math import gcd
 from operator import sub
@@ -265,20 +265,21 @@ def _g_from_h_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
 
 
 def _recurrence(
-    n: int, k: int, step: int,
+    k: int, step: int,
     boundary: Callable[[int], int], seed: Callable[[int, int], int],
-) -> int:
-    """T(n, k) for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1), applied for
-    nn >= boundary(kk); below the boundary and on row 0, T = seed.
+) -> tuple[int, ...]:
+    """Row k's Newton column ``(Delta^j T(x0, k) for j = 0..k)`` at
+    x0 = boundary(k), k >= 1, for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1)
+    applied for nn >= boundary(kk); below the boundary and on row 0,
+    T = seed.  ``_newton_at`` reads T(n, k) at any n >= x0 from it.
 
     Rows kk = 1..k are built in turn, each a running sum from its seed at
-    boundary(kk) - 1 up to ``top = min(n, boundary(k) + k)`` (row kk stops
-    at ``top - step*(k - kk)``, as far as row k needs), and only the
-    previous row is kept.  If n lies past ``top``, row k's k + 1
-    values from x0 = boundary(k) on are extended to n by Newton's forward
-    formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``.  That is exact
-    whenever row k is a polynomial of degree k from x0 - 1 on.  Two ways
-    to get there:
+    boundary(kk) - 1 up to ``top = x0 + k`` (row kk stops at
+    ``top - step*(k - kk)``, as far as row k needs), and only the previous
+    row is kept.  Row k's k + 1 values from x0 on give the column, and
+    Newton's forward formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``
+    extends them to every n >= x0.  That is exact whenever row k is a
+    polynomial of degree k from x0 - 1 on.  Two ways to get there:
 
     * Per-row starts: (1) seed(nn, 0) is the same for every nn, and (2)
       boundary(kk) - step >= boundary(kk-1) - 1.  Then row kk, from
@@ -293,13 +294,13 @@ def _recurrence(
       from x0 on, every row equals the true count from x0 on; so the
       extension is exact when the true count of row k is a polynomial of
       degree k from x0 - 1 on.  This costs the step seed columns plus
-      O(k^2) row and Newton steps.
+      O(k^2) row and difference steps.
 
-    Either way the cost is the same at any n."""
-    if k == 0 or n < boundary(k):
-        return seed(n, k)
+    Either way the cost does not depend on n, and the callers keep the
+    last column per route, so a repeat at the same key costs only
+    ``_newton_at``'s O(k) steps."""
     x0 = boundary(k)
-    top = min(n, x0 + k)
+    top = x0 + k
     prev_lo, prev = top + 1, []  # row 0 comes from the seed
     for kk in range(1, k + 1):
         lo, hi = boundary(kk), top - step * (k - kk)
@@ -314,15 +315,43 @@ def _recurrence(
         )
         # row kk holds columns lo - 1..hi, its seed first
         prev_lo, prev = lo - 1, list(accumulate(steps, initial=seed(lo - 1, kk)))
-    if top == n:
-        return prev[-1]
-    del prev[0]  # Newton's formula starts at x0, past the seed
-    total, binom, x = 0, 1, n - x0
-    for j in range(k + 1):
-        total += prev[0] * binom
+    del prev[0]  # the column starts at x0, past the seed
+    column = []
+    for _ in range(k + 1):
+        column.append(prev[0])
         prev = list(map(sub, prev[1:], prev))
+    return tuple(column)
+
+
+def _newton_at(column: tuple[int, ...], x: int) -> int:
+    """Newton's forward formula ``sum_j column[j] * binom(x, j)`` for
+    x >= 0, in O(len(column)) big-int steps: the value at x0 + x of the
+    row whose column ``_recurrence`` built at x0."""
+    total, binom = 0, 1
+    for j, delta in enumerate(column):
+        total += delta * binom
         binom = binom * (x - j) // (j + 1)
     return total
+
+
+@lru_cache(maxsize=1)
+def _line_column(k: int, m: int, p: int) -> tuple[int, ...]:
+    """``h_recurrence``'s Newton column at x0 = p*m*(k-1) + 1, k >= 1; only
+    the last (k, m, p) is kept."""
+    x0 = p * m * (k - 1) + 1
+    h = _line_counts(k)
+    return _recurrence(k, p + 1, lambda kk: x0, lambda nn, kk: h(nn, kk, m, p))
+
+
+@lru_cache(maxsize=1)
+def _circle_column(k: int, m: int, p: int, step: int) -> tuple[int, ...]:
+    """``g_recurrence``'s Newton column at x0 = m*(p*k+1) + 1, k >= 1, for
+    the step p + 1 (corrected) or p (printed); only the last
+    (k, m, p, step) is kept, so the two variants never share an entry."""
+    return _recurrence(
+        k, step, lambda kk: m * (p * kk + 1) + 1,
+        lambda nn, kk: g_for_identity(nn, kk, m, p),
+    )
 
 
 def h_recurrence(n: int, k: int, m: int, p: int) -> int:
@@ -334,18 +363,18 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
     one ``h_composition_row`` product (a column below 0 counts only the
     empty selection), so the result equals ``h_composition`` for every
     n, k >= 0.  Row k is a polynomial of degree k from x0 - 1 on, where
-    the closed line sums hold, so it is built only to x0 + k and extended
-    by Newton's forward formula.  Cost: p + 1 composition products plus
-    O(k^2) row and Newton steps, the same at any n.  Below x0 and at
-    k = 0 the answer is ``h_for_identity``.
+    the closed line sums hold, so it is built only to x0 + k and every
+    n >= x0 is read from its Newton column.  Cost: p + 1 composition
+    products plus O(k^2) row and difference steps, the same at any n.  The
+    column of the last (k, m, p) is kept, so a repeat at that key, at any
+    n, costs O(k) steps.  Below x0 and at k = 0 the answer is
+    ``h_for_identity``.
     """
     _check_hg_args(n, k, m, p)
     x0 = p * m * (k - 1) + 1
     if k == 0 or n < x0:
         return h_for_identity(n, k, m, p)
-
-    h = _line_counts(k)
-    return _recurrence(n, k, p + 1, lambda kk: x0, lambda nn, kk: h(nn, kk, m, p))
+    return _newton_at(_line_column(k, m, p), n - x0)
 
 
 def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
@@ -354,11 +383,12 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
     ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
     closed form on its whole validity range; ``printed`` uses the
     G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
-    for n >= m*(p*k+1) + 1; cells below are seeded from the closed form
-    when in range, else from the cycle composition, so it equals
-    ``g_composition`` for every n, k >= 0.  Rows are built only to
-    m*(p*k+1) + 1 + k and extended by Newton's forward formula, so the cost
-    does not grow with n.
+    for n >= x0 = m*(p*k+1) + 1; cells below are seeded from the closed
+    form when in range, else from the cycle composition, so it equals
+    ``g_composition`` for every n, k >= 0.  Rows are built only to x0 + k
+    and every n >= x0 is read from row k's Newton column, so the cost
+    does not grow with n.  The column of the last (k, m, p) and step is
+    kept, so a repeat at that key, at any n, costs O(k) steps.
 
     Unlike ``h_recurrence``, each row kk keeps its own start,
     m*(p*kk+1) + 1.  The ``printed`` step is not the true recurrence, so
@@ -370,11 +400,11 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
     _check_hg_args(n, k, m, p)
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    delta = 1 if variant == "corrected" else 0
-    return _recurrence(
-        n, k, p + delta, lambda kk: m * (p * kk + 1) + 1,
-        lambda nn, kk: g_for_identity(nn, kk, m, p),
-    )
+    x0 = m * (p * k + 1) + 1
+    if k == 0 or n < x0:
+        return g_for_identity(n, k, m, p)
+    step = p + 1 if variant == "corrected" else p
+    return _newton_at(_circle_column(k, m, p, step), n - x0)
 
 
 def g_alternating(n: int, k: int, m: int, p: int) -> int:

@@ -12,9 +12,11 @@ vertices are put in Cuthill-McKee order (Cuthill & McKee 1969), which keeps
 every edge short, and a transfer-matrix scan (Stanley, *Enumerative
 Combinatorics I*, section 4.7) decides them in that order.  Its state is
 the set of vertices ahead that the choices so far rule out, all within the
-bandwidth of the order, so the scan holds at most
-2^bandwidth states; tests check a bandwidth of at most 2p + 2 for every m
-at n <= 40, p <= 3, so at most 2^(2p+2) states.  Each state's value packs
+bandwidth of the order, so the scan holds at most 2^bandwidth states.
+Tests check a bandwidth of at most 2p + 2, so at most 2^(2p+2) states,
+only for every m at n <= 40 and p <= 3.  The bound does not hold for
+larger p on the circle: the bandwidth of the order is 11 at
+(n, m, p) = (1000, 5, 4) and 17 at (40, 3, 6).  Each state's value packs
 the counts for every size 0..k into one int, so one scan gives the whole
 row; ``count_brute`` reads one entry of it, and the audit reuses one row
 across k.  The scan never

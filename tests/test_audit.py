@@ -55,6 +55,16 @@ class TestHRecurrence:
         # the raw step H(1,2) + H(0,1) would give 0 at the range boundary
         assert h_recurrence(2, 2, 2, 1) == 1
 
+    def test_newton_read_from_the_start_column(self):
+        # n = x0..x0+k were read straight from the last row before every
+        # n >= x0 was read from the Newton column; x0 - 1 is a seed
+        for m, p, k in product(range(1, 4), range(1, 4), range(1, 9)):
+            x0 = p * m * (k - 1) + 1
+            for n in range(max(x0 - 1, 0), x0 + k + 2):
+                assert h_recurrence(n, k, m, p) == h_composition(n, k, m, p), (
+                    n, k, m, p,
+                )
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             h_recurrence(-1, 2, 2, 1)
@@ -80,11 +90,63 @@ class TestGRecurrence:
         with pytest.raises(ValueError):
             g_recurrence(7, 2, 2, 1, variant="other")
 
+    def test_newton_read_from_the_start_column(self):
+        for m, p, k in product(range(1, 4), range(1, 4), range(1, 9)):
+            x0 = m * (p * k + 1) + 1
+            for n in range(x0 - 1, x0 + k + 2):
+                assert g_recurrence(n, k, m, p) == g_composition(n, k, m, p), (
+                    n, k, m, p,
+                )
+
+
+class TestRecurrenceColumnCache:
+    """Each route keeps the Newton column of its last key: (k, m, p) on the
+    line, (k, m, p, step) on the circle."""
+
+    CACHES = (counting._line_column, counting._circle_column)
+
+    @staticmethod
+    def call(route, n, k, m, p):
+        if route == "line":
+            return h_recurrence(n, k, m, p)
+        return g_recurrence(n, k, m, p, route)
+
+    def test_interleaved_keys_give_fresh_values(self):
+        # line and circle, two (k, m, p), and printed and corrected at the
+        # same (n, k, m, p) in both orders
+        sequence = []
+        for k, m, p in ((5, 2, 1), (7, 3, 2)):
+            x0 = m * (p * k + 1) + 1
+            for n in (x0, x0 + 3, 10**4):
+                sequence += [
+                    ("line", n, k, m, p),
+                    ("printed", n, k, m, p),
+                    ("corrected", n, k, m, p),
+                    ("line", n + 1, k, m, p),
+                    ("corrected", n + 1, k, m, p),
+                    ("printed", n + 1, k, m, p),
+                ]
+        sequence += sequence[::-1]
+        values = [self.call(*key) for key in sequence]
+        fresh = []
+        for key in sequence:
+            for cache in self.CACHES:
+                cache.cache_clear()
+            fresh.append(self.call(*key))
+        assert values == fresh
+
+    def test_each_route_keeps_at_most_one_column(self):
+        for m, p, k in product(range(1, 4), range(1, 3), range(1, 6)):
+            for route in ("line", "printed", "corrected"):
+                self.call(route, 10**3, k, m, p)
+        for cache in self.CACHES:
+            assert cache.cache_info().currsize <= 1
+
 
 class TestDeterminism:
     def test_repeated_grid_reproduces_values(self):
-        # the recurrences keep no state between calls, so a second pass over
-        # the same grid must give the same values
+        # the recurrences keep only the last Newton column per route, so a
+        # second pass over the same grid must give the same values
         grid = [
             (n, k, m, p)
             for m, p in product((1, 2), (1, 2))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepsets
-from sepsets import cli, counting
+from sepsets import audit, cli, counting
 from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
 from sepsets.counting import ROUTES, count_query
@@ -681,6 +681,32 @@ class TestAudit:
         code, out, _ = run(capsys, "audit", "--identity", "Gould")
         assert code == 0
         assert "grid: m<=3,p<=2,k<=4,n<=24" in out
+
+    def test_all_builds_each_row_once(self, capsys, monkeypatch):
+        # the identities share the command's rows: on the default grid one
+        # row cache per identity made 564 oracle scans (294 distinct) and
+        # 1,310 line rows (150 distinct); the reports stay those of
+        # separate run_audit calls
+        scans, rows = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(audit, "count_brute_row", counted(scans, audit.count_brute_row))
+        monkeypatch.setattr(
+            counting, "h_composition_row", counted(rows, counting.h_composition_row)
+        )
+        code, out, _ = run(capsys, "audit", "--identity", "all", "--format", "json")
+        assert code == 2
+        assert len(scans) == len(set(scans)) == 294
+        assert len(rows) == len(set(rows)) == 150
+        assert json.loads(out) == [
+            audit.run_audit(identity, audit.DEFAULT_GRID).to_json_dict()
+            for identity in IdentityId
+        ]
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

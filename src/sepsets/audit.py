@@ -10,6 +10,12 @@ deliberately includes the known-bad ``printed`` formula variants so their
 counterexamples are reproduced, witnesses included.  Only the oracle
 sides and ``bijection_count_check`` read the brute-force cap.
 
+The oracle and line rows the grid identities read are kept per process
+for the last (grid, cap) (``_row_caches``), so every audit on that grid
+and cap, in one command or across calls, builds each row once.
+``_row_caches.cache_clear()`` drops them; a caller that patches a route
+or an engine the rows are built from must clear them before it audits.
+
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
 the extreme boundary a term of the identity falls outside the regime
@@ -27,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from .counting import (
     CountQuery,
@@ -297,14 +303,19 @@ def _gould_cases(rng: random.Random) -> Iterator[Case]:
         yield params, *gould_check(a, b, c, n)
 
 
+@lru_cache(maxsize=1)
 def _row_caches(grid: GridSpec, cap: int) -> tuple[Callable[..., int], Route]:
     """The oracle and line counts the grid identities read, as
     ``brute(topology, n, k, m, p)`` and ``line(n, k, m, p)``.  Each
-    (n, m, p) row is built once, for every k of the grid, and kept for as
-    long as the returned functions live: one ``count_brute_row`` scan with
-    the cap ``cap`` per brute row, one composition product per line row
-    (``_line_counts``).  An audit command makes one pair and passes it to
-    every identity it runs."""
+    (n, m, p) row is built once, for every k of the grid: one
+    ``count_brute_row`` scan with the cap ``cap`` per brute row, one
+    composition product per line row (``_line_counts``).  Only the pair of
+    the last (grid, cap) is kept, so every audit in a process shares its
+    rows while the grid and cap stay the same, and a new grid or cap
+    replaces them.  A row past the cap raises each time it is read, since
+    exceptions are not cached.  ``_row_caches.cache_clear()`` drops the
+    rows; a caller that patches anything they are built from must clear
+    them before it audits."""
     @cache
     def brute_row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
         return count_brute_row(count_query(topology, n, grid.k_max, m, p), cap)
@@ -316,15 +327,12 @@ def _row_caches(grid: GridSpec, cap: int) -> tuple[Callable[..., int], Route]:
 
 
 def _cases(
-    identity: IdentityId,
-    grid: GridSpec,
-    rng: random.Random,
-    rows: tuple[Callable[..., int], Route],
+    identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
 ) -> Iterator[Case]:
     """The catalogue: the cases of one identity on one grid, reading the
-    oracle and the line counts from ``rows``, as ``_row_caches`` makes
-    them for this grid."""
-    brute, line = rows
+    oracle and the line counts from the process's rows for (grid, cap),
+    ``_row_caches(grid, cap)``."""
+    brute, line = _row_caches(grid, cap)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
@@ -401,24 +409,18 @@ def _cases(
     raise ValueError(f"unknown identity {identity!r}")
 
 
-def run_audit(
-    identity: IdentityId,
-    grid: GridSpec,
-    cap: int = DEFAULT_CAP,
-    rows: tuple[Callable[..., int], Route] | None = None,
-) -> AuditReport:
+def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> AuditReport:
     """Check one identity at every in-range grid point, collecting mismatches.
 
     Deterministic: randomized instance families are seeded per identity.
-    Failures are data, not errors.  ``rows``, from ``_row_caches(grid,
-    cap)``, lets several identities share the oracle and line rows; by
-    default this call makes its own.
+    Failures are data, not errors.  The oracle and line rows come from
+    ``_row_caches(grid, cap)``, which keeps those of the last (grid, cap)
+    in the process, so repeated audits on one grid and cap share them.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
     checked = 0
     failures = []
-    rows = rows or _row_caches(grid, cap)
-    for params, lhs, rhs in _cases(identity, grid, rng, rows):
+    for params, lhs, rhs in _cases(identity, grid, cap, rng):
         checked += 1
         if lhs != rhs:
             failures.append(_failure(params, lhs, rhs))

@@ -10,7 +10,9 @@ the argument parser is built on the first call and reused after it.
 plain argv (a command, then each of its flags in full at most once, each
 with a value that does not start with ``-``) straight from that table.
 argparse is imported and built only for an argv the reader declines, so
-help, usage and every error line stay argparse's.
+help, usage and every error line stay argparse's.  Repeated ``main()``
+calls also share the audit's oracle and line rows, kept for the last
+(grid, cap) (``audit._row_caches``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .audit import DEFAULT_GRID, IdentityId, _row_caches, parse_grid, run_audit
+from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
 from .counting import (
     ROUTES,
     _check_mp,
@@ -234,9 +236,7 @@ def _cmd_audit(args) -> int:
                 f"unknown identity {args.identity!r}; expected one of "
                 f"{valid} or 'all'"
             ) from None
-    # the identities share one set of oracle and line rows
-    rows = _row_caches(grid, args.cap)
-    reports = [run_audit(identity, grid, args.cap, rows) for identity in identities]
+    reports = [run_audit(identity, grid, args.cap) for identity in identities]
     vacuous = [r.identity for r in reports if not r.checked]
     if vacuous:
         # a report that checked nothing would pass with nothing to show

@@ -288,7 +288,7 @@ class TestFormulaRoutesNeedNoOracle:
     range, past the default cap too, and the Eq4.x audits still run."""
 
     @pytest.fixture(autouse=True)
-    def no_oracle(self, monkeypatch):
+    def no_oracle(self, monkeypatch, fresh_audit_rows):
         def refuse(*args):
             raise AssertionError("a formula route called the oracle")
 
@@ -570,6 +570,7 @@ class TestRunAudit:
         report = run_audit(IdentityId(identity), grid)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.usefixtures("fresh_audit_rows")
     @pytest.mark.parametrize("identity", ["Eq2.1", "Eq2.2", "Eq4.1", "Eq4.4", "Eq4.5"])
     def test_line_counts_come_from_one_row_per_n_m_p(self, identity, monkeypatch):
         # the default grid has 25 * 3 * 2 = 150 (n, m, p) rows, and Eq4.5's

@@ -682,8 +682,9 @@ class TestAudit:
         assert code == 0
         assert "grid: m<=3,p<=2,k<=4,n<=24" in out
 
+    @pytest.mark.usefixtures("fresh_audit_rows")
     def test_all_builds_each_row_once(self, capsys, monkeypatch):
-        # the identities share the command's rows: on the default grid one
+        # the identities share the process's rows: on the default grid one
         # row cache per identity made 564 oracle scans (294 distinct) and
         # 1,310 line rows (150 distinct); the reports stay those of
         # separate run_audit calls
@@ -707,6 +708,41 @@ class TestAudit:
             audit.run_audit(identity, audit.DEFAULT_GRID).to_json_dict()
             for identity in IdentityId
         ]
+
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    def test_calls_share_the_rows_of_one_grid(self, capsys, monkeypatch):
+        # Eq3.5 reads only circle rows Eq2.2 has built, no row is scanned
+        # twice across the three calls, and each report is that of a fresh
+        # store
+        scans = []
+        engine = audit.count_brute_row
+
+        def counted(*args):
+            scans.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(audit, "count_brute_row", counted)
+        shared = {}
+        for identity in ("Eq2.2", "Eq3.5", "BijectionCount"):
+            before = len(scans)
+            shared[identity] = run(capsys, "audit", "--identity", identity)
+            if identity == "Eq3.5":
+                assert len(scans) == before
+        assert 0 < len(scans) == len(set(scans))
+        for identity, result in shared.items():
+            audit._row_caches.cache_clear()
+            assert run(capsys, "audit", "--identity", identity) == result
+        run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=1,p<=1,k<=2,n<=8")
+        assert audit._row_caches.cache_info().currsize == 1
+
+    def test_cap_and_grid_are_part_of_the_key(self, capsys):
+        # the default cap's rows reach n = 24; a cap of 20 must not read them
+        first = run(capsys, "audit", "--identity", "Eq2.1")
+        assert first[0] == 0
+        assert run(capsys, "audit", "--identity", "Eq2.1", "--cap", "20") == (
+            1, "", "error: brute force capped at n <= 20, got n=21\n"
+        )
+        assert run(capsys, "audit", "--identity", "Eq2.1") == first
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

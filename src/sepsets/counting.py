@@ -164,7 +164,15 @@ def h_closed_1(n: int, k: int, m: int, p: int) -> int:
 
 
 def h_closed_2(n: int, k: int, m: int, p: int) -> int:
-    """Second single-sum line formula, valid where ``line_in_range`` holds."""
+    """Second single-sum line formula, valid where ``line_in_range`` holds.
+
+    Its two binomial series both have exponents of order n, so below
+    k = 64 it is an O(k) loop whose steps multiply two ints of about
+    k*log(n) bits; from k = 64 on it is summed by binary splitting, a
+    balanced tree of products, and one exact division:
+    ``h_closed_2(10**6 + 6 * 9999, 10**4, 3, 2)`` takes about 0.2 s
+    in-process, where the loop took 11-12 s.
+    """
     _check_range("closed line formulas need", "line", n, k, m, p)
     return omega_closed_2_total(n + m * p, -p, m, k)
 
@@ -382,7 +390,9 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
 
     ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
     closed form on its whole validity range; ``printed`` uses the
-    G(n-p,k-1) step and is kept for the audit.  The recurrence is applied
+    G(n-p,k-1) step as the paper prints it.  The audit does not call this
+    function: its Eq4.2-printed check applies the printed step to
+    ``g_for_identity``'s counts.  The recurrence is applied
     for n >= x0 = m*(p*k+1) + 1; cells below are seeded from the closed
     form when in range, else from the cycle composition, so it equals
     ``g_composition`` for every n, k >= 0.  Rows are built only to x0 + k
@@ -392,7 +402,8 @@ def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> 
 
     Unlike ``h_recurrence``, each row kk keeps its own start,
     m*(p*kk+1) + 1.  The ``printed`` step is not the true recurrence, so
-    its values depend on where each row starts, and the audit pins them.
+    its values depend on where each row starts; the tests'
+    ``PRINTED_G_RECURRENCE`` table pins them.
     On the corrected circle one shared start column measured no faster at
     k near 50 and slower at (n, k, m, p) = (10^5, 400, 2, 2), because its
     seeds are cheap closed forms in range.

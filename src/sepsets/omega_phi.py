@@ -19,7 +19,9 @@ common denominator (the lcm D of the parameters' denominators), so the
 sum costs O(m*k^2) int steps and builds a single Fraction at the end.
 The closed forms have one int path for every parameter: they scale lambda
 and mu by their common denominator D (1 for ints), take one
-``series.kernel_coefficient`` over D, and divide once at the end.
+``series.kernel_coefficient`` over D (the second expansion one
+``series.binomial_pair_coefficient``, which sums by binary splitting from
+k = 64 on), and divide once at the end.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -35,7 +37,12 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .binomials import Rational, _falling, binom_gen
-from .series import binomial_coeffs, kernel_coefficient, power_product
+from .series import (
+    binomial_coeffs,
+    binomial_pair_coefficient,
+    kernel_coefficient,
+    power_product,
+)
 
 
 class SingularTermError(ValueError):
@@ -157,14 +164,19 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # The closed forms depend on the lambdas only through their sum, so the
 # integer counting formulas reuse these helpers directly.  Each is the
 # coefficient of x^k (x^(k-shift) for the third) in a product of two
-# binomial series, so it costs O(k) big-int steps: binom(m+j-2, j) * (mu-1)^j
-# is the x^j coefficient of (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that
-# of (1+(mu-1)x)^(-a-1), and binom(upper, k-j) * c^(k-j) that of
-# (1+cx)^upper at x^(k-j).  Every parameter takes the one int path: lam, mu
-# and the kernels' numerators are scaled by the common denominator D of lam
-# and mu, ``binomial_coeffs``/``kernel_coefficient`` scale the x^j entry by
-# D^(3j), and the sum is divided once at the end.  Int parameters (D = 1)
-# get an int from the first two expansions; rational ones get one Fraction.
+# binomial series.  The first and third pair a series of exponent about
+# lam + mu*k with a short kernel of exponent 1-m or -m, so each of their
+# O(k) steps multiplies a big int by a far smaller one.  The second pairs
+# two series whose exponents are both that large, so from k = 64 on it is
+# summed by binary splitting (see ``series.binomial_pair_coefficient``).
+# Here binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of
+# (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1),
+# and binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).  Every
+# parameter takes the one int path: lam, mu and the kernels' numerators are
+# scaled by the common denominator D of lam and mu, the ``series`` helpers
+# scale the x^j entry by D^(3j), and the sum is divided once at the end.
+# Int parameters (D = 1) get an int from the first two expansions; rational
+# ones get one Fraction.
 
 def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
@@ -176,12 +188,8 @@ def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rationa
 
 def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    total = kernel_coefficient(
-        -big_l - (big_m - d) * k - d,
-        big_m - d,
-        binomial_coeffs(upper, big_m, k, d),
-        k,
-        d,
+    total = binomial_pair_coefficient(
+        -big_l - (big_m - d) * k - d, big_m - d, upper, big_m, k, d
     )
     return _unscaled(total, d ** (3 * k), lam, mu)
 

@@ -231,6 +231,16 @@ class TestHClosedForms:
                     if k >= 1:
                         assert h_closed_3(n, k, m, p) == expected
 
+    def test_second_formula_across_the_split_cutoff(self):
+        # from k = 64 on h_closed_2 sums by binary splitting; at m = 1 and
+        # n = p*(k-1) both series vanish past their exponents, so the sum's
+        # range is empty and the count is 0
+        for m, p, k in product((1, 2), (1, 2, 3), (63, 64, 65, 200)):
+            bound = p * m * (k - 1)
+            for n in range(bound, bound + 2 * p * m + 3):
+                assert h_closed_2(n, k, m, p) == h_composition(n, k, m, p), (n, k, m, p)
+        assert h_closed_2(3 * 199, 200, 1, 3) == 0
+
     def test_rejects_below_range(self):
         with pytest.raises(ValueError):
             h_closed_1(1, 2, 2, 1)
@@ -403,8 +413,9 @@ class TestRoutesAgree:
 
 
 class TestLargeK:
-    """The formula routes take O(k) big-int steps, so k = 1000 is quick; the
-    line recurrence, O(k^2) steps, is checked at k = 400."""
+    """The formula routes take O(k) big-int steps (``h_closed_2`` sums by
+    binary splitting from k = 64 on), so k = 1000 is quick; the line
+    recurrence, O(k^2) steps, is checked at k = 400."""
 
     def test_line_routes_agree(self):
         n, k, m, p = 10**6 + 6 * 999, 1000, 3, 2

@@ -12,8 +12,10 @@ from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
 from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
+    SPLIT_MIN_K,
     PowerSeries,
     binomial_coeffs,
+    binomial_pair_coefficient,
     coefficient,
     kernel_coefficient,
     phi_residue,
@@ -130,6 +132,33 @@ class TestCoefficient:
             for j in range(k + 1)
         )
 
+    @st.composite
+    def pair_args(draw):
+        # upper indices in about +-60, or nonnegative multiples of d below k,
+        # which make a series vanish past its exponent; k on both sides of
+        # the split's cutoff
+        d, k = draw(st.integers(1, 12)), draw(st.integers(0, 150))
+        uppers = st.one_of(
+            st.integers(-60, 60), st.integers(0, max(k - 1, 0)).map(d.__mul__)
+        )
+        a1, a2 = draw(uppers), draw(uppers)
+        c1, c2 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        return a1, c1, a2, c2, k, d
+
+    @given(pair_args())
+    @example((-7, 3, 40, -2, 63, 1))
+    @example((-7, 3, 40, -2, 64, 1))
+    @example((30, 2, 45, -3, 64, 3))
+    @example((-50, 0, 11, 4, 64, 1))
+    @example((9, -1, 12, 0, 64, 5))
+    @example((0, 1, 0, 1, 64, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_binomial_pair_coefficient_is_the_loop(self, args):
+        a1, c1, a2, c2, k, d = args
+        value = binomial_pair_coefficient(a1, c1, a2, c2, k, d)
+        assert type(value) is int
+        assert value == kernel_coefficient(a1, c1, binomial_coeffs(a2, c2, k, d), k, d)
+
     def test_fraction_kernels_are_refused(self):
         # the true values, 11/8 and [1, 1/2, -1/8], are not what ``//`` gives
         with pytest.raises(TypeError):
@@ -140,6 +169,10 @@ class TestCoefficient:
             binomial_coeffs(1, 0.5, 2)
         with pytest.raises(TypeError):
             kernel_coefficient(1, 1, [1, 1], 1, F(2))
+        with pytest.raises(TypeError):
+            binomial_pair_coefficient(1, 1, 1, F(1, 2), SPLIT_MIN_K)
+        with pytest.raises(TypeError):
+            binomial_pair_coefficient(1, 0.5, 1, 1, SPLIT_MIN_K)
         # the same kernel as numerators over d = 2: with b[i] scaled by
         # d**(3i) as well, the value is d**(3k) times the true one
         assert F(kernel_coefficient(1, 2, [1, 8, 64], 2, 2), 2**6) == F(11, 8)
@@ -151,6 +184,8 @@ class TestCoefficient:
             binomial_coeffs(3, 1, 2, d)
         with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
             kernel_coefficient(3, 1, [1, 1, 1], 2, d)
+        with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
+            binomial_pair_coefficient(3, 1, 3, 1, SPLIT_MIN_K, d)
 
 
 class TestPowerProduct:

@@ -35,14 +35,7 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
-from .series import (
-    binomial_coeffs,
-    coefficient,
-    kernel_coefficient,
-    phi_residue,
-    power_product,
-    truncated_product,
-)
+from .series import coefficient, phi_residue, power_product, truncated_product
 
 
 class Topology(Enum):
@@ -273,56 +266,41 @@ def _g_from_h_sum(n: int, k: int, m: int, p: int, h: Callable[..., int]) -> int:
 
 
 def _recurrence(
-    k: int, step: int,
-    boundary: Callable[[int], int], seed: Callable[[int, int], int],
+    k: int, step: int, x0: int, seed: Callable[[int, int], int]
 ) -> tuple[int, ...]:
-    """Row k's Newton column ``(Delta^j T(x0, k) for j = 0..k)`` at
-    x0 = boundary(k), k >= 1, for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1)
-    applied for nn >= boundary(kk); below the boundary and on row 0,
-    T = seed.  ``_newton_at`` reads T(n, k) at any n >= x0 from it.
+    """Row k's Newton column ``(Delta^j T(x0, k) for j = 0..k)``, k >= 1,
+    for T(nn, kk) = T(nn-1, kk) + T(nn-step, kk-1) applied on every row
+    from the start column x0 on; below x0 and on row 0, T = seed.
+    ``_newton_at`` reads T(n, k) at any n >= x0 from it.
 
-    Rows kk = 1..k are built in turn, each a running sum from its seed at
-    boundary(kk) - 1 up to ``top = x0 + k`` (row kk stops at
-    ``top - step*(k - kk)``, as far as row k needs), and only the previous
-    row is kept.  Row k's k + 1 values from x0 on give the column, and
-    Newton's forward formula ``sum_j Delta^j T(x0, k) * binom(n - x0, j)``
-    extends them to every n >= x0.  That is exact whenever row k is a
-    polynomial of degree k from x0 - 1 on.  Two ways to get there:
+    Row k reads row kk only up to ``top - step*(k - kk)``, with
+    ``top = x0 + k``, so the rows below ``k - k // step`` end before x0 and
+    are not built.  The others are built in turn, each a running sum from
+    its seed at x0 - 1, and only the previous row is kept.  The seeds are
+    read only at columns x0 - step .. x0 - 1.  If they are the true counts
+    and the true counts obey the recurrence on every row from x0 on, every
+    row equals the true count from x0 on.  Row k's k + 1 values from x0 on
+    give the column, and Newton's forward formula
+    ``sum_j Delta^j T(x0, k) * binom(n - x0, j)`` extends them to every
+    n >= x0; that is exact when the true count of row k is a polynomial of
+    degree k from x0 - 1 on.
 
-    * Per-row starts: (1) seed(nn, 0) is the same for every nn, and (2)
-      boundary(kk) - step >= boundary(kk-1) - 1.  Then row kk, from
-      boundary(kk) - 1 on, is a seed plus a prefix sum of row kk-1 over a
-      stretch where that row is a polynomial of degree kk-1.  Each row
-      reads its seeds near its own start, so there are about k of them;
-      with boundary(kk) spaced p*m apart the rows cost
-      O(k*(top - x0) + p*m*k^2) big-int operations.
-    * One start column shared by every row (boundary constant at x0): the
-      seeds are read only at columns x0 - step .. x0 - 1.  If they are the
-      true counts and the true counts obey the recurrence on every row
-      from x0 on, every row equals the true count from x0 on; so the
-      extension is exact when the true count of row k is a polynomial of
-      degree k from x0 - 1 on.  This costs the step seed columns plus
-      O(k^2) row and difference steps.
-
-    Either way the cost does not depend on n, and the callers keep the
-    last column per route, so a repeat at the same key costs only
-    ``_newton_at``'s O(k) steps."""
-    x0 = boundary(k)
+    The cost is the step seed columns plus O(k^2) row and difference
+    steps, the same at any n, and the callers keep the last column per
+    route, so a repeat at the same key costs only ``_newton_at``'s O(k)
+    steps."""
     top = x0 + k
-    prev_lo, prev = top + 1, []  # row 0 comes from the seed
-    for kk in range(1, k + 1):
-        lo, hi = boundary(kk), top - step * (k - kk)
-        if lo > hi:
-            prev_lo, prev = lo, []
-            continue
-        # T(nn - step, kk - 1) for nn = lo..hi: the seeds left of row
-        # kk - 1, then a slice of it
+    prev_lo, prev = x0, []  # the row below the first built one is all seed
+    for kk in range(max(1, k - k // step), k + 1):
+        hi = top - step * (k - kk)
+        # T(nn - step, kk - 1) for nn = x0..hi: the seeds left of row
+        # kk - 1, then row kk - 1
         steps = chain(
-            map(seed, range(lo - step, min(hi - step + 1, prev_lo)), repeat(kk - 1)),
-            prev[max(lo - step - prev_lo, 0):],
+            map(seed, range(x0 - step, min(hi - step + 1, prev_lo)), repeat(kk - 1)),
+            prev,
         )
-        # row kk holds columns lo - 1..hi, its seed first
-        prev_lo, prev = lo - 1, list(accumulate(steps, initial=seed(lo - 1, kk)))
+        # row kk holds columns x0 - 1..hi, its seed first
+        prev_lo, prev = x0 - 1, list(accumulate(steps, initial=seed(x0 - 1, kk)))
     del prev[0]  # the column starts at x0, past the seed
     column = []
     for _ in range(k + 1):
@@ -348,17 +326,16 @@ def _line_column(k: int, m: int, p: int) -> tuple[int, ...]:
     the last (k, m, p) is kept."""
     x0 = p * m * (k - 1) + 1
     h = _line_counts(k)
-    return _recurrence(k, p + 1, lambda kk: x0, lambda nn, kk: h(nn, kk, m, p))
+    return _recurrence(k, p + 1, x0, lambda nn, kk: h(nn, kk, m, p))
 
 
 @lru_cache(maxsize=1)
-def _circle_column(k: int, m: int, p: int, step: int) -> tuple[int, ...]:
-    """``g_recurrence``'s Newton column at x0 = m*(p*k+1) + 1, k >= 1, for
-    the step p + 1 (corrected) or p (printed); only the last
-    (k, m, p, step) is kept, so the two variants never share an entry."""
+def _circle_column(k: int, m: int, p: int) -> tuple[int, ...]:
+    """``g_recurrence``'s Newton column at x0 = m*(p*k+1) + 1, k >= 1; only
+    the last (k, m, p) is kept."""
+    x0 = m * (p * k + 1) + 1
     return _recurrence(
-        k, step, lambda kk: m * (p * kk + 1) + 1,
-        lambda nn, kk: g_for_identity(nn, kk, m, p),
+        k, p + 1, x0, lambda nn, kk: g_for_identity(nn, kk, m, p)
     )
 
 
@@ -385,37 +362,30 @@ def h_recurrence(n: int, k: int, m: int, p: int) -> int:
     return _newton_at(_line_column(k, m, p), n - x0)
 
 
-def g_recurrence(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
-    """Circle count via the recurrence in n.
+def g_recurrence(n: int, k: int, m: int, p: int) -> int:
+    """Circle count via the recurrence G(n,k) = G(n-1,k) + G(n-p-1,k-1).
 
-    ``corrected`` uses G(n,k) = G(n-1,k) + G(n-p-1,k-1) and equals the
-    closed form on its whole validity range; ``printed`` uses the
-    G(n-p,k-1) step as the paper prints it.  The audit does not call this
-    function: its Eq4.2-printed check applies the printed step to
-    ``g_for_identity``'s counts.  The recurrence is applied
-    for n >= x0 = m*(p*k+1) + 1; cells below are seeded from the closed
-    form when in range, else from the cycle composition, so it equals
-    ``g_composition`` for every n, k >= 0.  Rows are built only to x0 + k
-    and every n >= x0 is read from row k's Newton column, so the cost
-    does not grow with n.  The column of the last (k, m, p) and step is
-    kept, so a repeat at that key, at any n, costs O(k) steps.
+    Row kk obeys the recurrence from m*(p*kk+1) + 1 on, so every row
+    starts at the one column x0 = m*(p*k+1) + 1.  The seeds are the counts
+    of ``g_for_identity`` at the p + 1 columns x0-p-1 .. x0-1, from the
+    closed form when in range, else from the cycle composition, so the
+    result equals ``g_composition`` for every n, k >= 0.  Row k is the
+    closed form, a polynomial of degree k, from x0 - 1 on, so it is built
+    only to x0 + k and every n >= x0 is read from its Newton column.  Cost:
+    the seeds plus O(k^2) row and difference steps, the same at any n.
+    The column of the last (k, m, p) is kept, so a repeat at that key, at
+    any n, costs O(k) steps.  Below x0 and at k = 0 the answer is
+    ``g_for_identity``.
 
-    Unlike ``h_recurrence``, each row kk keeps its own start,
-    m*(p*kk+1) + 1.  The ``printed`` step is not the true recurrence, so
-    its values depend on where each row starts; the tests'
-    ``PRINTED_G_RECURRENCE`` table pins them.
-    On the corrected circle one shared start column measured no faster at
-    k near 50 and slower at (n, k, m, p) = (10^5, 400, 2, 2), because its
-    seeds are cheap closed forms in range.
+    The paper prints the step as G(n-p,k-1); the ``Eq4.2-printed`` audit
+    applies that step to ``g_for_identity``'s counts and records where it
+    fails.
     """
     _check_hg_args(n, k, m, p)
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
     x0 = m * (p * k + 1) + 1
     if k == 0 or n < x0:
         return g_for_identity(n, k, m, p)
-    step = p + 1 if variant == "corrected" else p
-    return _newton_at(_circle_column(k, m, p, step), n - x0)
+    return _newton_at(_circle_column(k, m, p), n - x0)
 
 
 def g_alternating(n: int, k: int, m: int, p: int) -> int:
@@ -469,13 +439,11 @@ def h_series(n: int, k: int, m: int, p: int) -> int:
     O(k) big-int steps.
 
     This is ``h_closed_1``'s sum term by term (``omega_closed_1_total`` at
-    lam = n + p*m, mu = -p is the same coefficient), so the two routes do
-    not check each other; ``h_composition``, ``h_recurrence`` and the oracle
-    do."""
+    lam = n + p*m, mu = -p is the same coefficient) and is evaluated by
+    that one call, so the two routes do not check each other;
+    ``h_composition``, ``h_recurrence`` and the oracle do."""
     _check_range("h_series needs", "line", n, k, m, p)
-    return kernel_coefficient(
-        1 - m, p + 1, binomial_coeffs(n + p * m + m - p * k - 1, 1, k), k
-    )
+    return omega_closed_1_total(n + m * p, -p, m, k)
 
 
 def g_series(n: int, k: int, m: int, p: int) -> int:

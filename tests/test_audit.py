@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
@@ -75,9 +76,6 @@ class TestGRecurrence:
         assert g_recurrence(7, 2, 2, 1) == 14
         assert g_recurrence(8, 2, 2, 1) == 20
 
-    def test_printed_variant_differs(self):
-        assert g_recurrence(7, 2, 2, 1, "printed") == 15
-
     def test_equals_closed_form_on_range(self):
         for m, p in product(range(1, 4), range(1, 3)):
             for k in range(4):
@@ -86,8 +84,12 @@ class TestGRecurrence:
                         n, k, m, p,
                     )
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+    def test_takes_no_variant(self):
+        # the printed step is audited by Eq4.2-printed, not computed here; a
+        # caller still asking for it must fail, not get the corrected count
+        with pytest.raises(TypeError):
+            g_recurrence(7, 2, 2, 1, "printed")
+        with pytest.raises(TypeError):
             g_recurrence(7, 2, 2, 1, variant="other")
 
     def test_newton_read_from_the_start_column(self):
@@ -98,10 +100,25 @@ class TestGRecurrence:
                     n, k, m, p,
                 )
 
+    def test_equals_composition_at_seeded_points(self):
+        # half the points within 2k of the start column x0, half anywhere
+        # up to 2*10^4
+        rng = random.Random(20081)
+        for i in range(150):
+            m, p, k = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 60)
+            x0 = m * (p * k + 1) + 1
+            if i % 2:
+                n = rng.randint(max(0, x0 - 2 * k), x0 + 2 * k)
+            else:
+                n = rng.randint(0, 2 * 10**4)
+            assert g_recurrence(n, k, m, p) == g_composition(n, k, m, p), (
+                n, k, m, p,
+            )
+
 
 class TestRecurrenceColumnCache:
-    """Each route keeps the Newton column of its last key: (k, m, p) on the
-    line, (k, m, p, step) on the circle."""
+    """Each route keeps the Newton column of its last key, (k, m, p), on
+    the line and on the circle."""
 
     CACHES = (counting._line_column, counting._circle_column)
 
@@ -109,22 +126,20 @@ class TestRecurrenceColumnCache:
     def call(route, n, k, m, p):
         if route == "line":
             return h_recurrence(n, k, m, p)
-        return g_recurrence(n, k, m, p, route)
+        return g_recurrence(n, k, m, p)
 
     def test_interleaved_keys_give_fresh_values(self):
-        # line and circle, two (k, m, p), and printed and corrected at the
-        # same (n, k, m, p) in both orders
+        # line and circle, two (k, m, p), at the same (n, k, m, p) in both
+        # orders
         sequence = []
         for k, m, p in ((5, 2, 1), (7, 3, 2)):
             x0 = m * (p * k + 1) + 1
             for n in (x0, x0 + 3, 10**4):
                 sequence += [
                     ("line", n, k, m, p),
-                    ("printed", n, k, m, p),
-                    ("corrected", n, k, m, p),
+                    ("circle", n, k, m, p),
+                    ("circle", n + 1, k, m, p),
                     ("line", n + 1, k, m, p),
-                    ("corrected", n + 1, k, m, p),
-                    ("printed", n + 1, k, m, p),
                 ]
         sequence += sequence[::-1]
         values = [self.call(*key) for key in sequence]
@@ -137,7 +152,7 @@ class TestRecurrenceColumnCache:
 
     def test_each_route_keeps_at_most_one_column(self):
         for m, p, k in product(range(1, 4), range(1, 3), range(1, 6)):
-            for route in ("line", "printed", "corrected"):
+            for route in ("line", "circle"):
                 self.call(route, 10**3, k, m, p)
         for cache in self.CACHES:
             assert cache.cache_info().currsize <= 1
@@ -165,8 +180,9 @@ class TestDeterminism:
 
 
 class TestRowsExtendedPastTheBoundary:
-    """Rows are built to boundary(k) + k and extended by Newton's forward
-    formula past it; both branches must give the composition counts."""
+    """Rows are built from the start column x0 to x0 + k and extended by
+    Newton's forward formula past it; below x0 the answer is the seed.
+    Both branches must give the composition counts."""
 
     @staticmethod
     def points(boundary, k, below=2):
@@ -189,14 +205,6 @@ class TestRowsExtendedPastTheBoundary:
                 assert g_recurrence(n, k, m, p) == g_composition(n, k, m, p), (
                     n, k, m, p,
                 )
-
-    def test_printed_variant_keeps_its_values(self):
-        # values of the row-by-row evaluation that summed every row out to n
-        for (m, p, k), values in PRINTED_G_RECURRENCE.items():
-            for n, value in enumerate(values):
-                assert g_recurrence(n, k, m, p, "printed") == value, (n, k, m, p)
-        for (n, k, m, p), value in PRINTED_G_RECURRENCE_FAR.items():
-            assert g_recurrence(n, k, m, p, "printed") == value, (n, k, m, p)
 
 
 class TestLineRecurrenceSeeds:
@@ -226,6 +234,38 @@ class TestLineRecurrenceSeeds:
                 assert len(calls) <= p + 1, (n, k, m, p, len(calls))
         for (n, k, m, p), value in values.items():
             assert value == h_composition(n, k, m, p), (n, k, m, p)
+
+
+class TestCircleRecurrenceSeeds:
+    def test_seeds_lie_just_below_the_start_column(self, monkeypatch):
+        # every row starts at x0 = m*(p*k+1) + 1, so the seeds are read at
+        # x0-p-1 .. x0-1 only; at p + 1 > k the rows below k end before x0
+        # and are skipped, so only rows k - 1 and k are seeded
+        reads = []
+        seed = counting.g_for_identity
+
+        def recorded(n, k, m, p):
+            reads.append((n, k))
+            return seed(n, k, m, p)
+
+        monkeypatch.setattr(counting, "g_for_identity", recorded)
+        values = {}
+        for m, p, k in [
+            (1, 1, 1), (2, 2, 3), (3, 3, 2), (1, 5, 3), (2, 1, 20),
+            (3, 2, 25), (1, 4, 40),
+        ]:
+            x0 = m * (p * k + 1) + 1
+            for n in (x0, x0 + k, 10**6):
+                counting._circle_column.cache_clear()
+                reads.clear()
+                values[n, k, m, p] = g_recurrence(n, k, m, p)
+                assert reads, (n, k, m, p)
+                for column, row in reads:
+                    assert x0 - p - 1 <= column < x0, (n, k, m, p, column)
+                    assert row >= k - 1 or p + 1 <= k, (n, k, m, p, row)
+        monkeypatch.undo()
+        for (n, k, m, p), value in values.items():
+            assert value == g_composition(n, k, m, p), (n, k, m, p)
 
 
 class TestGAlternating:
@@ -586,242 +626,3 @@ class TestRunAudit:
         monkeypatch.setattr(counting, "_composition", counted)
         assert run_audit(IdentityId(identity), DEFAULT_GRID).passed
         assert 0 < len(calls) <= 160
-
-
-# g_recurrence(n, k, m, p, "printed") for n = 0..60, keyed (m, p, k)
-PRINTED_G_RECURRENCE = {
-    (1, 1, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (1, 1, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (1, 1, 2): (
-        0, 0, 0, 0, 3, 7, 12, 18, 25, 33, 42, 52, 63, 75, 88, 102, 117, 133, 150, 168,
-        187, 207, 228, 250, 273, 297, 322, 348, 375, 403, 432, 462, 493, 525, 558, 592,
-        627, 663, 700, 738, 777, 817, 858, 900, 943, 987, 1032, 1078, 1125, 1173, 1222,
-        1272, 1323, 1375, 1428, 1482, 1537, 1593, 1650, 1708, 1767,
-    ),
-    (1, 1, 3): (
-        0, 0, 0, 0, 0, 3, 10, 22, 40, 65, 98, 140, 192, 255, 330, 418, 520, 637, 770,
-        920, 1088, 1275, 1482, 1710, 1960, 2233, 2530, 2852, 3200, 3575, 3978, 4410,
-        4872, 5365, 5890, 6448, 7040, 7667, 8330, 9030, 9768, 10545, 11362, 12220,
-        13120, 14063, 15050, 16082, 17160, 18285, 19458, 20680, 21952, 23275, 24650,
-        26078, 27560, 29097, 30690, 32340, 34048,
-    ),
-    (1, 1, 4): (
-        0, 0, 0, 0, 0, 0, 3, 13, 35, 75, 140, 238, 378, 570, 825, 1155, 1573, 2093,
-        2730, 3500, 4420, 5508, 6783, 8265, 9975, 11935, 14168, 16698, 19550, 22750,
-        26325, 30303, 34713, 39585, 44950, 50840, 57288, 64328, 71995, 80325, 89355,
-        99123, 109668, 121030, 133250, 146370, 160433, 175483, 191565, 208725, 227010,
-        246468, 267148, 289100, 312375, 337025, 363103, 390663, 419760, 450450, 482790,
-    ),
-    (1, 1, 5): (
-        0, 0, 0, 0, 0, 0, 0, 3, 16, 51, 126, 266, 504, 882, 1452, 2277, 3432, 5005,
-        7098, 9828, 13328, 17748, 23256, 30039, 38304, 48279, 60214, 74382, 91080,
-        110630, 133380, 159705, 190008, 224721, 264306, 309256, 360096, 417384, 481712,
-        553707, 634032, 723387, 822510, 932178, 1053208, 1186458, 1332828, 1493261,
-        1668744, 1860309, 2069034, 2296044, 2542512, 2809660, 3098760, 3411135, 3748160,
-        4111263, 4501926, 4921686, 5372136,
-    ),
-    (1, 2, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (1, 2, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (1, 2, 2): (
-        0, 0, 0, 0, 0, 0, 4, 9, 15, 22, 30, 39, 49, 60, 72, 85, 99, 114, 130, 147, 165,
-        184, 204, 225, 247, 270, 294, 319, 345, 372, 400, 429, 459, 490, 522, 555, 589,
-        624, 660, 697, 735, 774, 814, 855, 897, 940, 984, 1029, 1075, 1122, 1170, 1219,
-        1269, 1320, 1372, 1425, 1479, 1534, 1590, 1647, 1705,
-    ),
-    (1, 2, 3): (
-        0, 0, 0, 0, 0, 0, 0, 0, 4, 13, 28, 50, 80, 119, 168, 228, 300, 385, 484, 598,
-        728, 875, 1040, 1224, 1428, 1653, 1900, 2170, 2464, 2783, 3128, 3500, 3900,
-        4329, 4788, 5278, 5800, 6355, 6944, 7568, 8228, 8925, 9660, 10434, 11248, 12103,
-        13000, 13940, 14924, 15953, 17028, 18150, 19320, 20539, 21808, 23128, 24500,
-        25925, 27404, 28938, 30528,
-    ),
-    (1, 2, 4): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 17, 45, 95, 175, 294, 462, 690, 990, 1375,
-        1859, 2457, 3185, 4060, 5100, 6324, 7752, 9405, 11305, 13475, 15939, 18722,
-        21850, 25350, 29250, 33579, 38367, 43645, 49445, 55800, 62744, 70312, 78540,
-        87465, 97125, 107559, 118807, 130910, 143910, 157850, 172774, 188727, 205755,
-        223905, 243225, 263764, 285572, 308700, 333200, 359125, 386529,
-    ),
-    (1, 2, 5): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 21, 66, 161, 336, 630, 1092, 1782, 2772,
-        4147, 6006, 8463, 11648, 15708, 20808, 27132, 34884, 44289, 55594, 69069, 85008,
-        103730, 125580, 150930, 180180, 213759, 252126, 295771, 345216, 401016, 463760,
-        534072, 612612, 700077, 797202, 904761, 1023568, 1154478, 1298388, 1456238,
-        1629012, 1817739, 2023494, 2247399, 2490624, 2754388, 3039960, 3348660, 3681860,
-    ),
-    (2, 1, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (2, 1, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (2, 1, 2): (
-        0, 0, 1, 0, 4, 5, 9, 15, 22, 30, 39, 49, 60, 72, 85, 99, 114, 130, 147, 165,
-        184, 204, 225, 247, 270, 294, 319, 345, 372, 400, 429, 459, 490, 522, 555, 589,
-        624, 660, 697, 735, 774, 814, 855, 897, 940, 984, 1029, 1075, 1122, 1170, 1219,
-        1269, 1320, 1372, 1425, 1479, 1534, 1590, 1647, 1705, 1764,
-    ),
-    (2, 1, 3): (
-        0, 0, 0, 0, 0, 0, 0, 7, 16, 38, 68, 107, 156, 216, 288, 373, 472, 586, 716, 863,
-        1028, 1212, 1416, 1641, 1888, 2158, 2452, 2771, 3116, 3488, 3888, 4317, 4776,
-        5266, 5788, 6343, 6932, 7556, 8216, 8913, 9648, 10422, 11236, 12091, 12988,
-        13928, 14912, 15941, 17016, 18138, 19308, 20527, 21796, 23116, 24488, 25913,
-        27392, 28926, 30516, 32163, 33868,
-    ),
-    (2, 1, 4): (
-        0, 0, 0, 0, 0, 0, 0, 0, 4, 9, 25, 93, 200, 356, 572, 860, 1233, 1705, 2291,
-        3007, 3870, 4898, 6110, 7526, 9167, 11055, 13213, 15665, 18436, 21552, 25040,
-        28928, 33245, 38021, 43287, 49075, 55418, 62350, 69906, 78122, 87035, 96683,
-        107105, 118341, 130432, 143420, 157348, 172260, 188201, 205217, 223355, 242663,
-        263190, 284986, 308102, 332590, 358503, 385895, 414821, 445337, 477500,
-    ),
-    (2, 1, 5): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 11, 36, 236, 592, 1164, 2024, 3257, 4962, 7253,
-        10260, 14130, 19028, 25138, 32664, 41831, 52886, 66099, 81764, 100200, 121752,
-        146792, 175720, 208965, 246986, 290273, 339348, 394766, 457116, 527022, 605144,
-        692179, 788862, 895967, 1014308, 1144740, 1288160, 1445508, 1617768, 1805969,
-        2011186, 2234541, 2477204, 2740394, 3025380, 3333482, 3666072, 4024575, 4410470,
-        4825291, 5270628,
-    ),
-    (2, 2, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (2, 2, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (2, 2, 2): (
-        0, 0, 1, 0, 4, 0, 9, 7, 16, 18, 25, 34, 44, 55, 67, 80, 94, 109, 125, 142, 160,
-        179, 199, 220, 242, 265, 289, 314, 340, 367, 395, 424, 454, 485, 517, 550, 584,
-        619, 655, 692, 730, 769, 809, 850, 892, 935, 979, 1024, 1070, 1117, 1165, 1214,
-        1264, 1315, 1367, 1420, 1474, 1529, 1585, 1642, 1700,
-    ),
-    (2, 2, 3): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 22, 36, 65, 98, 153, 220, 300, 394, 503, 628,
-        770, 930, 1109, 1308, 1528, 1770, 2035, 2324, 2638, 2978, 3345, 3740, 4164,
-        4618, 5103, 5620, 6170, 6754, 7373, 8028, 8720, 9450, 10219, 11028, 11878,
-        12770, 13705, 14684, 15708, 16778, 17895, 19060, 20274, 21538, 22853, 24220,
-        25640, 27114, 28643, 30228,
-    ),
-    (2, 2, 4): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 13, 49, 75, 144, 238, 378, 678, 1072,
-        1575, 2203, 2973, 3903, 5012, 6320, 7848, 9618, 11653, 13977, 16615, 19593,
-        22938, 26678, 30842, 35460, 40563, 46183, 52353, 59107, 66480, 74508, 83228,
-        92678, 102897, 113925, 125803, 138573, 152278, 166962, 182670, 199448, 217343,
-        236403, 256677, 278215, 301068, 325288, 350928, 378042,
-    ),
-    (2, 2, 5): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 51, 108, 266, 500, 882, 1452,
-        3027, 5230, 8203, 12106, 17118, 23438, 31286, 40904, 52557, 66534, 83149,
-        102742, 125680, 152358, 183200, 218660, 259223, 305406, 357759, 416866, 483346,
-        557854, 641082, 733760, 836657, 950582, 1076385, 1214958, 1367236, 1534198,
-        1716868, 1916316, 2133659, 2370062, 2626739, 2904954, 3206022, 3531310,
-    ),
-    (3, 1, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (3, 1, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (3, 1, 2): (
-        0, 0, 1, 3, 2, 5, 12, 14, 20, 27, 36, 46, 57, 69, 82, 96, 111, 127, 144, 162,
-        181, 201, 222, 244, 267, 291, 316, 342, 369, 397, 426, 456, 487, 519, 552, 586,
-        621, 657, 694, 732, 771, 811, 852, 894, 937, 981, 1026, 1072, 1119, 1167, 1216,
-        1266, 1317, 1369, 1422, 1476, 1531, 1587, 1644, 1702, 1761,
-    ),
-    (3, 1, 3): (
-        0, 0, 0, 1, 0, 0, 8, 7, 16, 27, 50, 77, 112, 169, 238, 320, 416, 527, 654, 798,
-        960, 1141, 1342, 1564, 1808, 2075, 2366, 2682, 3024, 3393, 3790, 4216, 4672,
-        5159, 5678, 6230, 6816, 7437, 8094, 8788, 9520, 10291, 11102, 11954, 12848,
-        13785, 14766, 15792, 16864, 17983, 19150, 20366, 21632, 22949, 24318, 25740,
-        27216, 28747, 30334, 31978, 33680,
-    ),
-    (3, 1, 4): (
-        0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 25, 55, 108, 182, 294, 450, 770, 1186, 1713, 2367,
-        3165, 4125, 5266, 6608, 8172, 9980, 12055, 14421, 17103, 20127, 23520, 27310,
-        31526, 36198, 41357, 47035, 53265, 60081, 67518, 75612, 84400, 93920, 104211,
-        115313, 127267, 140115, 153900, 168666, 184458, 201322, 219305, 238455, 258821,
-        280453, 303402, 327720, 353460, 380676, 409423, 439757, 471735,
-    ),
-    (3, 1, 5): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 11, 48, 91, 196, 375, 672, 1122, 1782, 3495,
-        5862, 9027, 13152, 18418, 25026, 33198, 43178, 55233, 69654, 86757, 106884,
-        130404, 157714, 189240, 225438, 266795, 313830, 367095, 427176, 494694, 570306,
-        654706, 748626, 852837, 968150, 1095417, 1235532, 1389432, 1558098, 1742556,
-        1943878, 2163183, 2401638, 2660459, 2940912, 3244314, 3572034, 3925494, 4306170,
-        4715593, 5155350,
-    ),
-    (3, 2, 0): (
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1, 1, 1,
-    ),
-    (3, 2, 1): (
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-        22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
-        42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
-    ),
-    (3, 2, 2): (
-        0, 0, 1, 3, 2, 5, 12, 7, 12, 27, 25, 33, 48, 52, 63, 75, 89, 104, 120, 137, 155,
-        174, 194, 215, 237, 260, 284, 309, 335, 362, 390, 419, 449, 480, 512, 545, 579,
-        614, 650, 687, 725, 764, 804, 845, 887, 930, 974, 1019, 1065, 1112, 1160, 1209,
-        1259, 1310, 1362, 1415, 1469, 1524, 1580, 1637, 1695,
-    ),
-    (3, 2, 3): (
-        0, 0, 0, 1, 0, 0, 8, 0, 0, 27, 10, 22, 64, 65, 98, 125, 192, 255, 324, 418, 520,
-        637, 792, 966, 1160, 1375, 1612, 1872, 2156, 2465, 2800, 3162, 3552, 3971, 4420,
-        4900, 5412, 5957, 6536, 7150, 7800, 8487, 9212, 9976, 10780, 11625, 12512,
-        13442, 14416, 15435, 16500, 17612, 18772, 19981, 21240, 22550, 23912, 25327,
-        26796, 28320, 29900,
-    ),
-    (3, 2, 4): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 13, 35, 0, 140, 238, 351, 570, 825, 1176,
-        1573, 2093, 2736, 3500, 4420, 5508, 7120, 8992, 11148, 13613, 16413, 19575,
-        23127, 27098, 31518, 36418, 41830, 47787, 54323, 61473, 69273, 77760, 86972,
-        96948, 107728, 119353, 131865, 145307, 159723, 175158, 191658, 209270, 228042,
-        248023, 269263, 291813, 315725, 341052, 367848,
-    ),
-    (3, 2, 5): (
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 51, 162, 266, 504, 1029,
-        1452, 2277, 3456, 5005, 7098, 9801, 13328, 17748, 23250, 30039, 38304, 48279,
-        64692, 84267, 107394, 134492, 166010, 202428, 244258, 292045, 346368, 407841,
-        477114, 554874, 641846, 738794, 846522, 965875, 1097740, 1243047, 1402770,
-        1577928, 1769586, 1978856, 2206898, 2454921, 2724184, 3015997, 3331722,
-    ),
-}
-# the same at a few points with n near 10^3: (n, k, m, p) -> value
-PRINTED_G_RECURRENCE_FAR = {
-    (1000, 5, 3, 2): 8083633698530,
-    (999, 4, 2, 1): 41248473242,
-    (1001, 3, 1, 2): 165662525,
-    (1024, 5, 2, 2): 9108845151430,
-    (997, 5, 1, 1): 8126541831576,
-    (1003, 2, 3, 1): 502494,
-}

@@ -10,11 +10,13 @@ deliberately includes the known-bad ``printed`` formula variants so their
 counterexamples are reproduced, witnesses included.  Only the oracle
 sides and ``bijection_count_check`` read the brute-force cap.
 
-The oracle and line rows the grid identities read are kept per process
-for the last (grid, cap) (``_row_caches``), so every audit on that grid
-and cap, in one command or across calls, builds each row once.
-``_row_caches.cache_clear()`` drops them; a caller that patches a route
-or an engine the rows are built from must clear them before it audits.
+The grid identities read the oracle and the line counts from the rows
+their engines keep, ``oracle._brute_counts`` for the last (k, cap) and
+``counting._line_counts`` for the last k, so every audit with that k_max
+and cap, in one command or across calls, builds each row once.  A caller
+that patches an engine the rows are built from must clear both stores
+before it audits.  A sampled instance that ``omega_phi`` finds singular
+is skipped (Omega and Phi) or redrawn (Gould).
 
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
@@ -33,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import partial
 
 from .counting import (
     CountQuery,
@@ -45,7 +47,6 @@ from .counting import (
     _line_counts,
     alternating_in_range,
     circle_in_range,
-    count_query,
     g_closed,
     g_for_identity,
     h_closed_1,
@@ -66,7 +67,7 @@ from .omega_phi import (
     phi_closed,
     phi_direct,
 )
-from .oracle import DEFAULT_CAP, count_brute, count_brute_row
+from .oracle import DEFAULT_CAP, _brute_counts, count_brute
 
 
 class IdentityId(str, Enum):
@@ -253,7 +254,7 @@ def _omega_cases(
     min_k: int = 0,
 ) -> Iterator[Case]:
     """42 instances: two witnesses at k = 2, then seeded random ones with
-    k >= min_k.  An instance whose left side is singular is skipped."""
+    k >= min_k.  An instance with a singular side is skipped."""
     queries = [
         OmegaQuery((Fraction(4), Fraction(4)), Fraction(-1), 2),
         OmegaQuery((Fraction(1), Fraction(1)), Fraction(1), 2),
@@ -267,11 +268,11 @@ def _omega_cases(
         queries.append(OmegaQuery(lambdas, _random_fraction(rng), k))
     for q in queries:
         try:
-            left = lhs(q)
+            sides = lhs(q), rhs(q)
         except SingularTermError:
             continue
         lambdas = "(" + ",".join(str(v) for v in q.lambdas) + ")"
-        yield {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}, left, rhs(q)
+        yield {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}, *sides
 
 
 def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
@@ -286,53 +287,33 @@ def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
 
 
 def _gould_cases(rng: random.Random) -> Iterator[Case]:
-    instances = [
+    """42 instances: two witnesses, then seeded random ones; a draw that
+    ``gould_check`` finds singular is redrawn."""
+    witnesses = [
         (Fraction(1), Fraction(1), Fraction(1), 2),
         (Fraction(1), Fraction(2), Fraction(0), 2),
     ]
-    while len(instances) < 42:
-        a, b, c = (_random_fraction(rng, 8, 8) for _ in range(3))
-        n = rng.randint(0, 6)
-        if a + b + c * n == 0 or any(
-            a + c * k == 0 or b + c * (n - k) == 0 for k in range(n + 1)
-        ):
+    checked = 0
+    while checked < 42:
+        if witnesses:
+            a, b, c, n = witnesses.pop(0)
+        else:
+            a, b, c = (_random_fraction(rng, 8, 8) for _ in range(3))
+            n = rng.randint(0, 6)
+        try:
+            sides = gould_check(a, b, c, n)
+        except SingularTermError:
             continue
-        instances.append((a, b, c, n))
-    for a, b, c, n in instances:
-        params = {"a": str(a), "b": str(b), "c": str(c), "n": n}
-        yield params, *gould_check(a, b, c, n)
-
-
-@lru_cache(maxsize=1)
-def _row_caches(grid: GridSpec, cap: int) -> tuple[Callable[..., int], Route]:
-    """The oracle and line counts the grid identities read, as
-    ``brute(topology, n, k, m, p)`` and ``line(n, k, m, p)``.  Each
-    (n, m, p) row is built once, for every k of the grid: one
-    ``count_brute_row`` scan with the cap ``cap`` per brute row, one
-    composition product per line row (``_line_counts``).  Only the pair of
-    the last (grid, cap) is kept, so every audit in a process shares its
-    rows while the grid and cap stay the same, and a new grid or cap
-    replaces them.  A row past the cap raises each time it is read, since
-    exceptions are not cached.  ``_row_caches.cache_clear()`` drops the
-    rows; a caller that patches anything they are built from must clear
-    them before it audits."""
-    @cache
-    def brute_row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
-        return count_brute_row(count_query(topology, n, grid.k_max, m, p), cap)
-
-    def brute(topology: Topology, n: int, k: int, m: int, p: int) -> int:
-        return brute_row(topology, n, m, p)[k]
-
-    return brute, _line_counts(grid.k_max)
+        checked += 1
+        yield {"a": str(a), "b": str(b), "c": str(c), "n": n}, *sides
 
 
 def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
 ) -> Iterator[Case]:
     """The catalogue: the cases of one identity on one grid, reading the
-    oracle and the line counts from the process's rows for (grid, cap),
-    ``_row_caches(grid, cap)``."""
-    brute, line = _row_caches(grid, cap)
+    oracle and the line counts from the rows kept for (grid.k_max, cap)."""
+    brute, line = _brute_counts(grid.k_max, cap), _line_counts(grid.k_max)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
@@ -413,9 +394,7 @@ def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> A
     """Check one identity at every in-range grid point, collecting mismatches.
 
     Deterministic: randomized instance families are seeded per identity.
-    Failures are data, not errors.  The oracle and line rows come from
-    ``_row_caches(grid, cap)``, which keeps those of the last (grid, cap)
-    in the process, so repeated audits on one grid and cap share them.
+    Failures are data, not errors.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
     checked = 0

@@ -11,33 +11,30 @@ plain argv (a command, then each of its flags in full at most once, each
 with a value that does not start with ``-``) straight from that table.
 argparse is imported and built only for an argv the reader declines, so
 help, usage and every error line stay argparse's.  Repeated ``main()``
-calls also share the audit's oracle and line rows, kept for the last
-(grid, cap) (``audit._row_caches``).
+calls also share the oracle and line rows that ``audit`` and ``table``
+read, kept beside their engines for the last k and cap
+(``oracle._brute_counts``, ``counting._line_counts``).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 
 from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
 from .counting import (
     ROUTES,
+    Topology,
     _check_mp,
+    _line_counts,
     _route,
     circle_in_range,
     count_query,
-    h_composition_row,
     line_in_range,
 )
-from .oracle import (
-    DEFAULT_CAP,
-    count_brute,
-    count_brute_row,
-    list_brute,
-)
+from .oracle import DEFAULT_CAP, _brute_counts, count_brute, list_brute
 
 METHODS = ("auto", *ROUTES["line"], "brute")
 
@@ -170,23 +167,19 @@ def _cmd_table(args) -> int:
         if value < 0:
             raise ValueError(f"need {name} >= 0, got {name}={value}")
     # below the formula range, one composition product (line) or one oracle
-    # scan (circle) per n answers every cell of that n
-    row_method = "composition" if args.topology == "line" else "brute"
-
-    @cache
-    def row(n):
-        if args.topology == "line":
-            return h_composition_row(n, args.k_max, args.m, args.p)
-        query = count_query(args.topology, n, args.k_max, args.m, args.p)
-        return count_brute_row(query, args.cap)
-
+    # scan (circle) per n, kept beside its engine, answers every cell of that n
+    if args.topology == "line":
+        row_method, row_count = "composition", _line_counts(args.k_max)
+    else:
+        row_method = "brute"
+        row_count = partial(_brute_counts(args.k_max, args.cap), Topology.CIRCLE)
     rows = []
     brute_cells = []
     for n in range(args.n_max + 1):
         for k in range(args.k_max + 1):
             method = _auto(args.topology, n, k, args.m, args.p, args.cap)
             if method == row_method:
-                value = row(n)[k]
+                value = row_count(n, k, args.m, args.p)
             else:
                 value = _route(args.topology, method)(n, k, args.m, args.p)
             rows.append((n, k, value, method))

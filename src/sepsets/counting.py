@@ -170,19 +170,16 @@ def h_closed_2(n: int, k: int, m: int, p: int) -> int:
     return omega_closed_2_total(n + m * p, -p, m, k)
 
 
-def h_closed_3(n: int, k: int, m: int, p: int, variant: str = "corrected") -> int:
-    """Third single-sum line formula (needs ``k >= 1``).
-
-    ``corrected`` shifts the inner binomial's lower index to ``k-1-j`` and
-    matches the definitional count; ``printed`` keeps ``k-j`` and is wrong
-    (the audit subsystem exhibits its counterexamples).
+def h_closed_3(n: int, k: int, m: int, p: int) -> int:
+    """Third single-sum line formula (needs ``k >= 1``), corrected: the
+    inner binomial's lower index is ``k-1-j``, which matches the
+    definitional count.  The printed ``k-j`` is wrong; the audits read its
+    values through ``h_closed_3_value`` and exhibit its counterexamples.
     """
     _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
         raise ValueError("h_closed_3 needs k >= 1")
-    return _as_count(
-        h_closed_3_value(n, k, m, p, variant), f"h_closed_3({variant})"
-    )
+    return _as_count(h_closed_3_value(n, k, m, p), "h_closed_3")
 
 
 def h_closed_3_value(
@@ -216,11 +213,14 @@ def h_for_identity(n: int, k: int, m: int, p: int) -> int:
     return h_composition(n, k, m, p)
 
 
+@lru_cache(maxsize=1)
 def _line_counts(k: int) -> Callable[[int, int, int, int], int]:
     """``h_for_identity`` for every kk <= k, as ``h(nn, kk, m, p)``: each
-    (nn, m, p) is read from one ``h_composition_row(nn, k, m, p)``, cached
-    for as long as the returned function lives.  The empty selection counts
-    1 for every nn, even nn < 0, and a negative kk counts 0."""
+    (nn, m, p) is read from one ``h_composition_row(nn, k, m, p)``, built on
+    first read.  The empty selection counts 1 for every nn, even nn < 0, and
+    a negative kk counts 0.  Only the rows of the last k are kept, so the
+    audit, ``table`` and ``_line_column`` share them while k stays the same;
+    ``_line_counts.cache_clear()`` drops them."""
     @cache
     def row(nn: int, m: int, p: int) -> list[int]:
         return h_composition_row(nn, k, m, p)

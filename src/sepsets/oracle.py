@@ -18,8 +18,8 @@ only for every m at n <= 40 and p <= 3.  The bound does not hold for
 larger p on the circle: the bandwidth of the order is 11 at
 (n, m, p) = (1000, 5, 4) and 17 at (40, 3, 6).  Each state's value packs
 the counts for every size 0..k into one int, so one scan gives the whole
-row; ``count_brute`` reads one entry of it, and the audit reuses one row
-across k.  The scan never
+row; ``count_brute`` reads one entry of it, and ``_brute_counts`` keeps
+the rows that the audit and ``table`` read across k.  The scan never
 splits the positions into residue rows, so it stays independent of the
 composition sums and closed forms it checks.  ``list_brute`` enumerates the
 subsets by an iterative depth-first walk that shares only the rule with the
@@ -28,10 +28,11 @@ scan, not its algorithm; tests check that the two agree.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from functools import cache, lru_cache
 from itertools import combinations
 
-from .counting import CountQuery, SeparationParams, Topology
+from .counting import CountQuery, SeparationParams, Topology, count_query
 
 DEFAULT_CAP = 32
 
@@ -103,6 +104,25 @@ def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     # sizes above n count 0: the scan stops at n and the row is padded
     k = min(q.k, q.n)
     return _scan(_conflict_graph(q), k) + (0,) * (q.k - k)
+
+
+@lru_cache(maxsize=1)
+def _brute_counts(k: int, cap: int) -> Callable[[Topology, int, int, int, int], int]:
+    """``count_brute`` for every kk <= k, as ``brute(topology, n, kk, m, p)``:
+    each (topology, n, m, p) is read from one ``count_brute_row`` scan to k
+    with the cap ``cap``, built on first read.  Only the rows of the last
+    (k, cap) are kept, so the audit and ``table`` share them while k and the
+    cap stay the same; ``_brute_counts.cache_clear()`` drops them.  A row
+    past the cap raises each time it is read, since exceptions are not
+    cached."""
+    @cache
+    def row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
+        return count_brute_row(count_query(topology, n, k, m, p), cap)
+
+    def brute(topology: Topology, n: int, kk: int, m: int, p: int) -> int:
+        return row(topology, n, m, p)[kk]
+
+    return brute
 
 
 def _conflict_graph(q: CountQuery) -> list[list[int]]:

@@ -1,10 +1,12 @@
 import pytest
 
-from sepsets import audit
+from sepsets import counting, oracle
 
 
 @pytest.fixture
 def fresh_audit_rows():
-    """Drop the audit's kept oracle and line rows, so a test that counts
-    or refuses engine calls sees every row built, whatever ran before."""
-    audit._row_caches.cache_clear()
+    """Drop the oracle and line rows kept beside their engines, so a test
+    that counts or refuses engine calls sees every row built, whatever ran
+    before."""
+    oracle._brute_counts.cache_clear()
+    counting._line_counts.cache_clear()

@@ -626,3 +626,15 @@ class TestRunAudit:
         monkeypatch.setattr(counting, "_composition", counted)
         assert run_audit(IdentityId(identity), DEFAULT_GRID).passed
         assert 0 < len(calls) <= 160
+
+    @pytest.mark.parametrize(
+        "identity",
+        ["Eq3.1", "Eq3.2", "Eq3.3-printed", "Eq3.3-corrected", "Eq3.4", "HwangWei", "Gould"],
+    )
+    def test_every_draw_shape_of_the_sampled_families(self, identity):
+        # the samplers draw m <= min(m_max, 4) and k <= min(k_max, 5 or 6),
+        # so these 24 grids give every shape they draw; a singular instance
+        # is skipped or redrawn, never raised
+        for m, k in product(range(1, 5), range(6)):
+            report = run_audit(IdentityId(identity), GridSpec(m, 1, k, 0))
+            assert 0 < report.checked <= 42, (m, k)

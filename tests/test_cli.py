@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepsets
-from sepsets import audit, cli, counting
+from sepsets import audit, cli, counting, oracle
 from sepsets.audit import IdentityId
 from sepsets.cli import METHODS, main
 from sepsets.counting import ROUTES, count_query
@@ -23,6 +23,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_calls(monkeypatch, module, name):
+    """The list of argument tuples of every call to ``module.name`` from now
+    on, until the monkeypatch is undone."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestCount:
@@ -404,6 +417,7 @@ class TestTable:
             "brute", "composition", "composition", None,
         ]
 
+    @pytest.mark.usefixtures("fresh_audit_rows")
     def test_line_cells_come_from_one_row_per_n(self, capsys, monkeypatch):
         # every n = 0..40 has a cell below the closed-form range at k = 8;
         # one composition product per (n, k) cell made 167 calls
@@ -669,6 +683,18 @@ class TestAudit:
             "Eq4.2-corrected, BijectionCount\n"
         )
 
+    def test_singular_phi_instances_are_skipped(self, capsys):
+        # this grid draws Eq3.4's lambdas (-1/2, 1/2), mu = -1, k = 0, whose
+        # direct sum is 1 but whose closed form divides by lambda + mu*k = 0;
+        # it used to end the command with "error: lambda + mu*k = 0"
+        grid = "m<=3,p<=1,k<=2,n<=24"
+        code, out, err = run(capsys, "audit", "--identity", "Eq3.4", "--grid", grid)
+        assert (code, err) == (0, "")
+        assert "checked: 37\nstatus: pass" in out
+        code, out, err = run(capsys, "audit", "--identity", "all", "--grid", grid)
+        assert (code, err) == (2, "")  # the printed variants fail
+        assert "identity: Eq3.4\ngrid: m<=3,p<=1,k<=2,n<=24\nchecked: 37\n" in out
+
     def test_unknown_identity(self, capsys):
         code, out, err = run(capsys, "audit", "--identity", "Eq9.9")
         assert (code, out) == (1, "")
@@ -688,18 +714,8 @@ class TestAudit:
         # row cache per identity made 564 oracle scans (294 distinct) and
         # 1,310 line rows (150 distinct); the reports stay those of
         # separate run_audit calls
-        scans, rows = [], []
-
-        def counted(calls, fn):
-            def wrapper(*args):
-                calls.append(args)
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(audit, "count_brute_row", counted(scans, audit.count_brute_row))
-        monkeypatch.setattr(
-            counting, "h_composition_row", counted(rows, counting.h_composition_row)
-        )
+        scans = record_calls(monkeypatch, oracle, "count_brute_row")
+        rows = record_calls(monkeypatch, counting, "h_composition_row")
         code, out, _ = run(capsys, "audit", "--identity", "all", "--format", "json")
         assert code == 2
         assert len(scans) == len(set(scans)) == 294
@@ -714,14 +730,7 @@ class TestAudit:
         # Eq3.5 reads only circle rows Eq2.2 has built, no row is scanned
         # twice across the three calls, and each report is that of a fresh
         # store
-        scans = []
-        engine = audit.count_brute_row
-
-        def counted(*args):
-            scans.append(args)
-            return engine(*args)
-
-        monkeypatch.setattr(audit, "count_brute_row", counted)
+        scans = record_calls(monkeypatch, oracle, "count_brute_row")
         shared = {}
         for identity in ("Eq2.2", "Eq3.5", "BijectionCount"):
             before = len(scans)
@@ -730,12 +739,14 @@ class TestAudit:
                 assert len(scans) == before
         assert 0 < len(scans) == len(set(scans))
         for identity, result in shared.items():
-            audit._row_caches.cache_clear()
+            oracle._brute_counts.cache_clear()
+            counting._line_counts.cache_clear()
             assert run(capsys, "audit", "--identity", identity) == result
         run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=1,p<=1,k<=2,n<=8")
-        assert audit._row_caches.cache_info().currsize == 1
+        assert oracle._brute_counts.cache_info().currsize == 1
+        assert counting._line_counts.cache_info().currsize == 1
 
-    def test_cap_and_grid_are_part_of_the_key(self, capsys):
+    def test_cap_and_k_are_the_key(self, capsys):
         # the default cap's rows reach n = 24; a cap of 20 must not read them
         first = run(capsys, "audit", "--identity", "Eq2.1")
         assert first[0] == 0
@@ -743,6 +754,46 @@ class TestAudit:
             1, "", "error: brute force capped at n <= 20, got n=21\n"
         )
         assert run(capsys, "audit", "--identity", "Eq2.1") == first
+        # rows scanned to k = 4 hold no count for k = 5
+        wider = run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=3,p<=2,k<=5,n<=24")
+        assert wider[0] == 0 and "checked: 900" in wider[1]
+        assert oracle._brute_counts.cache_info().currsize == 1
+
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    def test_grids_sharing_k_and_cap_share_rows(self, capsys, monkeypatch):
+        # two grids with k_max = 4 and the default cap: the second one's
+        # rows all lie within the first one's, so it scans none; keyed on
+        # the whole grid, it rebuilt all 150 rows
+        scans = record_calls(monkeypatch, oracle, "count_brute_row")
+        rows = record_calls(monkeypatch, counting, "h_composition_row")
+        assert run(capsys, "audit", "--identity", "Eq2.1")[0] == 0
+        assert (len(scans), len(rows)) == (150, 150)
+        code, out, _ = run(
+            capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=2,p<=1,k<=4,n<=20"
+        )
+        assert code == 0 and "checked: 210" in out
+        assert (len(scans), len(rows)) == (150, 150)
+
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    def test_table_reads_the_audit_rows(self, capsys, monkeypatch):
+        # the circle table's oracle cells at k_max = 4 and the default cap
+        # are rows Eq2.2 has scanned, but for n = 0, which no circle
+        # identity reads (its range starts at n = m*p*k + 1)
+        scans = record_calls(monkeypatch, oracle, "count_brute_row")
+        assert run(capsys, "audit", "--identity", "Eq2.2")[0] == 0
+        before = len(scans)
+        table = run(
+            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+            "--n-max", "24", "--k-max", "4",
+        )
+        assert table[0] == 0 and "brute-force cells" in table[2]
+        assert before > 0
+        assert scans[before:] == [(count_query("circle", 0, 4, 2, 1), 32)]
+        oracle._brute_counts.cache_clear()
+        assert run(
+            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+            "--n-max", "24", "--k-max", "4",
+        ) == table
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

@@ -250,8 +250,8 @@ class TestHClosedForms:
             h_closed_3(6, 0, 2, 1)
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            h_closed_3(6, 2, 2, 1, variant="fixed")
+        with pytest.raises(ValueError, match="unknown variant 'fixed'"):
+            h_closed_3_value(6, 2, 2, 1, "fixed")
 
 
 class TestGClosed:

@@ -28,7 +28,6 @@ suite as regression counterexamples.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import namedtuple
@@ -55,6 +54,7 @@ from .counting import (
     h_from_g,
     line_in_range,
 )
+from .jsontext import report
 from .omega_phi import (
     OmegaQuery,
     SingularTermError,
@@ -139,8 +139,10 @@ class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
     def to_json_dict(self) -> dict:
         return self._asdict()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+    def to_json(self, indent: int = 0) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)``'s bytes, nested
+        ``indent`` spaces deep (so a list of reports can hold it)."""
+        return report(*self, indent=indent)
 
     def to_text(self) -> str:
         lines = [
@@ -166,11 +168,8 @@ def _jsonable(value):
 
 
 def _failure(params: dict, lhs, rhs) -> dict:
-    return {
-        "params": {key: _jsonable(val) for key, val in params.items()},
-        "lhs": _jsonable(lhs),
-        "rhs": _jsonable(rhs),
-    }
+    # every case generator yields params of ints and strs already
+    return {"params": params, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
 
 
 def bijection_count_check(

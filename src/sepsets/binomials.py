@@ -44,10 +44,21 @@ def falling_factorial(a: Rational, k: int) -> Fraction:
     return Fraction(_falling(p, k, q), q**k)
 
 
+# up to this many factors one ``math.prod`` pass is fastest; so every
+# k <= 256 stays one call, as it was before the tree
+_FALLING_LEAF = 256
+
+
 def _falling(top: int, k: int, step: int) -> int:
     """``top * (top - step) * ... * (top - (k-1)*step)`` for ``step >= 1``;
-    1 for k = 0."""
-    return prod(range(top, top - k * step, -step))
+    1 for k = 0.  Past ``_FALLING_LEAF`` factors the two halves are
+    multiplied recursively, a balanced product tree, so the big products
+    meet operands of similar size instead of growing by one small factor
+    at a time."""
+    if k <= _FALLING_LEAF:
+        return prod(range(top, top - k * step, -step))
+    half = k // 2
+    return _falling(top, half, step) * _falling(top - half * step, k - half, step)
 
 
 def binom_gen(a: Rational, k: int) -> Rational:

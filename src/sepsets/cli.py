@@ -18,7 +18,6 @@ read, kept beside their engines for the last k and cap
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import cache, partial
 from types import SimpleNamespace
@@ -34,6 +33,7 @@ from .counting import (
     count_query,
     line_in_range,
 )
+from .jsontext import array, cell, write_array
 from .oracle import DEFAULT_CAP, _brute_counts, count_brute, list_brute
 
 METHODS = ("auto", *ROUTES["line"], "brute")
@@ -166,54 +166,62 @@ def _cmd_table(args) -> int:
     for name, value in (("k-max", args.k_max), ("n-max", args.n_max)):
         if value < 0:
             raise ValueError(f"need {name} >= 0, got {name}={value}")
-    # below the formula range, one composition product (line) or one oracle
-    # scan (circle) per n, kept beside its engine, answers every cell of that n
-    if args.topology == "line":
-        row_method, row_count = "composition", _line_counts(args.k_max)
-    else:
-        row_method = "brute"
-        row_count = partial(_brute_counts(args.k_max, args.cap), Topology.CIRCLE)
-    rows = []
-    brute_cells = []
-    for n in range(args.n_max + 1):
-        for k in range(args.k_max + 1):
-            method = _auto(args.topology, n, k, args.m, args.p, args.cap)
-            if method == row_method:
-                value = row_count(n, k, args.m, args.p)
-            else:
-                value = _route(args.topology, method)(n, k, args.m, args.p)
-            rows.append((n, k, value, method))
-            if args.topology == "circle" and method == "brute":
-                brute_cells.append((n, k))
-
-    if args.format == "csv":
-        text = "n,k,count\n" + "".join(f"{n},{k},{value}\n" for n, k, value, _ in rows)
-    else:
-        payload = []
-        for n, k, value, method in rows:
-            cell = {"n": n, "k": k, "count": value}
-            if args.topology == "circle" and method != "closed1":
-                cell["method"] = method
-            payload.append(cell)
-        text = json.dumps(payload, indent=2) + "\n"
-
+    # every error comes before the first byte, so a failed call writes none
     if args.out:
         try:
             fh = open(args.out, "w")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
         with fh:
-            fh.write(text)
+            brute_cells = _write_table(args, fh.write)
     else:
-        sys.stdout.write(text)
-    # after the write, so a failed --out leaves the error as the only line
-    if args.format == "csv" and brute_cells:
+        brute_cells = _write_table(args, sys.stdout.write)
+    if brute_cells:
         print(
             "note: brute-force cells (below the circle formula range): "
             + " ".join(f"({n},{k})" for n, k in brute_cells),
             file=sys.stderr,
         )
     return 0
+
+
+def _write_table(args, write) -> list[tuple[int, int]]:
+    """Stream the table to ``write``, one chunk per n, and return the
+    brute-force cells the CSV note lists: at most (cap + 1) * (k-max + 1)."""
+    brute_cells = []
+    if args.format == "csv":
+        write("n,k,count\n")
+        for n, row in _table_rows(args):
+            write("".join([f"{n},{k},{value}\n" for k, value, _ in row]))
+            brute_cells += [(n, k) for k, _, label in row if label == "brute"]
+    else:
+        write_array(write, ([cell(n, *c) for c in row] for n, row in _table_rows(args)))
+        write("\n")
+    return brute_cells
+
+
+def _table_rows(args):
+    """``(n, [(k, count, label), ...])`` for each n; the label is the method
+    of a circle cell below the formula range, else None."""
+    topology, m, p, k_max = args.topology, args.m, args.p, args.k_max
+    circle = topology == "circle"
+    # below the formula range, one composition product (line) or one oracle
+    # scan (circle) per n, kept beside its engine, answers every cell of that n
+    if circle:
+        row_method = "brute"
+        row_count = partial(_brute_counts(k_max, args.cap), Topology.CIRCLE)
+    else:
+        row_method, row_count = "composition", _line_counts(k_max)
+    for n in range(args.n_max + 1):
+        row = []
+        for k in range(k_max + 1):
+            method = _auto(topology, n, k, m, p, args.cap)
+            if method == row_method:
+                value = row_count(n, k, m, p)
+            else:
+                value = _route(topology, method)(n, k, m, p)
+            row.append((k, value, method if circle and method != "closed1" else None))
+        yield n, row
 
 
 def _cmd_audit(args) -> int:
@@ -238,8 +246,10 @@ def _cmd_audit(args) -> int:
             + ", ".join(vacuous)
         )
     if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        if len(reports) == 1:
+            print(reports[0].to_json())
+        else:
+            print(array([r.to_json(indent=2) for r in reports]))
     else:
         print("\n\n".join(r.to_text() for r in reports))
     return 2 if any(not r.passed for r in reports) else 0

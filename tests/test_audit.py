@@ -15,7 +15,7 @@ from sepsets.audit import (
     parse_grid,
     run_audit,
 )
-from sepsets import counting, oracle
+from sepsets import audit, counting, oracle
 from sepsets.counting import (
     g_alternating,
     g_closed,
@@ -471,6 +471,15 @@ class TestRunAudit:
             params = failure["params"]
             lhs = g_for_identity(params["n"], params["k"], params["m"], params["p"])
             assert lhs == failure["lhs"]
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, WIDE_GRID])
+    def test_case_params_are_ints_and_strs(self, grid):
+        # failures keep their params as yielded, unconverted, so every case
+        # generator must yield JSON scalars only (a Fraction would not encode)
+        for identity in IdentityId:
+            rng = random.Random(f"sepsets-audit:{identity.value}")
+            for params, _, _ in audit._cases(identity, grid, oracle.DEFAULT_CAP, rng):
+                assert {type(v) for v in params.values()} <= {int, str}, (identity, params)
 
     def test_json_round_trip(self):
         report = run_audit(IdentityId.EQ4_2_PRINTED, GridSpec(2, 1, 2, 10))

@@ -1,12 +1,13 @@
 """Tests for the two binomial conventions and the falling factorial."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sepsets import binomials
 from sepsets.binomials import binom_gen, binom_nat, falling_factorial
 
 
@@ -100,3 +101,22 @@ class TestFallingFactorial:
             expected *= a - i
         value = falling_factorial(a, k)
         assert value == expected and type(value) is Fraction
+
+
+class TestFallingProductTree:
+    LEAF = binomials._FALLING_LEAF
+
+    @pytest.mark.parametrize("k", [0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3, 1000])
+    @pytest.mark.parametrize("top", [-7, 0, 5, 1016000, -(10**9)])
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_equals_one_prod(self, top, k, step):
+        assert binomials._falling(top, k, step) == prod(range(top, top - k * step, -step))
+
+    def test_a_short_product_is_one_prod_call(self, monkeypatch):
+        # every k up to the leaf keeps the single pass it had before the tree
+        calls = []
+        monkeypatch.setattr(binomials, "prod", lambda r: calls.append(len(r)) or prod(r))
+        binomials._falling(1016000, 256, 1)
+        assert calls == [256]
+        binomials._falling(1016000, 1000, 3)
+        assert sum(calls[1:]) == 1000 and max(calls) <= self.LEAF

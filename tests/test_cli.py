@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -447,6 +448,92 @@ class TestTable:
             assert value == count_brute(count_query("circle", n, k, m, p)), (n, k)
 
 
+class TestTableStream:
+    """``table`` writes its cells as it makes them, in exactly the layout of
+    ``json.dumps(cells, indent=2)``, and fails before its first byte."""
+
+    GRIDS = [
+        ["--m", "2", "--p", "1", "--n-max", "0", "--k-max", "0"],
+        ["--m", "3", "--p", "2", "--n-max", "40", "--k-max", "3", "--cap", "20"],
+        ["--m", "2", "--p", "1", "--n-max", "12", "--k-max", "4"],
+        # no cell in the formula range
+        ["--m", "50", "--p", "1", "--n-max", "20", "--k-max", "3"],
+        ["--m", "1", "--p", "60", "--n-max", "20", "--k-max", "3"],
+    ]
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    @pytest.mark.parametrize("flags", GRIDS)
+    def test_json_is_json_dumps_bytes(self, capsys, topology, flags):
+        args = ("table", "--topology", topology, *flags)
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert (code, err) == (0, "")
+        cells = json.loads(out)
+        assert out == json.dumps(cells, indent=2) + "\n"
+        # the same cells as the CSV, and "method" only on below-range circle cells
+        _, csv, _ = run(capsys, *args)
+        assert [f"{c['n']},{c['k']},{c['count']}" for c in cells] == csv.splitlines()[1:]
+        methods = {c.get("method") for c in cells}
+        assert methods <= ({None} if topology == "line" else {None, "brute", "composition"})
+
+    def test_csv_note_is_unchanged(self, capsys):
+        code, out, err = run(
+            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+            "--n-max", "6", "--k-max", "2",
+        )
+        assert code == 0 and out.startswith("n,k,count\n0,0,1\n")
+        assert err == (
+            "note: brute-force cells (below the circle formula range): "
+            "(0,0) (0,1) (0,2) (1,1) (1,2) (2,1) (2,2) (3,2) (4,2)\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m", "0", "--p", "1", "--n-max", "3", "--k-max", "3"],
+             "need m, p >= 1, got m=0, p=1"),
+            (["--m", "2", "--p", "1", "--n-max", "3", "--k-max", "-1"],
+             "need k-max >= 0, got k-max=-1"),
+            (["--m", "2", "--p", "1", "--n-max", "-1", "--k-max", "3"],
+             "need n-max >= 0, got n-max=-1"),
+        ],
+    )
+    def test_argument_error_writes_no_byte(self, capsys, tmp_path, fmt, flags, message):
+        target = tmp_path / "table.out"
+        for out_flag in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "table", "--topology", "circle", *flags,
+                                 "--format", fmt, *out_flag)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_is_opened_before_any_cell(self, capsys, tmp_path, monkeypatch, fmt):
+        calls = record_calls(monkeypatch, cli, "_route")
+        target = tmp_path / "missing" / "table.out"
+        code, out, err = run(capsys, "table", "--topology", "line", "--m", "1", "--p", "1",
+                             "--n-max", "5", "--k-max", "1", "--format", fmt,
+                             "--out", str(target))
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_n_max(self, tmp_path, fmt):
+        # the cells are written as they are made: the traced peak at 4x the
+        # rows stays about the same (holding every cell grew it 4x)
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                assert main(["table", "--topology", "line", "--m", "1", "--p", "1",
+                             "--n-max", str(n_max), "--k-max", "1", "--format", fmt,
+                             "--out", str(tmp_path / "t.out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations stay out of the comparison
+        assert peak(2000) <= 1.3 * peak(500)
+
+
 class TestParserReuse:
     """What the plain-argv reader declines goes to one argparse parser,
     built once per process; no call may leak into the next."""
@@ -642,6 +729,12 @@ class TestAudit:
         assert len(payload) == 20
         failing = {r["identity"] for r in payload if r["failures"]}
         assert failing == {"Eq3.3-printed", "Thm-H3-printed", "Eq4.2-printed"}
+
+    def test_all_json_is_json_dumps_bytes(self, capsys):
+        code, out, _ = run(capsys, "audit", "--identity", "all", "--format", "json")
+        assert code == 2
+        reports = [audit.run_audit(identity, audit.DEFAULT_GRID) for identity in IdentityId]
+        assert out == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
 
     def test_malformed_grid(self, capsys):
         code, out, err = run(

@@ -1,7 +1,8 @@
 """Command-line interface: counting, enumeration, table generation, audits.
 
-Exit codes: 0 success, 1 usage or validity error, 2 an audit found
-mismatches (expected when auditing the known-bad printed variants).
+Exit codes: 0 success, 1 usage or validity error or output that cannot
+be written, 2 an audit found mismatches (expected when auditing the
+known-bad printed variants).
 Data goes to stdout, diagnostics to stderr, and output is byte-identical
 for identical flags.  ``main()`` may be called repeatedly in one process;
 the argument parser is built on the first call and reused after it.
@@ -18,6 +19,7 @@ read, kept beside their engines for the last k and cap
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import cache, partial
 from types import SimpleNamespace
@@ -166,14 +168,13 @@ def _cmd_table(args) -> int:
     for name, value in (("k-max", args.k_max), ("n-max", args.n_max)):
         if value < 0:
             raise ValueError(f"need {name} >= 0, got {name}={value}")
-    # every error comes before the first byte, so a failed call writes none
+    # every argument error comes before the first byte, so it writes none
     if args.out:
         try:
-            fh = open(args.out, "w")
+            with open(args.out, "w") as fh:
+                brute_cells = _write_table(args, fh.write)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-        with fh:
-            brute_cells = _write_table(args, fh.write)
     else:
         brute_cells = _write_table(args, sys.stdout.write)
     if brute_cells:
@@ -270,10 +271,30 @@ def main(argv=None) -> int:
         "audit": _cmd_audit,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except ValueError as exc:  # EnumerationCapError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # stdout was closed or full
+        _discard_stdout()
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device, so
+    the bytes left in its buffer by a failed write do not fail again when
+    the interpreter flushes it at exit.  A stream without one, such as an
+    in-process caller's sink, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

@@ -159,12 +159,10 @@ def h_closed_1(n: int, k: int, m: int, p: int) -> int:
 def h_closed_2(n: int, k: int, m: int, p: int) -> int:
     """Second single-sum line formula, valid where ``line_in_range`` holds.
 
-    Its two binomial series both have exponents of order n, so below
-    k = 64 it is an O(k) loop whose steps multiply two ints of about
-    k*log(n) bits; from k = 64 on it is summed by binary splitting, a
-    balanced tree of products, and one exact division:
-    ``h_closed_2(10**6 + 6 * 9999, 10**4, 3, 2)`` takes about 0.2 s
-    in-process, where the loop took 11-12 s.
+    Its two binomial series both have exponents of order n; their product
+    is read by the same O(k) recurrence as ``h_closed_1``'s, each step a
+    big int times small ones: ``h_closed_2(10**6 + 6 * 9999, 10**4, 3, 2)``
+    takes about 0.15 s in-process.
     """
     _check_range("closed line formulas need", "line", n, k, m, p)
     return omega_closed_2_total(n + m * p, -p, m, k)

@@ -18,10 +18,10 @@ circle composition sums.  Every row entry is an integer over one
 common denominator (the lcm D of the parameters' denominators), so the
 sum costs O(m*k^2) int steps and builds a single Fraction at the end.
 The closed forms have one int path for every parameter: they scale lambda
-and mu by their common denominator D (1 for ints), take one
-``series.kernel_coefficient`` over D (the second expansion one
-``series.binomial_pair_coefficient``, which sums by binary splitting from
-k = 64 on), and divide once at the end.
+and mu by their common denominator D (1 for ints), read one or two
+coefficients of a product of two binomial series over D with
+``series.binomial_product_coefficients``, one O(k) recurrence loop, and
+divide once at the end.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -37,12 +37,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .binomials import Rational, _falling, binom_gen
-from .series import (
-    binomial_coeffs,
-    binomial_pair_coefficient,
-    kernel_coefficient,
-    power_product,
-)
+from .series import binomial_product_coefficients, power_product
 
 
 class SingularTermError(ValueError):
@@ -163,32 +158,39 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 
 # The closed forms depend on the lambdas only through their sum, so the
 # integer counting formulas reuse these helpers directly.  Each is the
-# coefficient of x^k (x^(k-shift) for the third) in a product of two
-# binomial series.  The first and third pair a series of exponent about
-# lam + mu*k with a short kernel of exponent 1-m or -m, so each of their
-# O(k) steps multiplies a big int by a far smaller one.  The second pairs
-# two series whose exponents are both that large, so from k = 64 on it is
-# summed by binary splitting (see ``series.binomial_pair_coefficient``).
-# Here binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of
-# (1+(1-mu)x)^(1-m), binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1),
-# and binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).  Every
-# parameter takes the one int path: lam, mu and the kernels' numerators are
-# scaled by the common denominator D of lam and mu, the ``series`` helpers
-# scale the x^j entry by D^(3j), and the sum is divided once at the end.
-# Int parameters (D = 1) get an int from the first two expansions; rational
-# ones get one Fraction.
+# coefficient of x^k (x^top for the third) in a product of two binomial
+# series, read by ``series.binomial_product_coefficients``.  Here
+# binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of (1+(1-mu)x)^(1-m),
+# binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1), and
+# binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).
+#
+# The third weighs the x^j term of K = (1+gx)^(-m), g = 1-mu, by
+# lam + mu*(m+j).  That weight is linear in j, and x*K' = -m*g*x*(1+gx)^(-m-1),
+# so the weighted kernel is
+#   sum_j (lam + mu*m + mu*j) K_j x^j
+#     = (1+gx)^(-m-1) * ((lam + mu*m)(1+gx) - mu*m*g*x)
+#     = (1+gx)^(-m-1) * ((lam + mu*m) + g*lam*x),
+# and its x^top coefficient against (1+x)^upper is
+# (lam + mu*m) * h_top + g*lam * h_(top-1), with h the coefficients of
+# (1+gx)^(-m-1) * (1+x)^upper: the helper's pair.
+#
+# Every parameter takes the one int path: lam, mu and the kernels'
+# numerators are scaled by the common denominator D of lam and mu, the
+# helper scales the x^j coefficient by D^(3j), and the sum is divided once
+# at the end.  Int parameters (D = 1) get an int from the first two
+# expansions; rational ones get one Fraction.
 
 def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    total = kernel_coefficient(
-        (1 - m) * d, d - big_m, binomial_coeffs(upper, d, k, d), k, d
+    total, _ = binomial_product_coefficients(
+        (1 - m) * d, d - big_m, upper, d, k, d
     )
     return _unscaled(total, d ** (3 * k), lam, mu)
 
 
 def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    total = binomial_pair_coefficient(
+    total, _ = binomial_product_coefficients(
         -big_l - (big_m - d) * k - d, big_m - d, upper, big_m, k, d
     )
     return _unscaled(total, d ** (3 * k), lam, mu)
@@ -203,14 +205,13 @@ def omega_closed_3_total(
         raise ValueError(f"unknown variant {variant!r}")
     top = k - (0 if variant == "printed" else 1)
     d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    # the weight lam + mu*(m+j) = (L + M*(m+j))/D of the x^j term of
-    # (1+(1-mu)x)^(-m), carried by its partner x^(top-j) of (1+x)^upper;
-    # its 1/D joins the final denominator
-    partner = [
-        (big_l + big_m * (m + top - i)) * term
-        for i, term in enumerate(binomial_coeffs(upper, d, top, d))
-    ]
-    total = kernel_coefficient(-m * d, d - big_m, partner, top, d)
+    # the fold above over D^(3*top + 1): h is scaled by D^(3*top), h_before
+    # by D^(3*top - 3), so lam + mu*m gains D and g*lam = (D - M)*L/D^2
+    # gains D^4
+    h, h_before = binomial_product_coefficients(
+        -(m + 1) * d, d - big_m, upper, d, top, d
+    )
+    total = (big_l + big_m * m) * h + (d - big_m) * d * d * big_l * h_before
     return Fraction(total, d ** (3 * top + 1) * k)
 
 

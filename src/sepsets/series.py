@@ -10,35 +10,29 @@ one coefficient is ever read.
 residue rows, the circle's residue cycles and the Omega/Phi direct sums'
 rows are each a list of (coefficient list, count) factors, raised by
 repeated squaring with ``truncated_product`` and read at y^k by
-``coefficient`` (or taken whole by ``truncated_product``).  The closed
-sums and the series routes use four helpers, the first three O(k) big-int
-steps:
+``coefficient`` (or taken whole by ``truncated_product``).
 
-* ``binomial_coeffs`` lists the coefficients of ``(1 + c*x)**a`` up to
-  x^order, each built from the one before in one loop, in ``int``: a and
-  c are int numerators over one common denominator d (d = 1 for the
-  counts), and entry j is scaled by d**(3*j);
-* ``coefficient`` reads x^k of a product of two coefficient lists,
-  ``sum_j a[j] * b[k-j]``, without building the product;
-* ``kernel_coefficient`` is ``coefficient`` with a binomial kernel as its
-  first factor, built in the same pass as it is read: the first and third
-  closed line sums and ``h_series`` are each one call.  It repeats
-  ``coefficient(binomial_coeffs(a, c, k, d), b, k)`` on purpose: at the
-  default audit grid's k <= 5, one call took 0.4-1.0 us against 1.5-2.2 us
-  for building the list first (CPython 3.11, 2-vCPU Xeon VM), and the
-  two-step form made the Thm-H1, Thm-H2 and Thm-H3-corrected audits about
-  a fifth slower;
-* ``binomial_pair_coefficient`` is x^k of a product of two binomial
-  series, the second closed line sum.  Both its series have exponents of
-  order n, so each loop step would multiply two ints of about k*log(n)
-  bits; from k = ``SPLIT_MIN_K`` = 64 on it sums by binary splitting
-  instead, whose large products are few and balanced.  The other three
-  sums pair the big series with a short kernel, (1+(p+1)x)^(1-m) or
-  (1+(1-mu)x)^(-m), so their loop steps already multiply a big int by a
-  far smaller one: on ``closed1``'s arguments the split ran at 0.94x the
-  loop's speed at k = 64 and 1.5x at 240, against 1.5x and 3.6x on
-  ``closed2``'s, so they keep the loop until a workload at large k can
-  show their gain.
+The closed line sums and ``h_series`` each read x^k of a product of two
+binomial series, f = (1+alpha*x)**A * (1+beta*x)**B, with alpha = c1/d,
+A = a1/d, beta = c2/d and B = a2/d for int numerators over one common
+denominator d (d = 1 for the counts).  ``binomial_product_coefficients``
+reads it by f's differential equation, (1+alpha*x)(1+beta*x) f' =
+(A*alpha*(1+beta*x) + B*beta*(1+alpha*x)) f (f is D-finite: Stanley,
+*Enumerative Combinatorics II*, section 6.4).  Its x^j coefficient, with
+g_j = d**(3*j) * [x^j] f, is the three-term recurrence
+
+    (j+1) g_(j+1) = (u - v*j) g_j + w*(s - j*d) g_(j-1),
+    u = d(a1*c1 + a2*c2), v = d^2 (c1 + c2), w = d^3 c1*c2, s = a1 + a2 + d,
+
+from g_0 = 1 and g_(-1) = 0.  The division by j + 1 is exact, because
+every g_j is an integer: it is a sum of products of the two series' scaled
+coefficients d**(3*i) * binom(a/d, i) * (c/d)**i, and each of those is
+an integer, since ``d**(2*i) * binom(a/d, i) = d**i * a(a-d)...(a-(i-1)d)
+/ i!`` is one (a prime dividing d meets d**i against v_p(i!) < i, and for
+any other prime the i terms of a progression whose step d is coprime to it
+carry at least v_p(i!) of its factors, as i consecutive integers do).
+Each of the k steps multiplies the last two big ints by small ones, and
+nothing is listed, so memory stays at a few ints of the answer's size.
 
 ``phi_residue`` (so ``g_series``) needs no helper: its linear second
 factor meets only two binomials, read directly with ``binom_gen``.
@@ -52,10 +46,9 @@ count route uses it; it stays because the benchmark's tracer wraps its
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from math import factorial
 from operator import index, mul
 
-from .binomials import Rational, _falling, binom_gen
+from .binomials import Rational, binom_gen
 
 
 def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
@@ -115,32 +108,6 @@ class PowerSeries:
         return PowerSeries(tuple(product))
 
 
-def binomial_coeffs(a: int, c: int, order: int, d: int = 1) -> list[int]:
-    """Coefficients of x^0 .. x^order of ``(1 + (c/d)*x)**(a/d)``, for int
-    a, c and d >= 1, each scaled to the int ``d**(3*j) * binom(a/d, j) *
-    (c/d)**j`` and built from the one before; d = 1 gives
-    ``binom_gen(a, j) * c**j``.
-
-    Each step ``term * top * (d*c) // (j + 1)`` divides exactly, because
-    ``d**(2*j) * binom(a/d, j) = d**j * a(a-d)...(a-(j-1)d) / j!`` is an
-    integer: a prime dividing d meets d**j against v_p(j!) < j, and for any
-    other prime the j terms of a progression whose step d is coprime to it
-    carry at least v_p(j!) of its factors, as j consecutive integers do.
-    a, c and d must be ints, since ``//`` would floor a ``Fraction`` step
-    silently: pass a rational kernel as its numerators over d.  A
-    ``Fraction`` or ``float`` raises ``TypeError``, and d < 1 ``ValueError``.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a, c, d = _int_kernel(a, c, d)
-    coeffs = [term := 1]
-    top, step = a, d * c
-    for j in range(order):
-        coeffs.append(term := term * top * step // (j + 1))
-        top -= d
-    return coeffs
-
-
 def coefficient(a: Sequence, b: Sequence, k: int) -> Rational:
     """Coefficient of x^k in the product of two coefficient sequences,
     ``sum_j a[j] * b[k-j]``: at most k + 1 multiplications, and no product
@@ -171,100 +138,31 @@ def power_product(
     return read(total, last, k)
 
 
-def kernel_coefficient(a: int, c: int, b: Sequence, k: int, d: int = 1) -> int:
-    """Coefficient of x^k in ``binomial_coeffs(a, c, k, d)`` times a series
-    with at least k + 1 coefficients ``b``:
-    ``coefficient(binomial_coeffs(a, c, k, d), b, k)`` in one pass, each
-    binomial built from the one before as it is read; a, c and d are
-    checked as in ``binomial_coeffs``."""
-    a, c, d = _int_kernel(a, c, d)
-    term, top, step = 1, a, d * c
-    total = b[k]
-    for j in range(k):
-        term = term * top * step // (j + 1)
-        top -= d
-        total += term * b[k - 1 - j]
-    return total
-
-
-# From this k on, ``binomial_pair_coefficient`` sums by binary splitting.
-# Interleaved medians of 31 pairs on ``closed2``'s own arguments at
-# n = 10^6 + 6(k-1), m = 3, p = 2 (CPython 3.11, 2-vCPU Xeon VM) put the
-# split at 1.1x the loop's speed at k = 32, 1.3x at 48, 1.5x at 64, 1.9x at
-# 96, 2.3x at 128, 2.9x at 190 and 3.6x at 240; at the audit grid's k <= 5
-# it took 4-6 us against the loop's 2-3.4 us.  Below 64 the gain is at most
-# a few us, so the small-k loop that every audit takes is left as it was.
-SPLIT_MIN_K = 64
-_LEAF = 16  # terms per leaf of the split, summed by a loop
-
-
-def binomial_pair_coefficient(
+def binomial_product_coefficients(
     a1: int, c1: int, a2: int, c2: int, k: int, d: int = 1
-) -> int:
-    """``kernel_coefficient(a1, c1, binomial_coeffs(a2, c2, k, d), k, d)``:
-    x^k of the product of two scaled binomial series, a, c and d checked
-    as there.
+) -> tuple[int, int]:
+    """The coefficients (g_k, g_(k-1)) of x^k and x^(k-1) in
+    ``(1 + (c1/d)*x)**(a1/d) * (1 + (c2/d)*x)**(a2/d)``, for int a1, c1,
+    a2, c2 and d >= 1, each scaled to the int ``g_j = d**(3*j) * [x^j]``;
+    g_(-1) = 0, so k = 0 gives (1, 0).
 
-    Below ``SPLIT_MIN_K`` it is that expression.  From there on, where the
-    loop would multiply two big ints per term, the terms
-    ``t_j = A_j * B_(k-j)`` are summed by binary splitting (Haible and
-    Papanikolaou, 1998) over their ratio ``t_(j+1)/t_j = c1*(a1 - j*d)*(k - j)
-    / ((j + 1)*c2*(a2 - (k-j-1)*d))``, from the first nonzero term to the
-    last: A_j vanishes past a1/d and B_i past a2/d when a1 or a2 is a
-    nonnegative multiple of d, so no denominator in that range is 0.  The
-    first term is computed directly, the ratios' (P, Q, T) in leaves of
-    ``_LEAF`` terms merged in a balanced tree, and the sum is
-    ``first * (Q + T) / Q``, one exact division.
+    One loop of k steps by the product's three-term recurrence (see the
+    module docstring).  a, c and d must be ints, since ``//`` would floor a
+    ``Fraction`` step silently: pass a rational series as its numerators
+    over d.  A ``Fraction`` or ``float`` raises ``TypeError``, d < 1 or
+    k < 0 ``ValueError``.
     """
-    if k < SPLIT_MIN_K:
-        return kernel_coefficient(a1, c1, binomial_coeffs(a2, c2, k, d), k, d)
-    a1, c1, d = _int_kernel(a1, c1, d)
-    a2, c2, d = _int_kernel(a2, c2, d)
-    if c1 == 0:  # A is 1 + 0x: only t_0 = B_k
-        return _binomial_term(a2, c2, k, d)
-    if c2 == 0:  # only t_k = A_k
-        return _binomial_term(a1, c1, k, d)
-    lo = max(0, k - a2 // d) if a2 >= 0 and a2 % d == 0 else 0
-    hi = min(k, a1 // d) if a1 >= 0 and a1 % d == 0 else k
-    if lo > hi:
-        return 0
-    first = _binomial_term(a1, c1, lo, d) * _binomial_term(a2, c2, k - lo, d)
-    if lo == hi:
-        return first
-
-    def split(i: int, j: int) -> tuple[int, int, int]:
-        # P and Q: the ratios' numerators and denominators over i <= s < j;
-        # T / Q = sum over i <= s < j of the product of the ratios i..s
-        if j - i <= _LEAF:
-            p, q, t = 1, 1, 0
-            for s in range(i, j):
-                p *= c1 * (a1 - s * d) * (k - s)
-                qs = (s + 1) * c2 * (a2 - (k - s - 1) * d)
-                t = t * qs + p
-                q *= qs
-            return p, q, t
-        mid = (i + j) // 2
-        p1, q1, t1 = split(i, mid)
-        p2, q2, t2 = split(mid, j)
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-    _, q, t = split(lo, hi)
-    return first * (q + t) // q
-
-
-def _binomial_term(a: int, c: int, j: int, d: int) -> int:
-    """Entry j of ``binomial_coeffs(a, c, j, d)``,
-    ``d**j * c**j * a(a-d)...(a-(j-1)d) / j!``, without the entries before."""
-    return (d * c) ** j * _falling(a, j, d) // factorial(j)
-
-
-def _int_kernel(a: int, c: int, d: int) -> tuple[int, int, int]:
-    """a, c and d as ints, once per call: ``TypeError`` for a ``Fraction``
-    or ``float``, ``ValueError`` for d < 1."""
-    a, c, d = index(a), index(c), index(d)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    a1, c1, a2, c2, d = map(index, (a1, c1, a2, c2, d))
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    return a, c, d
+    u, v = d * (a1 * c1 + a2 * c2), d * d * (c1 + c2)
+    w, s = d**3 * c1 * c2, a1 + a2 + d
+    g, prev = 1, 0
+    for j in range(k):
+        g, prev = ((u - v * j) * g + w * (s - j * d) * prev) // (j + 1), g
+    return g, prev
 
 
 def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:

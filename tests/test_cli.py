@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -533,6 +534,13 @@ class TestTableStream:
         peak(10)  # first-call allocations stay out of the comparison
         assert peak(2000) <= 1.3 * peak(500)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_that_fills_up_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "table", "--topology", "line", "--m", "1", "--p", "1",
+                             "--n-max", "3000", "--k-max", "1", "--out", "/dev/full")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
 
 class TestParserReuse:
     """What the plain-argv reader declines goes to one argparse parser,
@@ -899,6 +907,27 @@ def test_python_dash_m_runs_the_cli(capsys, k):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["list", "count"])
+def test_closed_stdout_is_one_error_line(command):
+    # a reader gone before the first write, as ``| head -1`` can be: the long
+    # list fails in a write, the one-line count in main's final flush; no
+    # traceback, and nothing fails again at interpreter exit
+    argv = [command, "--topology", "line", "--n", "28", "--k", "3", "--m", "1", "--p", "1"]
+    src = Path(sepsets.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sepsets", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+    )
 
 
 def test_public_names_resolve():

@@ -1,6 +1,8 @@
 """Tests for domain types, the composition sum, and the closed count formulas."""
 
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -231,10 +233,9 @@ class TestHClosedForms:
                     if k >= 1:
                         assert h_closed_3(n, k, m, p) == expected
 
-    def test_second_formula_across_the_split_cutoff(self):
-        # from k = 64 on h_closed_2 sums by binary splitting; at m = 1 and
-        # n = p*(k-1) both series vanish past their exponents, so the sum's
-        # range is empty and the count is 0
+    def test_second_formula_near_the_range_bound(self):
+        # at m = 1 and n = p*(k-1) both series vanish past their exponents,
+        # so the count is 0
         for m, p, k in product((1, 2), (1, 2, 3), (63, 64, 65, 200)):
             bound = p * m * (k - 1)
             for n in range(bound, bound + 2 * p * m + 3):
@@ -413,15 +414,26 @@ class TestRoutesAgree:
 
 
 class TestLargeK:
-    """The formula routes take O(k) big-int steps (``h_closed_2`` sums by
-    binary splitting from k = 64 on), so k = 1000 is quick; the line
-    recurrence, O(k^2) steps, is checked at k = 400."""
+    """The formula routes take O(k) big-int steps, so k = 1000 and 3000
+    are quick; the line recurrence, O(k^2) steps, is checked at k = 400."""
 
-    def test_line_routes_agree(self):
-        n, k, m, p = 10**6 + 6 * 999, 1000, 3, 2
-        values = [route(n, k, m, p) for route in (h_closed_1, h_closed_2, h_closed_3, h_series)]
-        assert all(type(value) is int for value in values)
-        assert values == [values[0]] * 4
+    def test_line_routes_agree_within_a_few_answers_of_memory(self):
+        # each route keeps a few ints of the answer's size, so its traced
+        # peak is a small multiple of the answer's (about 5x)
+        routes = (h_closed_1, h_closed_2, h_closed_3, h_series)
+        for k in (1000, 3000):
+            n, m, p = 10**6 + 6 * (k - 1), 3, 2
+            values = []
+            for route in routes:
+                tracemalloc.start()
+                try:
+                    values.append(route(n, k, m, p))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * sys.getsizeof(values[-1]), (route.__name__, k)
+            assert all(type(value) is int for value in values)
+            assert values == [values[0]] * len(routes)
 
     def test_circle_routes_agree(self):
         n, k, m, p = 10**6, 1000, 3, 2

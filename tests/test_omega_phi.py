@@ -184,8 +184,8 @@ class TestOmegaClosedForms:
             (F(-26, 9), F(-7, 3), 5, 2),
             (4, F(1, 2), 2, 0),
             (F(1, 2), -1, 3, 1),
-            # from k = 64 on the second expansion sums by binary splitting;
-            # mu = 1 and mu = 0 leave one term of its sum
+            # larger k; mu = 1 and mu = 0 make one of the second
+            # expansion's two series constant (c = 0)
             (F(7, 3), F(-1, 2), 1, 64),
             (F(-26, 9), F(5, 3), 2, 80),
             (F(1, 2), F(0), 2, 64),

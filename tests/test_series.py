@@ -12,12 +12,9 @@ from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
 from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
-    SPLIT_MIN_K,
     PowerSeries,
-    binomial_coeffs,
-    binomial_pair_coefficient,
+    binomial_product_coefficients,
     coefficient,
-    kernel_coefficient,
     phi_residue,
     power_product,
     truncated_product,
@@ -26,37 +23,54 @@ from sepsets.series import (
 F = Fraction
 
 
+def binomial_series(a, c, order, d=1):
+    """Coefficients of (1 + (c/d)*x)**(a/d) up to x^order, each scaled by
+    d**(3*j): the product with (1 + 0*x)**0."""
+    return [binomial_product_coefficients(a, c, 0, 0, j, d)[0] for j in range(order + 1)]
+
+
+def scaled_definition(a1, c1, a2, c2, j, d):
+    """d**(3*j) * [x^j] (1+(c1/d)x)**(a1/d) * (1+(c2/d)x)**(a2/d), summed
+    term by term in Fractions; 0 for j < 0."""
+    return d ** (3 * j) * sum(
+        binom_gen(F(a1, d), i) * F(c1, d) ** i
+        * binom_gen(F(a2, d), j - i) * F(c2, d) ** (j - i)
+        for i in range(j + 1)
+    )
+
+
 class TestBinomialSeries:
-    """The binomial series (1 + c*x)**a, as ``binomial_coeffs`` builds it."""
+    """The binomial series (1 + c*x)**a, as the product helper reads it."""
 
     def test_square(self):
-        assert binomial_coeffs(2, 1, 3) == [1, 2, 1, 0]
+        assert binomial_series(2, 1, 3) == [1, 2, 1, 0]
 
     def test_geometric(self):
-        assert binomial_coeffs(-1, 1, 3) == [1, -1, 1, -1]
+        assert binomial_series(-1, 1, 3) == [1, -1, 1, -1]
 
     def test_negative_cube_with_scale(self):
-        f = binomial_coeffs(-3, 2, 2)
+        f = binomial_series(-3, 2, 2)
         assert f == [1, -6, 24]
         # multiplying by the inverse kernel must give 1 up to the order
-        assert truncated_product(f, binomial_coeffs(3, 2, 2), 2) == [1, 0, 0]
+        assert truncated_product(f, binomial_series(3, 2, 2), 2) == [1, 0, 0]
+        assert [binomial_product_coefficients(-3, 2, 3, 2, j)[0] for j in range(3)] == [1, 0, 0]
 
     def test_coefficients_are_binom_gen(self):
         for a in range(-4, 5):
             for c in range(-3, 4):
-                f = binomial_coeffs(a, c, 6)
+                f = binomial_series(a, c, 6)
                 assert f == [binom_gen(a, j) * c**j for j in range(7)]
         a, c = F(5, 3), F(-2, 7)
-        f = binomial_coeffs(5 * 7, -2 * 3, 6, 21)
+        f = binomial_series(5 * 7, -2 * 3, 6, 21)
         for j in range(7):
             assert f[j] == binom_gen(a, j) * c**j * 21 ** (3 * j)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            binomial_coeffs(2, 1, -1)
+        with pytest.raises(ValueError, match=r"^need k >= 0, got k=-1$"):
+            binomial_product_coefficients(2, 1, 0, 0, -1)
 
     def test_integer_parameters_stay_int(self):
-        f = truncated_product(binomial_coeffs(-4, 3, 6), [1, 5], 6)
+        f = truncated_product(binomial_series(-4, 3, 6), [1, 5], 6)
         assert all(type(c) is int for c in f)
         g = truncated_product(
             [binom_gen(F(-4), j) * F(3) ** j for j in range(7)], [F(1), F(5)], 6
@@ -76,68 +90,16 @@ class TestCoefficient:
         assert coefficient([1, 2], [3], 2) == 0
         assert coefficient([], [1], 0) == 0
 
-    def test_binomial_coeffs_is_the_series(self):
-        for a, c in [(7, 1), (-3, 2), (0, 4)]:
-            expected = [binom_gen(a, j) * c**j for j in range(7)]
-            assert binomial_coeffs(a, c, 6) == expected
-        # rational parameters go through their common denominator d
-        for a, c in [(F(5, 3), F(-2, 7)), (F(-1, 2), F(3, 4)), (F(7), F(-1, 5))]:
-            d = a.denominator * c.denominator
-            scaled = binomial_coeffs(int(a * d), int(c * d), 6, d)
-            assert scaled == [binom_gen(a, j) * c**j * d ** (3 * j) for j in range(7)]
 
-    def test_binomial_coeffs_past_a_nonnegative_upper_index(self):
-        assert binomial_coeffs(2, 3, 4) == [1, 6, 9, 0, 0]
-        with pytest.raises(ValueError):
-            binomial_coeffs(2, 1, -1)
-
-    @given(
-        st.integers(-40, 40),
-        st.integers(-6, 6),
-        st.integers(1, 12),
-        st.integers(0, 12),
-    )
-    @example(a=-7, c=0, d=5, order=4)
-    @example(a=3, c=2, d=12, order=0)
-    @example(a=-1, c=-5, d=12, order=12)
-    @settings(max_examples=200)
-    def test_binomial_coeffs_is_the_scaled_definition(self, a, c, d, order):
-        # int numerators a, c over d: entry j is d**(3j) * binom(a/d, j) * (c/d)**j
-        coeffs = binomial_coeffs(a, c, order, d)
-        assert len(coeffs) == order + 1
-        assert all(type(x) is int for x in coeffs)
-        expected = [
-            binom_gen(F(a, d), j) * F(c, d) ** j * d ** (3 * j)
-            for j in range(order + 1)
-        ]
-        assert coeffs == expected
-
-    @given(
-        st.integers(-40, 40),
-        st.integers(-6, 6),
-        st.integers(1, 12),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=12),
-    )
-    @example(a=-7, c=0, d=5, b=[3, 1, 4])
-    @example(a=4, c=3, d=1, b=[2])
-    @settings(max_examples=200)
-    def test_kernel_coefficient_is_one_pass_of_coefficient(self, a, c, d, b):
-        k = len(b) - 1
-        value = kernel_coefficient(a, c, b, k, d)
-        assert type(value) is int
-        assert value == coefficient(binomial_coeffs(a, c, k, d), b, k)
-        # the definition, read without either helper
-        assert value == sum(
-            binom_gen(F(a, d), j) * F(c, d) ** j * d ** (3 * j) * b[k - j]
-            for j in range(k + 1)
-        )
+class TestBinomialProductCoefficients:
+    """(g_k, g_(k-1)) of a product of two binomial series over d, read by
+    the product's three-term recurrence."""
 
     @st.composite
-    def pair_args(draw):
+    def product_args(draw):
         # upper indices in about +-60, or nonnegative multiples of d below k,
-        # which make a series vanish past its exponent; k on both sides of
-        # the split's cutoff
-        d, k = draw(st.integers(1, 12)), draw(st.integers(0, 150))
+        # which make a series vanish past its exponent; c = 0 included
+        d, k = draw(st.integers(1, 12)), draw(st.integers(0, 24))
         uppers = st.one_of(
             st.integers(-60, 60), st.integers(0, max(k - 1, 0)).map(d.__mul__)
         )
@@ -145,47 +107,74 @@ class TestCoefficient:
         c1, c2 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
         return a1, c1, a2, c2, k, d
 
-    @given(pair_args())
-    @example((-7, 3, 40, -2, 63, 1))
-    @example((-7, 3, 40, -2, 64, 1))
-    @example((30, 2, 45, -3, 64, 3))
-    @example((-50, 0, 11, 4, 64, 1))
-    @example((9, -1, 12, 0, 64, 5))
-    @example((0, 1, 0, 1, 64, 1))
+    @given(product_args())
+    @example((-7, 3, 40, -2, 0, 1))
+    @example((7, 0, -3, 0, 5, 4))
+    @example((-50, 0, 11, 4, 12, 1))
+    @example((9, -1, 12, 0, 9, 5))
+    @example((0, 1, 0, 1, 6, 1))
+    @example((30, 2, 45, -3, 20, 3))
+    @example((-1, -5, 12, 5, 24, 12))
     @settings(max_examples=200, deadline=None)
-    def test_binomial_pair_coefficient_is_the_loop(self, args):
+    def test_is_the_scaled_definition(self, args):
         a1, c1, a2, c2, k, d = args
-        value = binomial_pair_coefficient(a1, c1, a2, c2, k, d)
-        assert type(value) is int
-        assert value == kernel_coefficient(a1, c1, binomial_coeffs(a2, c2, k, d), k, d)
+        value = binomial_product_coefficients(a1, c1, a2, c2, k, d)
+        assert all(type(x) is int for x in value)
+        assert value == (
+            scaled_definition(a1, c1, a2, c2, k, d),
+            scaled_definition(a1, c1, a2, c2, k - 1, d),
+        )
+
+    def test_k_zero_is_one_then_zero(self):
+        for args in [(3, 1, -4, 2, 1), (0, 0, 0, 0, 1), (-7, 5, 11, -3, 12)]:
+            a1, c1, a2, c2, d = args
+            assert binomial_product_coefficients(a1, c1, a2, c2, 0, d) == (1, 0)
+
+    def test_vanishes_past_a_nonnegative_upper_index(self):
+        # (1+3x)^2 = 1 + 6x + 9x^2
+        assert binomial_product_coefficients(2, 3, 0, 0, 2) == (9, 6)
+        assert binomial_product_coefficients(2, 3, 0, 0, 3) == (0, 9)
+        assert binomial_product_coefficients(2, 3, 0, 0, 4) == (0, 0)
+        # (1+x)^2 * (1+2x)^3 has degree 5
+        assert binomial_product_coefficients(6, 3, 9, 6, 6, 3) == (0, 8 * 3**15)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(-7, 3, 40, -2, 1), (30, 2, 45, -3, 3), (-50, 0, 11, 4, 1),
+         (6000, 7, -13, 2, 7), (24, -1, 36, 5, 12)],
+    )
+    def test_large_k_is_the_convolution(self, args):
+        # the product of the two series, each read alone, at k past 100
+        a1, c1, a2, c2, d = args
+        k = 150
+        first = binomial_series(a1, c1, k, d)
+        second = binomial_series(a2, c2, k, d)
+        assert binomial_product_coefficients(a1, c1, a2, c2, k, d) == (
+            coefficient(first, second, k),
+            coefficient(first, second, k - 1),
+        )
 
     def test_fraction_kernels_are_refused(self):
-        # the true values, 11/8 and [1, 1/2, -1/8], are not what ``//`` gives
+        # the true value, 11/8, is not what ``//`` gives
         with pytest.raises(TypeError):
-            kernel_coefficient(F(1, 2), 1, [1, 1, 1], 2)
+            binomial_product_coefficients(F(1, 2), 1, -1, -1, 2)
         with pytest.raises(TypeError):
-            binomial_coeffs(F(1, 2), 1, 2)
+            binomial_product_coefficients(1, 0.5, 0, 0, 2)
         with pytest.raises(TypeError):
-            binomial_coeffs(1, 0.5, 2)
+            binomial_product_coefficients(1, 1, 1, F(1, 2), 2)
         with pytest.raises(TypeError):
-            kernel_coefficient(1, 1, [1, 1], 1, F(2))
-        with pytest.raises(TypeError):
-            binomial_pair_coefficient(1, 1, 1, F(1, 2), SPLIT_MIN_K)
-        with pytest.raises(TypeError):
-            binomial_pair_coefficient(1, 0.5, 1, 1, SPLIT_MIN_K)
-        # the same kernel as numerators over d = 2: with b[i] scaled by
-        # d**(3i) as well, the value is d**(3k) times the true one
-        assert F(kernel_coefficient(1, 2, [1, 8, 64], 2, 2), 2**6) == F(11, 8)
-        assert binomial_coeffs(1, 2, 2, 2) == [1, 8 * F(1, 2), 64 * F(-1, 8)]
+            binomial_product_coefficients(1, 1, 1, 1, 1, F(2))
+        # the same series as numerators over d = 2: (1+x)^(1/2) / (1-x) at
+        # x^2, scaled by d**(3k)
+        g, _ = binomial_product_coefficients(1, 2, -2, -2, 2, 2)
+        assert F(g, 2**6) == F(11, 8)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_d_below_one_is_refused(self, d):
         with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
-            binomial_coeffs(3, 1, 2, d)
+            binomial_product_coefficients(3, 1, 3, 1, 2, d)
         with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
-            kernel_coefficient(3, 1, [1, 1, 1], 2, d)
-        with pytest.raises(ValueError, match=rf"^need d >= 1, got d={d}$"):
-            binomial_pair_coefficient(3, 1, 3, 1, SPLIT_MIN_K, d)
+            binomial_product_coefficients(3, 1, 3, 1, 0, d)
 
 
 class TestPowerProduct:

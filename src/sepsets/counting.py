@@ -365,9 +365,11 @@ def g_recurrence(n: int, k: int, m: int, p: int) -> int:
 
     Row kk obeys the recurrence from m*(p*kk+1) + 1 on, so every row
     starts at the one column x0 = m*(p*k+1) + 1.  The seeds are the counts
-    of ``g_for_identity`` at the p + 1 columns x0-p-1 .. x0-1, from the
-    closed form when in range, else from the cycle composition, so the
-    result equals ``g_composition`` for every n, k >= 0.  Row k is the
+    of ``g_for_identity`` at the p + 1 columns x0-p-1 .. x0-1.  Each seed on
+    a row kk >= 1 is in the closed form's range: the rows below k are read
+    at columns >= x0-p-1 >= m*p*(k-1) + 1, and row k at x0-1 = m*(p*k+1).
+    So the result equals ``g_composition`` for every n, k >= 0, and the
+    cycle composition serves only the answers below x0.  Row k is the
     closed form, a polynomial of degree k, from x0 - 1 on, so it is built
     only to x0 + k and every n >= x0 is read from its Newton column.  Cost:
     the seeds plus O(k^2) row and difference steps, the same at any n.

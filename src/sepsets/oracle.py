@@ -3,34 +3,33 @@ from the separation definition.
 
 The pair rule is stated once, in ``_forbidden``: the differences in 1..n-1
 that are one of m, 2m, ..., p*m or, on the circle, n minus one of them.
-The predicates, the conflict graph and ``list_brute`` all read that set,
-whose size is bounded by n, not by p.
+The predicates, the scan and ``list_brute`` all read that set, whose size
+is bounded by n, not by p.
 
-``count_brute_row`` counts on the conflict graph, whose edges join the
-positions that conflict; a valid subset is an independent set of it.  The
-vertices are put in Cuthill-McKee order (Cuthill & McKee 1969), which keeps
-every edge short, and a transfer-matrix scan (Stanley, *Enumerative
-Combinatorics I*, section 4.7) decides them in that order.  Its state is
-the set of vertices ahead that the choices so far rule out, all within the
-bandwidth of the order, so the scan holds at most 2^bandwidth states.
-Tests check a bandwidth of at most 2p + 2, so at most 2^(2p+2) states,
-only for every m at n <= 40 and p <= 3.  The bound does not hold for
-larger p on the circle: the bandwidth of the order is 11 at
-(n, m, p) = (1000, 5, 4) and 17 at (40, 3, 6).  Each state's value packs
-the counts for every size 0..k into one int, so one scan gives the whole
-row; ``count_brute`` reads one entry of it, and ``_brute_counts`` keeps
-the rows that the audit and ``table`` read across k.  The scan never
-splits the positions into residue rows, so it stays independent of the
-composition sums and closed forms it checks.  ``list_brute`` enumerates the
-subsets by an iterative depth-first walk that shares only the rule with the
-scan, not its algorithm; tests check that the two agree.
+``count_brute_row`` counts by a transfer-matrix scan (Stanley, *Enumerative
+Combinatorics I*, section 4.7) that decides the positions one at a time in
+a breadth-first order, reading each one's conflicts straight from the
+forbidden differences F, so it keeps O(n + |F|) ints besides its states.
+A state is the set of positions ahead that the choices so far rule out.
+With p' = min(p, (n-1)//m), the scan holds at most p' + 1 states on the
+line and (p' + 1)^2 on the circle: a measured bound, which tests pin at
+every m <= n + 1 for n <= 40, p <= 6 and at large points that reach it.
+Each state's value packs the counts for every size 0..k into one int, so
+one scan gives the whole row; ``count_brute`` reads one entry of it, and
+``_brute_counts`` keeps the rows that the audit and ``table`` read across
+k.  The scan never splits the positions into residue rows, so it stays
+independent of the composition sums and closed forms it checks.
+``list_brute`` enumerates the subsets by an iterative depth-first walk that
+shares only the rule with the scan, not its algorithm; tests check that the
+two agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .counting import CountQuery, SeparationParams, Topology, count_query
 
@@ -103,7 +102,9 @@ def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
         raise EnumerationCapError(q.n, cap)
     # sizes above n count 0: the scan stops at n and the row is padded
     k = min(q.k, q.n)
-    return _scan(_conflict_graph(q), k) + (0,) * (q.k - k)
+    circular = q.topology is Topology.CIRCLE
+    diffs = sorted(_forbidden(q.n, q.params.m, q.params.p, circular))
+    return _scan(q.n, diffs, k) + (0,) * (q.k - k)
 
 
 @lru_cache(maxsize=1)
@@ -125,65 +126,56 @@ def _brute_counts(k: int, cap: int) -> Callable[[Topology, int, int, int, int], 
     return brute
 
 
-def _conflict_graph(q: CountQuery) -> list[list[int]]:
-    """Neighbour lists of positions 0..n-1 (position x+1 is vertex x): two
-    positions are joined when their difference is in ``_forbidden``.  Edges
-    come straight from the differences, O(n) per difference."""
-    n = q.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for d in _forbidden(n, q.params.m, q.params.p, q.topology is Topology.CIRCLE):
-        for x in range(n - d):
-            adj[x].append(x + d)
-            adj[x + d].append(x)
-    return adj
-
-
-def _cuthill_mckee(adj: list[list[int]]) -> list[int]:
-    """Cuthill-McKee order: a breadth-first search per component, started at
-    the unvisited vertex of least degree and visiting neighbours by (degree,
-    index).  It keeps every edge short in the order, so the scan's frontier
-    stays narrow."""
-    n = len(adj)
-    rank = [len(a) * n + v for v, a in enumerate(adj)].__getitem__  # (degree, index)
-    seen = [False] * n
-    order: list[int] = []
-    for start in sorted(range(n), key=rank):
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for u in sorted(adj[order[head]], key=rank):
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-            head += 1
-    return order
-
-
-def _scan(adj: list[list[int]], k: int) -> tuple[int, ...]:
-    """The counts of independent c-sets of the graph for c = 0..k.
-
-    Vertices are decided one at a time in Cuthill-McKee order.  A state B
-    is the set of vertices ahead that earlier choices rule out: bit i is
-    set when the i-th vertex from the one about to be decided conflicts
-    with a chosen one.  Its value packs the counts by size into one int,
-    size c at bits [c*W, (c+1)*W) with W = n + 1, since every count is below
-    2^n (Kronecker substitution); choosing a vertex shifts the value up one
-    size, dropping sizes above k.
+def _order(n: int, diffs: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The positions 0..n-1 (position x+1 is x) in the scan's order, each
+    with the set of later positions that choosing it rules out (bit j: the
+    position j places on).  The order is a breadth-first search, each
+    component from its least unvisited position; the neighbours of v,
+    v - d and v + d for d in the sorted ``diffs``, come out in index order
+    with no sort and no neighbour list.
     """
-    n = len(adj)
-    order = _cuthill_mckee(adj)
-    where = [0] * n
-    for i, v in enumerate(order):
-        where[v] = i
+    offsets = [-d for d in reversed(diffs)] + list(diffs)
+    where = [-1] * n  # each position's place in the order, once reached
+    order: list[int] = []
+    start = 0
+    for i in range(n):
+        if i == len(order):  # the component is done: start the next one
+            while where[start] >= 0:
+                start += 1
+            where[start] = i
+            order.append(start)
+        v = order[i]
+        ahead = 0
+        # the neighbours v + o that lie in 0..n-1, in index order
+        lo, hi = bisect_left(offsets, -v), bisect_left(offsets, n - v)
+        for o in islice(offsets, lo, hi):
+            u = v + o
+            w = where[u]
+            if w < 0:
+                w = where[u] = len(order)
+                order.append(u)
+            if w > i:
+                ahead |= 1 << (w - i)
+        yield v, ahead
+
+
+def _scan(n: int, diffs: Sequence[int], k: int) -> tuple[int, ...]:
+    """The counts of valid c-subsets of n positions for c = 0..k, where two
+    positions conflict when their difference is in the sorted ``diffs``.
+
+    Positions are decided one at a time in ``_order``.  A state B is the
+    set of positions ahead that earlier choices rule out: bit i is set when
+    the i-th position from the one about to be decided conflicts with a
+    chosen one.  Its value packs the counts by size into one int, size c at
+    bits [c*W, (c+1)*W) with W = n + 1, since every count is below 2^n
+    (Kronecker substitution); choosing a position shifts the value up one
+    size, dropping sizes above k.  Besides the states, whose bound the
+    module docstring states, it keeps O(n + len(diffs)) ints.
+    """
     width = n + 1
     keep = (1 << (k + 1) * width) - 1
     states = {0: 1}
-    for i, v in enumerate(order):
-        # the vertices ahead that choosing this one rules out
-        ahead = sum(1 << (where[u] - i) for u in adj[v] if where[u] > i)
+    for _, ahead in _order(n, diffs):
         nxt: dict[int, int] = {}
         for b, ways in states.items():
             key = b >> 1

@@ -17,6 +17,7 @@ from sepsets.audit import (
 )
 from sepsets import audit, counting, oracle
 from sepsets.counting import (
+    circle_in_range,
     g_alternating,
     g_closed,
     g_composition,
@@ -240,7 +241,8 @@ class TestCircleRecurrenceSeeds:
     def test_seeds_lie_just_below_the_start_column(self, monkeypatch):
         # every row starts at x0 = m*(p*k+1) + 1, so the seeds are read at
         # x0-p-1 .. x0-1 only; at p + 1 > k the rows below k end before x0
-        # and are skipped, so only rows k - 1 and k are seeded
+        # and are skipped, so only rows k - 1 and k are seeded.  Those
+        # columns are at least m*p*(k-1) + 1, and row k's is m*(p*k+1)
         reads = []
         seed = counting.g_for_identity
 
@@ -263,6 +265,10 @@ class TestCircleRecurrenceSeeds:
                 for column, row in reads:
                     assert x0 - p - 1 <= column < x0, (n, k, m, p, column)
                     assert row >= k - 1 or p + 1 <= k, (n, k, m, p, row)
+                    # so every seed past row 0 is a closed-form count
+                    assert row == 0 or circle_in_range(column, row, m, p), (
+                        n, k, m, p, column, row,
+                    )
         monkeypatch.undo()
         for (n, k, m, p), value in values.items():
             assert value == g_composition(n, k, m, p), (n, k, m, p)

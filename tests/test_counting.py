@@ -413,6 +413,45 @@ class TestRoutesAgree:
         assert [g_closed(n, k, m, p), g_series(n, k, m, p)] == [value, value]
 
 
+class TestRoutesAgreeWithTheOracleAtScale:
+    """Every ``ROUTES`` entry and ``h_composition_row`` against one oracle
+    row at seeded points below n = 600, where the errata live: just below
+    each range bound and recurrence start x0, at them, one m past the
+    bound, and at every residue of n mod m from the bound on."""
+
+    @staticmethod
+    def points(topology, count, seed):
+        rng = random.Random(seed)
+        while count:
+            m, p = rng.randint(1, 6), rng.randint(1, 4)
+            k = rng.randint(2, 600 // (m * p))
+            if topology == "line":
+                bound = p * m * (k - 1)
+                x0 = bound + 1
+            else:
+                bound = m * p * k + 1
+                x0 = m * (p * k + 1) + 1
+            if x0 + m > 600:
+                continue
+            count -= 1
+            edges = {bound - 1, bound + m, x0 - 1, x0}
+            for n in sorted(edges.union(range(bound, bound + m))):
+                yield n, k, m, p
+
+    @pytest.mark.parametrize(
+        "topology, in_range", [("line", line_in_range), ("circle", circle_in_range)]
+    )
+    def test_routes_equal_the_oracle_row(self, topology, in_range):
+        for n, k, m, p in self.points(topology, 16, seed=2008):
+            row = count_brute_row(count_query(topology, n, k, m, p), cap=n)
+            if topology == "line":
+                assert h_composition_row(n, k, m, p) == list(row), (n, k, m, p)
+            for method, name in ROUTES[topology].items():
+                if method in ("composition", "recurrence") or in_range(n, k, m, p):
+                    value = getattr(counting, name)(n, k, m, p)
+                    assert value == row[k], (method, n, k, m, p)
+
+
 class TestLargeK:
     """The formula routes take O(k) big-int steps, so k = 1000 and 3000
     are quick; the line recurrence, O(k^2) steps, is checked at k = 400."""

@@ -1,6 +1,7 @@
 """Tests for the brute-force oracle: predicates, counting and enumeration."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -18,8 +19,8 @@ from sepsets.counting import (
 )
 from sepsets.oracle import (
     EnumerationCapError,
-    _conflict_graph,
-    _cuthill_mckee,
+    _forbidden,
+    _order,
     count_brute,
     count_brute_row,
     is_separate_circle,
@@ -150,7 +151,7 @@ class TestCountAndList:
 
 
 class TestCountMatchesEnumeration:
-    """The conflict-graph scan against the independent DFS enumeration and
+    """The transfer-matrix scan against the independent DFS enumeration and
     the closed forms."""
 
     def test_backend_is_python(self):
@@ -171,20 +172,59 @@ class TestCountMatchesEnumeration:
             q = count_query(topology, 32, k, m, p)
             assert count_brute(q) == len(list(list_brute(q))), (k, m, p)
 
+    @staticmethod
+    def most_states(topology, n, m, p):
+        # the scan's state set, walked with the oracle's own order and masks
+        diffs = sorted(_forbidden(n, m, p, topology == "circle"))
+        states, most = {0}, 1
+        for _, ahead in _order(n, diffs):
+            states = {b >> 1 for b in states} | {
+                (b | ahead) >> 1 for b in states if not b & 1
+            }
+            most = max(most, len(states))
+        return most
+
+    @staticmethod
+    def state_bound(topology, n, m, p):
+        # p' + 1 on the line, (p' + 1)^2 on the circle, p' = min(p, (n-1)//m)
+        reach = min(p, (n - 1) // m) + 1
+        return reach if topology == "line" else reach * reach
+
     @pytest.mark.parametrize("topology", ["line", "circle"])
-    def test_order_keeps_few_live_states(self, topology):
-        # a scan state holds only the vertices within the bandwidth of the
-        # one being decided, so it has at most 2^bandwidth states; a
-        # bandwidth of at most 2p + 2 caps them at 2^(2p + 2)
-        for n, p in product(range(41), range(1, 4)):
-            for m in range(1, n + 1):
-                adj = _conflict_graph(count_query(topology, n, n, m, p))
-                where = {v: i for i, v in enumerate(_cuthill_mckee(adj))}
-                bandwidth = max(
-                    (abs(where[u] - where[v]) for v in range(n) for u in adj[v]),
-                    default=0,
-                )
-                assert bandwidth <= 2 * p + 2, (n, m, p, bandwidth)
+    def test_states_stay_within_the_bound(self, topology):
+        for n, p in product(range(1, 41), range(1, 7)):
+            for m in range(1, n + 2):
+                most = self.most_states(topology, n, m, p)
+                assert most <= self.state_bound(topology, n, m, p), (n, m, p, most)
+
+    @pytest.mark.parametrize(
+        "topology, n, m, p, most",
+        [
+            ("circle", 1000, 5, 4, 25),
+            ("circle", 2000, 7, 3, 16),
+            ("circle", 1500, 1, 6, 49),
+            ("line", 2000, 3, 2, 3),
+        ],
+    )
+    def test_state_bound_is_reached_at_large_n(self, topology, n, m, p, most):
+        assert self.most_states(topology, n, m, p) == most
+        assert self.state_bound(topology, n, m, p) == most
+
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_memory_grows_linearly_when_every_pair_conflicts(self, topology):
+        # at m = 1, p = n every pair conflicts, but the scan keeps O(n) ints
+        # for its n - 1 differences: the traced peak about doubles with n,
+        # where a peak quadratic in n would grow about 4x
+        def peak(n):
+            tracemalloc.start()
+            try:
+                count_brute_row(count_query(topology, n, 2, 1, n), cap=n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations stay out of the comparison
+        assert peak(300) <= 3 * peak(150)
 
     def test_circle_near_cap(self):
         for m, p, k, n in product(range(1, 4), range(1, 4), range(9), range(25, 33)):
@@ -235,13 +275,13 @@ class TestCountMatchesEnumeration:
             circle = count_brute(count_query("circle", n, k, m, p), cap=200)
             assert circle == g_closed(n, k, m, p)
 
-    def test_order_is_a_breadth_first_search_by_degree(self):
+    def test_order_is_a_breadth_first_search_by_index(self):
         # the 5-circle with m = 2, p = 1 is the 5-cycle 0-2-4-1-3-0
-        adj = _conflict_graph(count_query("circle", 5, 2, 2, 1))
-        assert [sorted(a) for a in adj] == [[2, 3], [3, 4], [0, 4], [0, 1], [1, 2]]
-        assert _cuthill_mckee(adj) == [0, 2, 3, 4, 1]
-        # isolated vertices come first, then each component from its end
-        assert _cuthill_mckee([[], [3], [], [1]]) == [0, 2, 1, 3]
+        # and each position's mask marks its later neighbours by distance
+        steps = list(_order(5, sorted(_forbidden(5, 2, 1, True))))
+        assert steps == [(0, 0b110), (2, 0b100), (3, 0b100), (4, 0b10), (1, 0)]
+        # the 4-line with m = 3 joins only 0-3; isolated positions follow
+        assert [v for v, _ in _order(4, [3])] == [0, 3, 1, 2]
 
     @pytest.mark.parametrize("topology", ["line", "circle"])
     def test_edge_cases(self, topology):

@@ -14,21 +14,93 @@ Two distinct binomial conventions coexist on purpose:
   convention for the algebraic identities.
 
 Mixing them up silently produces wrong counts, hence the two names.
+
+A binomial is evaluated in one of three ways.  A rational upper index
+gives the falling product ``falling_factorial(a, k) / k!``.  An integer
+one goes through ``binom_nat``, which ``binom_gen``'s int path reads too,
+and that calls ``math.comb`` except in one case.  When k' = min(k, a - k)
+is at least ``_FACTOR_K`` and a is at most ``_FACTOR_RATIO * k'``, the third
+evaluation multiplies C(a, k)'s prime powers instead (Goetgheluck,
+"Computing binomial coefficients", Amer. Math. Monthly 94, 1987).  It
+exists because CPython 3.11's ``math.comb`` divides at every level of its
+recursion, and those long divisions are quadratic, so at large k' they
+take most of its time: C(3*10**6, 10**6) costs about 41 s there and
+0.6 s from its primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import compress
+from math import comb, factorial, isqrt, prod
 
 Rational = int | Fraction
 
+# binom_nat's rule, read from a grid of timings against math.comb: the prime
+# factors win at every measured k' >= _FACTOR_K with a <= _FACTOR_RATIO * k'
+# (by 1.15x at the corner, C(96000, 1500)); math.comb wins by 1.3x at
+# C(64000, 1000)
+_FACTOR_K = 1500
+_FACTOR_RATIO = 64
+
 
 def binom_nat(a: int, k: int) -> int:
-    """Counting binomial: 0 if ``k < 0``, ``a < 0`` or ``a < k``."""
+    """Counting binomial: 0 if ``k < 0``, ``a < 0`` or ``a < k``.
+
+    With k' = min(k, a - k), C(a, k) is built from its prime factors when
+    ``k' >= _FACTOR_K`` and ``a <= _FACTOR_RATIO * k'``, and is
+    ``math.comb`` everywhere else.  The factored path holds a sieve of
+    about a/2 bytes, at most 32 bytes per unit of k', and one small int,
+    about 36 bytes with its list slot, per prime factor of the answer;
+    so its memory grows about linearly with a.
+    """
     if k < 0 or a < 0 or a < k:
         return 0
-    return comb(a, k)
+    if k < _FACTOR_K:
+        return comb(a, k)
+    k = min(k, a - k)
+    if k < _FACTOR_K or a > _FACTOR_RATIO * k:
+        return comb(a, k)
+    return _binom_factored(a, k)
+
+
+def _binom_factored(a: int, k: int) -> int:
+    """C(a, k) as a product of prime powers, for ``isqrt(a) <= k <= a - k``.
+
+    One sieve of the odd numbers up to a serves three kinds of prime.  An
+    odd p <= sqrt(a) has Legendre's exponent, the sum over p**i of
+    a//p**i - k//p**i - b//p**i with b = a - k.  For sqrt(a) < p <= k that
+    sum has one term, 0 or 1, and it is 1 when a % p < k % p (a carry
+    when adding b and k in base p).  A prime p > k divides C(a, k) once
+    when a multiple j*p lies in (b, a], and then a//p == j: so the primes
+    of each j are the sieve slice (max(a//(j+1), b//j, k), a//j].  The
+    power of 2 is the carry count of b + k in binary.
+    """
+    b = a - k
+    size = (a + 1) // 2  # index i stands for 2i + 1; index 0, for 1, is never read
+    sieve = bytearray(b"\x01") * size
+    r = isqrt(a)
+    root_end, k_end = (r + 1) // 2, (k + 1) // 2  # the indices just past r and k
+    for i in range(1, root_end):
+        if sieve[i]:
+            p, start = 2 * i + 1, 2 * i * (i + 1)  # start is the index of p*p
+            sieve[start::p] = bytes((size - 1 - start) // p + 1)
+    factors = []
+    for p in compress(range(3, 2 * root_end + 1, 2), sieve[1:root_end]):
+        e, q = 0, p
+        while q <= a:
+            e += a // q - k // q - b // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    factors += [
+        p for p in compress(range(2 * root_end + 1, 2 * k_end + 1, 2), sieve[root_end:k_end])
+        if a % p < k % p
+    ]
+    for j in range(1, a // (k + 1) + 1):
+        lo, hi = (max(a // (j + 1), b // j, k) + 1) // 2, (a // j + 1) // 2
+        factors += compress(range(2 * lo + 1, 2 * hi + 1, 2), sieve[lo:hi])
+    return _product(factors) << (k.bit_count() + b.bit_count() - a.bit_count())
 
 
 def falling_factorial(a: Rational, k: int) -> Fraction:
@@ -44,21 +116,26 @@ def falling_factorial(a: Rational, k: int) -> Fraction:
     return Fraction(_falling(p, k, q), q**k)
 
 
-# up to this many factors one ``math.prod`` pass is fastest; so every
-# k <= 256 stays one call, as it was before the tree
-_FALLING_LEAF = 256
+# up to this many factors one ``math.prod`` pass is fastest, for a falling
+# product's factors as for the primes of a binomial
+_PRODUCT_LEAF = 256
+
+
+def _product(factors) -> int:
+    """The product of a list or range of ints; 1 when it is empty.  Past
+    ``_PRODUCT_LEAF`` factors the two halves are multiplied recursively, a
+    balanced product tree, so the big products meet operands of similar
+    size instead of growing by one small factor at a time."""
+    if len(factors) <= _PRODUCT_LEAF:
+        return prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def _falling(top: int, k: int, step: int) -> int:
     """``top * (top - step) * ... * (top - (k-1)*step)`` for ``step >= 1``;
-    1 for k = 0.  Past ``_FALLING_LEAF`` factors the two halves are
-    multiplied recursively, a balanced product tree, so the big products
-    meet operands of similar size instead of growing by one small factor
-    at a time."""
-    if k <= _FALLING_LEAF:
-        return prod(range(top, top - k * step, -step))
-    half = k // 2
-    return _falling(top, half, step) * _falling(top - half * step, k - half, step)
+    1 for k = 0."""
+    return _product(range(top, top - k * step, -step))
 
 
 def binom_gen(a: Rational, k: int) -> Rational:
@@ -70,5 +147,5 @@ def binom_gen(a: Rational, k: int) -> Rational:
     if k < 0:
         return 0
     if isinstance(a, int):
-        return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
+        return binom_nat(a, k) if a >= 0 else (-1) ** k * binom_nat(k - a - 1, k)
     return falling_factorial(a, k) / factorial(k)

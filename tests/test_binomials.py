@@ -1,10 +1,10 @@
 """Tests for the two binomial conventions and the falling factorial."""
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, isqrt, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepsets import binomials
@@ -34,6 +34,72 @@ class TestBinomNat:
     def test_symmetry(self, a):
         for k in range(a + 1):
             assert binom_nat(a, k) == binom_nat(a, a - k)
+
+
+K0, R = binomials._FACTOR_K, binomials._FACTOR_RATIO
+
+
+@st.composite
+def near_the_rule(draw):
+    """(a, k) on both sides of each constant of binom_nat's rule: k' =
+    min(k, a - k) near K0, a up to just past R*k', and k below or above a/2."""
+    small = draw(st.sampled_from([K0 - 1, K0, K0 + 1]) | st.integers(K0 - 30, K0 + 300))
+    a = draw(
+        st.sampled_from([R * small, R * small + 1, 2 * small])
+        | st.integers(2 * small, R * small + R)
+    )
+    return a, draw(st.sampled_from([small, a - small]))
+
+
+class TestFactoredBinomial:
+    @settings(max_examples=60, deadline=None)
+    @given(near_the_rule())
+    def test_equals_math_comb_near_the_rule(self, ak):
+        a, k = ak
+        assert binom_nat(a, k) == comb(a, k)
+
+    @given(st.integers(2, 2000), st.integers(0, 1000))
+    def test_helper_equals_math_comb_below_the_rule(self, a, j):
+        # the prime split holds for every isqrt(a) <= k <= a - k, not only
+        # where the rule sends binomials to it
+        k = isqrt(a) + j % (a // 2 - isqrt(a) + 1)
+        assert binomials._binom_factored(a, k) == comb(a, k)
+
+    @pytest.mark.parametrize(
+        "a,k,factored",
+        [
+            (2 * K0 - 2, K0 - 1, False),
+            (2 * K0, K0, True),
+            (2 * K0 + 2, K0 + 1, True),
+            (R * K0, K0, True),
+            (R * K0 + 1, K0, False),
+            (R * K0, R * K0 - K0, True),
+            (R * K0 + 1, R * K0 + 1 - K0, False),
+            (4 * K0, 4 * K0 - K0 + 1, False),
+            (4 * K0, 0, False),
+            (4 * K0, 4 * K0, False),
+        ],
+    )
+    def test_the_rule_picks_the_path(self, monkeypatch, a, k, factored):
+        calls = []
+        helper = binomials._binom_factored
+        monkeypatch.setattr(
+            binomials, "_binom_factored", lambda *args: calls.append(args) or helper(*args)
+        )
+        assert binom_nat(a, k) == comb(a, k)
+        assert calls == ([(a, min(k, a - k))] if factored else [])
+
+    @pytest.mark.parametrize(
+        "a,k", [(K0, K0 + 1), (R * K0, R * K0 + 1), (-2 * K0, K0), (2 * K0, -K0)]
+    )
+    def test_zero_outside_counting_range(self, a, k):
+        assert binom_nat(a, k) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3000), st.integers(K0, K0 + 200))
+    def test_negative_int_upper_past_the_rule(self, a, k):
+        value = binom_gen(-a, k)
+        assert type(value) is int and value == (-1) ** k * comb(a + k - 1, k)
 
 
 class TestBinomGen:
@@ -104,7 +170,7 @@ class TestFallingFactorial:
 
 
 class TestFallingProductTree:
-    LEAF = binomials._FALLING_LEAF
+    LEAF = binomials._PRODUCT_LEAF
 
     @pytest.mark.parametrize("k", [0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3, 1000])
     @pytest.mark.parametrize("top", [-7, 0, 5, 1016000, -(10**9)])

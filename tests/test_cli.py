@@ -154,6 +154,19 @@ class TestCount:
         assert len(out) > 4300
         assert int(out) == n * comb(n - k, k) // (n - k)
 
+    @pytest.mark.parametrize("flags", [[], ["--method", "series"]], ids=["auto", "series"])
+    def test_count_from_prime_factors(self, capsys, flags):
+        # big-counts' seed-1 edge point: C(n - k, k) is past binom_nat's
+        # rule, so both routes build it from its prime factors
+        n, k = 109054, 2898
+        code, out, err = run(
+            capsys, "count", "--topology", "circle", "--n", str(n), "--k", str(k),
+            "--m", "1", "--p", "1", *flags,
+        )
+        assert (code, err) == (0, "")
+        assert out == f"{n * comb(n - k, k) // (n - k)}\n"
+        assert len(out) == 5772 + 1
+
     @pytest.mark.parametrize("method", ["recurrence", "composition", "auto"])
     def test_circle_below_range_past_the_cap(self, capsys, method):
         # the value of --method brute --cap 64; no formula route reads the

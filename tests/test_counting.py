@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets.binomials import binom_nat
-from sepsets import counting
+from sepsets import binomials, counting
 from sepsets.counting import (
     ROUTES,
     CountQuery,
@@ -473,6 +473,29 @@ class TestLargeK:
                 assert peak <= 8 * sys.getsizeof(values[-1]), (route.__name__, k)
             assert all(type(value) is int for value in values)
             assert values == [values[0]] * len(routes)
+
+    def test_circle_closed_form_memory_grows_linearly(self, monkeypatch):
+        # at both sizes binom_nat takes its factored path: a sieve of about
+        # a/2 bytes plus one small int per prime factor, so doubling n and k
+        # about doubles the traced peak
+        calls = []
+        helper = binomials._binom_factored
+        monkeypatch.setattr(
+            binomials, "_binom_factored", lambda a, k: calls.append(a) or helper(a, k)
+        )
+        peaks = []
+        for n, k in ((10**5, 3000), (2 * 10**5, 6000)):
+            tracemalloc.start()
+            try:
+                value = g_closed(n, k, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == n * comb(n - k, k) // (n - k)
+            assert peak <= (n - k) // 2 + 40 * sys.getsizeof(value)
+            peaks.append(peak)
+        assert calls == [10**5 - 3000, 2 * 10**5 - 6000]
+        assert peaks[1] <= 2.3 * peaks[0]
 
     def test_circle_routes_agree(self):
         n, k, m, p = 10**6, 1000, 3, 2

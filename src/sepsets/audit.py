@@ -157,14 +157,11 @@ class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
         return "\n".join(lines)
 
 
-def _jsonable(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value
+def _jsonable(value: int | Fraction) -> int | str:
+    """An int as it is; a Fraction as an int when whole, else as "a/b"."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
-    return str(value)
+    return value
 
 
 def _failure(params: dict, lhs, rhs) -> dict:

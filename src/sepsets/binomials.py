@@ -31,7 +31,7 @@ take most of its time: C(3*10**6, 10**6) costs about 41 s there and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, islice
 from math import comb, factorial, isqrt, prod
 
 Rational = int | Fraction
@@ -50,9 +50,9 @@ def binom_nat(a: int, k: int) -> int:
     With k' = min(k, a - k), C(a, k) is built from its prime factors when
     ``k' >= _FACTOR_K`` and ``a <= _FACTOR_RATIO * k'``, and is
     ``math.comb`` everywhere else.  The factored path holds a sieve of
-    about a/2 bytes, at most 32 bytes per unit of k', and one small int,
-    about 36 bytes with its list slot, per prime factor of the answer;
-    so its memory grows about linearly with a.
+    about a/2 bytes, at most 32 bytes per unit of k', and multiplies the
+    prime factors in runs as it reads them, so it holds a few times the
+    answer's size besides; its memory grows about linearly with a.
     """
     if k < 0 or a < 0 or a < k:
         return 0
@@ -75,6 +75,11 @@ def _binom_factored(a: int, k: int) -> int:
     when a multiple j*p lies in (b, a], and then a//p == j: so the primes
     of each j are the sieve slice (max(a//(j+1), b//j, k), a//j].  The
     power of 2 is the carry count of b + k in binary.
+
+    The factors are read lazily and multiplied in runs of
+    ``_PRODUCT_LEAF // 4``, as fast on a binomial's primes as the halving
+    of ``_product`` on their list (runs of 128 or 256 were slower); one
+    balanced tree then multiplies the runs' products.
     """
     b = a - k
     size = (a + 1) // 2  # index i stands for 2i + 1; index 0, for 1, is never read
@@ -93,14 +98,15 @@ def _binom_factored(a: int, k: int) -> int:
             q *= p
         if e:
             factors.append(p**e)
-    factors += [
-        p for p in compress(range(2 * root_end + 1, 2 * k_end + 1, 2), sieve[root_end:k_end])
-        if a % p < k % p
-    ]
-    for j in range(1, a // (k + 1) + 1):
-        lo, hi = (max(a // (j + 1), b // j, k) + 1) // 2, (a // j + 1) // 2
-        factors += compress(range(2 * lo + 1, 2 * hi + 1, 2), sieve[lo:hi])
-    return _product(factors) << (k.bit_count() + b.bit_count() - a.bit_count())
+    middle = compress(range(2 * root_end + 1, 2 * k_end + 1, 2), sieve[root_end:k_end])
+    slices = (
+        ((max(a // (j + 1), b // j, k) + 1) // 2, (a // j + 1) // 2)
+        for j in range(1, a // (k + 1) + 1)
+    )
+    high = (compress(range(2 * lo + 1, 2 * hi + 1, 2), sieve[lo:hi]) for lo, hi in slices)
+    factors = chain(factors, (p for p in middle if a % p < k % p), chain.from_iterable(high))
+    runs = iter(lambda: list(islice(factors, _PRODUCT_LEAF // 4)), [])
+    return _product(list(map(prod, runs)), 1) << (k.bit_count() + b.bit_count() - a.bit_count())
 
 
 def falling_factorial(a: Rational, k: int) -> Fraction:
@@ -116,20 +122,21 @@ def falling_factorial(a: Rational, k: int) -> Fraction:
     return Fraction(_falling(p, k, q), q**k)
 
 
-# up to this many factors one ``math.prod`` pass is fastest, for a falling
-# product's factors as for the primes of a binomial
+# up to this many factors of a falling product one ``math.prod`` pass is
+# fastest; ``_product``'s halving leaves runs of half to all of it
 _PRODUCT_LEAF = 256
 
 
-def _product(factors) -> int:
+def _product(factors, leaf: int = _PRODUCT_LEAF) -> int:
     """The product of a list or range of ints; 1 when it is empty.  Past
-    ``_PRODUCT_LEAF`` factors the two halves are multiplied recursively, a
-    balanced product tree, so the big products meet operands of similar
-    size instead of growing by one small factor at a time."""
-    if len(factors) <= _PRODUCT_LEAF:
+    ``leaf`` factors the two halves are multiplied recursively, a balanced
+    product tree, so the big products meet operands of similar size
+    instead of growing by one small factor at a time; ``leaf=1`` makes the
+    whole tree balanced, for operands that are already big."""
+    if len(factors) <= leaf:
         return prod(factors)
     half = len(factors) // 2
-    return _product(factors[:half]) * _product(factors[half:])
+    return _product(factors[:half], leaf) * _product(factors[half:], leaf)
 
 
 def _falling(top: int, k: int, step: int) -> int:

@@ -35,7 +35,7 @@ from .omega_phi import (
     omega_closed_2_total,
     omega_closed_3_total,
 )
-from .series import coefficient, phi_residue, power_product, truncated_product
+from .series import coefficient, power_product, truncated_product
 
 
 class Topology(Enum):
@@ -190,7 +190,9 @@ def h_closed_3_value(
 
 def g_closed(n: int, k: int, m: int, p: int) -> int:
     """Circle count ``n/(n - p*k) * binom(n - p*k, k)``, valid where
-    ``circle_in_range`` holds."""
+    ``circle_in_range`` holds.  It is the first of Kaplansky's (1943) two
+    forms; ``g_series`` reads the second, ``n/k * binom(n - p*k - 1, k - 1)``,
+    and ``binom(a, k) = a/k * binom(a - 1, k - 1)`` links them."""
     _check_range("g_closed needs", "circle", n, k, m, p)
     value, rest = divmod(n * binom_nat(n - p * k, k), n - p * k)
     if rest:
@@ -448,10 +450,13 @@ def h_series(n: int, k: int, m: int, p: int) -> int:
 
 def g_series(n: int, k: int, m: int, p: int) -> int:
     """Circle count via coefficient extraction, valid where
-    ``circle_in_range`` holds: ``[y^k] (1+y)**(n-p*k-1) * (1+(p+1)*y)``,
-    which is ``phi_residue(n, -p, k)``."""
+    ``circle_in_range`` holds: with a = n - p*k - 1, ``[y^k] (1+y)**a *
+    (1+(p+1)*y)`` is ``binom(a, k) + (p+1)*binom(a, k-1)``, and
+    ``binom(a, k) = binom(a, k-1) * (a-k+1)/k`` folds it into Kaplansky's
+    (1943) second form ``n/k * binom(a, k-1)``, one binomial and one exact
+    division; ``g_closed`` reads his first, ``n/(n - p*k) * binom(a+1, k)``."""
     _check_range("g_series needs", "circle", n, k, m, p)
-    return phi_residue(n, -p, k)
+    return n * binom_nat(n - p * k - 1, k - 1) // k if k else 1
 
 
 def count_query(topology: str | Topology, n: int, k: int, m: int, p: int) -> CountQuery:

@@ -34,9 +34,6 @@ carry at least v_p(i!) of its factors, as i consecutive integers do).
 Each of the k steps multiplies the last two big ints by small ones, and
 nothing is listed, so memory stays at a few ints of the answer's size.
 
-``phi_residue`` (so ``g_series``) needs no helper: its linear second
-factor meets only two binomials, read directly with ``binom_gen``.
-
 ``PowerSeries`` wraps a coefficient tuple with a checked product.  No
 count route uses it; it stays because the benchmark's tracer wraps its
 ``__mul__`` and ``coeff``.  The series count routes ``h_series`` and
@@ -48,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from operator import index, mul
 
-from .binomials import Rational, binom_gen
+from .binomials import Rational
 
 
 def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
@@ -163,15 +160,3 @@ def binomial_product_coefficients(
     for j in range(k):
         g, prev = ((u - v * j) * g + w * (s - j * d) * prev) // (j + 1), g
     return g, prev
-
-
-def phi_residue(lam: Rational, mu: Rational, k: int) -> Rational:
-    """Coefficient of x^k in ``(1+x)**(lam + mu*k - 1) * (1 - (mu-1)*x)``.
-
-    Whenever ``lam + mu*k != 0`` this equals
-    ``lam/(lam + mu*k) * binom_gen(lam + mu*k, k)``.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    a = lam + mu * k - 1  # only C(a, k) and C(a, k-1) meet the linear factor
-    return binom_gen(a, k) + (1 - mu) * binom_gen(a, k - 1)

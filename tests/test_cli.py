@@ -154,10 +154,14 @@ class TestCount:
         assert len(out) > 4300
         assert int(out) == n * comb(n - k, k) // (n - k)
 
-    @pytest.mark.parametrize("flags", [[], ["--method", "series"]], ids=["auto", "series"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--method", "closed1"], ["--method", "series"]],
+        ids=["auto", "closed1", "series"],
+    )
     def test_count_from_prime_factors(self, capsys, flags):
-        # big-counts' seed-1 edge point: C(n - k, k) is past binom_nat's
-        # rule, so both routes build it from its prime factors
+        # big-counts' seed-1 edge point: C(n - k, k) and C(n - k - 1, k - 1)
+        # are past binom_nat's rule, so closed1 (auto's pick) and series,
+        # Kaplansky's two forms, build one each from its prime factors
         n, k = 109054, 2898
         code, out, err = run(
             capsys, "count", "--topology", "circle", "--n", str(n), "--k", str(k),

@@ -476,8 +476,8 @@ class TestLargeK:
 
     def test_circle_closed_form_memory_grows_linearly(self, monkeypatch):
         # at both sizes binom_nat takes its factored path: a sieve of about
-        # a/2 bytes plus one small int per prime factor, so doubling n and k
-        # about doubles the traced peak
+        # a/2 bytes plus runs of prime factors multiplied as they are read,
+        # so doubling n and k about doubles the traced peak
         calls = []
         helper = binomials._binom_factored
         monkeypatch.setattr(
@@ -492,10 +492,51 @@ class TestLargeK:
             finally:
                 tracemalloc.stop()
             assert value == n * comb(n - k, k) // (n - k)
-            assert peak <= (n - k) // 2 + 40 * sys.getsizeof(value)
+            assert peak <= (n - k) // 2 + 16 * sys.getsizeof(value)
             peaks.append(peak)
         assert calls == [10**5 - 3000, 2 * 10**5 - 6000]
         assert peaks[1] <= 2.3 * peaks[0]
+
+    def test_circle_series_memory_grows_linearly(self):
+        # one binomial, C(n - k - 1, k - 1), on the factored path: the sieve
+        # of about a/2 bytes plus runs of primes, a few answers' size
+        for n, k in ((10**5, 3000), (2 * 10**5, 6000)):
+            tracemalloc.start()
+            try:
+                value = g_series(n, k, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == n * comb(n - k, k) // (n - k)
+            assert peak <= (n - k - 1) // 2 + 16 * sys.getsizeof(value)
+
+    @pytest.mark.parametrize(
+        "name,ks",
+        [
+            ("h_recurrence", (50, 100)),
+            ("g_recurrence", (50, 100)),
+            ("h_composition", (100, 300)),
+            ("g_composition", (100, 300)),
+        ],
+        ids=["h_recurrence", "g_recurrence", "h_composition", "g_composition"],
+    )
+    def test_row_routes_hold_a_few_answers_per_term(self, name, ks):
+        # a recurrence keeps a row and a Newton column, a composition a
+        # truncated product: each O(k + 1) ints of at most the answer's size
+        n, m, p = 10**5, 3, 2
+        route = getattr(counting, name)
+        closed = h_closed_2 if name.startswith("h") else g_closed
+        for k in ks:
+            for cached in (counting._line_counts, counting._line_column, counting._circle_column):
+                cached.cache_clear()
+            tracemalloc.start()
+            try:
+                value = route(n, k, m, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == closed(n, k, m, p)
+            assert peak <= 5 * (k + 1) * sys.getsizeof(value), (k, peak)
 
     def test_circle_routes_agree(self):
         n, k, m, p = 10**6, 1000, 3, 2

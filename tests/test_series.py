@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepsets import binomials, counting
 from sepsets.binomials import binom_gen
 from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
@@ -15,7 +17,6 @@ from sepsets.series import (
     PowerSeries,
     binomial_product_coefficients,
     coefficient,
-    phi_residue,
     power_product,
     truncated_product,
 )
@@ -308,46 +309,50 @@ class TestGSeries:
                     for n in range(m * p * k + 1, 22):
                         assert g_series(n, k, m, p) == g_closed(n, k, m, p)
 
+    @pytest.mark.parametrize("n,k,m,p", [(7, 2, 2, 1), (9, 2, 2, 1), (13, 3, 1, 2)])
+    def test_matches_the_oracle(self, n, k, m, p):
+        assert g_series(n, k, m, p) == count_brute(count_query("circle", n, k, m, p))
 
-class TestPhiResidue:
-    def test_examples(self):
-        assert phi_residue(2, 1, 2) == 3
-        assert phi_residue(F(7, 5), F(-3), 0) == 1
-        assert phi_residue(1, 1, 1) == 1
+    @pytest.mark.parametrize("n,m,p", [(1, 1, 1), (5, 2, 3), (40, 3, 2)])
+    def test_empty_selection(self, n, m, p):
+        assert g_series(n, 0, m, p) == 1
 
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            phi_residue(1, 1, -1)
+    def test_zero_where_the_circle_is_too_short_at_m1(self):
+        # pk + 1 <= n < (p+1)k: in range, but k positions need (p+1)k
+        for p in range(1, 4):
+            for k in range(1, 6):
+                for n in range(p * k + 1, (p + 1) * k):
+                    assert g_series(n, k, 1, p) == 0 == count_brute(
+                        count_query("circle", n, k, 1, p)
+                    )
 
-    # int and Fraction parameters; a = lam + mu*k - 1 runs negative
-    params = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
-
-    @given(params, params, st.integers(0, 25))
-    @example(lam=-3, mu=2, k=0)
-    @example(lam=F(-7, 2), mu=F(1, 3), k=0)
-    @example(lam=-5, mu=-1, k=4)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_full_binomial_list(self, lam, mu, k):
-        # the two binomials read directly equal the whole product's x^k
-        a = lam + mu * k - 1
-        expected = coefficient([binom_gen(a, j) for j in range(k + 1)], [1, 1 - mu], k)
-        assert phi_residue(lam, mu, k) == expected
-
-    def test_matches_weighted_binomial_randomized(self):
+    def test_matches_closed_form_randomized(self):
         rng = random.Random(1207)
-        checked = 0
-        while checked < 200:
-            lam = F(rng.randint(-20, 20), rng.randint(1, 20))
-            mu = F(rng.randint(-20, 20), rng.randint(1, 20))
-            k = rng.randint(0, 8)
-            if lam + mu * k == 0:
-                continue
-            checked += 1
-            expected = lam / (lam + mu * k) * binom_gen(lam + mu * k, k)
-            assert phi_residue(lam, mu, k) == expected
+        for _ in range(300):
+            m, p, k = rng.randint(1, 6), rng.randint(1, 5), rng.randint(0, 40)
+            n = m * p * k + 1 + rng.randint(0, 200)
+            assert g_series(n, k, m, p) == g_closed(n, k, m, p), (n, k, m, p)
 
-    def test_oracle_sanity(self):
-        # the circle kernel is the same residue with lam = n, mu = -p
-        for n, k, m, p in [(7, 2, 2, 1), (9, 2, 2, 1), (13, 3, 1, 2)]:
-            value = phi_residue(n, -p, k)
-            assert value == count_brute(count_query("circle", n, k, m, p))
+    @pytest.mark.parametrize("n,k,m,p", [(109054, 2898, 1, 1), (60000, 3000, 2, 3)])
+    def test_one_binomial_from_prime_factors(self, monkeypatch, n, k, m, p):
+        # C(n - p*k - 1, k - 1) is past binom_nat's rule at both points
+        calls = []
+        helper = binomials._binom_factored
+        monkeypatch.setattr(
+            binomials, "_binom_factored", lambda a, j: calls.append((a, j)) or helper(a, j)
+        )
+        value = g_series(n, k, m, p)
+        assert calls == [(n - p * k - 1, k - 1)]
+        assert value == n * comb(n - p * k, k) // (n - p * k)
+
+    def test_reads_one_binomial(self, monkeypatch):
+        calls = []
+        helper = counting.binom_nat
+        monkeypatch.setattr(
+            counting, "binom_nat", lambda a, j: calls.append((a, j)) or helper(a, j)
+        )
+        for k in range(1, 8):
+            calls.clear()
+            g_series(30, k, 1, 2)
+            assert calls == [(30 - 2 * k - 1, k - 1)]
+

@@ -2,10 +2,13 @@
 them and records counterexamples, and the bijection cardinality check.
 The count routes the catalogue checks live in ``counting``.
 
-Each identity in the catalogue is a generator of ``(params, lhs, rhs)``
-cases; ``run_audit`` counts, compares and records them.  Each identity is
-checked at every grid point satisfying its validity precondition;
-mismatches are collected as data (never raised).  The catalogue
+Each identity in the catalogue is a generator of ``(raw, lhs, rhs)``
+cases, paired with the function that formats a case's raw parameters (a
+grid point, an ``OmegaQuery`` or a sampled instance) as the report's
+params dict.  ``run_audit`` counts and compares the cases, and formats
+the params of a failing case only.  Each identity is checked at every
+grid point satisfying its validity precondition; mismatches are
+collected as data (never raised).  The catalogue
 deliberately includes the known-bad ``printed`` formula variants so their
 counterexamples are reproduced, witnesses included.  Only the oracle
 sides and ``bijection_count_check`` read the brute-force cap.
@@ -165,7 +168,8 @@ def _jsonable(value: int | Fraction) -> int | str:
 
 
 def _failure(params: dict, lhs, rhs) -> dict:
-    # every case generator yields params of ints and strs already
+    # params comes from the identity's formatter, whose values are ints and
+    # strs already
     return {"params": params, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
 
 
@@ -182,24 +186,30 @@ def bijection_count_check(
 
 
 # ---------------------------------------------------------------------------
-# the catalogue: every identity is a generator of (params, lhs, rhs) cases
+# the catalogue: every identity is a generator of (raw, lhs, rhs) cases and
+# the formatter of their raw parameters
 
-Case = tuple[dict, object, object]
+Case = tuple[object, object, object]
+Params = Callable[[object], dict]
 Route = Callable[[int, int, int, int], object]
 
 
 def _grid_cases(
     grid: GridSpec, applies: Callable[[int, int, int, int], bool], lhs: Route, rhs: Route
 ) -> Iterator[Case]:
-    """Both sides at every grid point where the identity applies.  The
-    callables take the routes' own argument order (n, k, m, p)."""
+    """Both sides at every grid point where the identity applies, the raw
+    point (n, k, m, p) in the routes' own argument order."""
     for m in range(1, grid.m_max + 1):
         for p in range(1, grid.p_max + 1):
             for k in range(grid.k_max + 1):
                 for n in range(grid.n_max + 1):
                     if applies(n, k, m, p):
-                        params = {"m": m, "p": p, "k": k, "n": n}
-                        yield params, lhs(n, k, m, p), rhs(n, k, m, p)
+                        yield (n, k, m, p), lhs(n, k, m, p), rhs(n, k, m, p)
+
+
+def _grid_params(point: tuple[int, int, int, int]) -> dict:
+    n, k, m, p = point
+    return {"m": m, "p": p, "k": k, "n": n}
 
 
 def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
@@ -267,8 +277,12 @@ def _omega_cases(
             sides = lhs(q), rhs(q)
         except SingularTermError:
             continue
-        lambdas = "(" + ",".join(str(v) for v in q.lambdas) + ")"
-        yield {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}, *sides
+        yield q, *sides
+
+
+def _omega_params(q: OmegaQuery) -> dict:
+    lambdas = "(" + ",".join(str(v) for v in q.lambdas) + ")"
+    return {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}
 
 
 def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
@@ -279,7 +293,12 @@ def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
         k = rng.randint(0, min(grid.k_max, 6))
         instances.append((tuple(rng.randint(0, 10) for _ in range(m)), k))
     for n_list, k in instances:
-        yield {"n_list": str(n_list), "k": k}, *hwang_wei_check(n_list, k)
+        yield (n_list, k), *hwang_wei_check(n_list, k)
+
+
+def _hwang_wei_params(instance: tuple[tuple[int, ...], int]) -> dict:
+    n_list, k = instance
+    return {"n_list": str(n_list), "k": k}
 
 
 def _gould_cases(rng: random.Random) -> Iterator[Case]:
@@ -301,89 +320,92 @@ def _gould_cases(rng: random.Random) -> Iterator[Case]:
         except SingularTermError:
             continue
         checked += 1
-        yield {"a": str(a), "b": str(b), "c": str(c), "n": n}, *sides
+        yield (a, b, c, n), *sides
+
+
+def _gould_params(instance: tuple[Fraction, Fraction, Fraction, int]) -> dict:
+    a, b, c, n = instance
+    return {"a": str(a), "b": str(b), "c": str(c), "n": n}
 
 
 def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
-) -> Iterator[Case]:
-    """The catalogue: the cases of one identity on one grid, reading the
-    oracle and the line counts from the rows kept for (grid.k_max, cap)."""
+) -> tuple[Params, Iterator[Case]]:
+    """The catalogue: the params formatter and the cases of one identity on
+    one grid, reading the oracle and the line counts from the rows kept for
+    (grid.k_max, cap)."""
     brute, line = _brute_counts(grid.k_max, cap), _line_counts(grid.k_max)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
+    # a grid identity sets (applies, lhs, rhs); a sampled family returns
     match identity:
         case IdentityId.EQ2_1:
-            return _grid_cases(grid, lambda *_: True, line_brute, line)
+            sides = (lambda *_: True), line_brute, line
         case IdentityId.EQ2_2:
-            return _grid_cases(
-                grid,
+            sides = (
                 circle_in_range,
                 circle_brute,
                 lambda n, k, m, p: _g_from_h_sum(n, k, m, p, line),
             )
         case IdentityId.EQ3_1:
-            return _omega_cases(grid, rng, omega_direct, omega_closed_1)
+            return _omega_params, _omega_cases(grid, rng, omega_direct, omega_closed_1)
         case IdentityId.EQ3_2:
-            return _omega_cases(grid, rng, omega_direct, omega_closed_2)
+            return _omega_params, _omega_cases(grid, rng, omega_direct, omega_closed_2)
         case IdentityId.EQ3_3_PRINTED | IdentityId.EQ3_3_CORRECTED:
             variant = "printed" if identity is IdentityId.EQ3_3_PRINTED else "corrected"
             closed = partial(omega_closed_3, variant=variant)
-            return _omega_cases(grid, rng, omega_direct, closed, min_k=1)
+            return _omega_params, _omega_cases(grid, rng, omega_direct, closed, min_k=1)
         case IdentityId.EQ3_4:
-            return _omega_cases(grid, rng, phi_direct, phi_closed)
+            return _omega_params, _omega_cases(grid, rng, phi_direct, phi_closed)
         case IdentityId.EQ3_5:
-            return _grid_cases(grid, circle_in_range, circle_brute, g_closed)
+            sides = circle_in_range, circle_brute, g_closed
         case IdentityId.THM_H1:
-            return _grid_cases(grid, line_in_range, line, h_closed_1)
+            sides = line_in_range, line, h_closed_1
         case IdentityId.THM_H2:
-            return _grid_cases(grid, line_in_range, line, h_closed_2)
+            sides = line_in_range, line, h_closed_2
         case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
             variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
-            return _grid_cases(
-                grid,
+            sides = (
                 lambda n, k, m, p: k >= 1 and line_in_range(n, k, m, p),
                 line,
                 partial(h_closed_3_value, variant=variant),
             )
         case IdentityId.EQ4_1:
-            return _grid_cases(
-                grid,
+            sides = (
                 _eq4_1_applies,
                 line,
                 lambda n, k, m, p: line(n - 1, k, m, p) + line(n - p - 1, k - 1, m, p),
             )
         case IdentityId.EQ4_2_PRINTED | IdentityId.EQ4_2_CORRECTED:
             delta = 0 if identity is IdentityId.EQ4_2_PRINTED else 1
-            return _grid_cases(
-                grid,
+            sides = (
                 _eq4_2_applies,
                 g_for_identity,
                 lambda n, k, m, p: g_for_identity(n - 1, k, m, p)
                 + g_for_identity(n - p - delta, k - 1, m, p),
             )
         case IdentityId.EQ4_4:
-            return _grid_cases(
-                grid,
+            sides = (
                 alternating_in_range,
                 g_for_identity,
                 lambda n, k, m, p: _g_alternating_sum(n, k, m, p, line),
             )
         case IdentityId.EQ4_5:
-            return _grid_cases(grid, _eq4_5_applies, line, h_from_g)
+            sides = _eq4_5_applies, line, h_from_g
         case IdentityId.HWANG_WEI:
-            return _hwang_wei_cases(grid, rng)
+            return _hwang_wei_params, _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:
-            return _gould_cases(rng)
+            return _gould_params, _gould_cases(rng)
         case IdentityId.BIJECTION_COUNT:
-            return _grid_cases(
-                grid,
+            sides = (
                 lambda n, k, m, p: k >= 1 and circle_in_range(n, k, m, p),
                 circle_brute,
                 lambda n, k, m, p: circle_brute(n, k, 1, p),
             )
-    raise ValueError(f"unknown identity {identity!r}")
+        case _:
+            raise ValueError(f"unknown identity {identity!r}")
+    return _grid_params, _grid_cases(grid, *sides)
 
 
 def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> AuditReport:
@@ -393,12 +415,13 @@ def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> A
     Failures are data, not errors.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
+    params, cases = _cases(identity, grid, cap, rng)
     checked = 0
     failures = []
-    for params, lhs, rhs in _cases(identity, grid, cap, rng):
+    for raw, lhs, rhs in cases:
         checked += 1
         if lhs != rhs:
-            failures.append(_failure(params, lhs, rhs))
+            failures.append(_failure(params(raw), lhs, rhs))
     return AuditReport(
         identity=identity.value,
         grid=grid.describe(),

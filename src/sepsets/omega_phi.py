@@ -12,16 +12,20 @@ exhibit the discrepancy) and ``corrected`` shifts the inner binomial's
 lower index from ``k-j`` to ``k-1-j``, which agrees with the direct sum
 everywhere.  ``corrected`` is the default.
 
+Every evaluation runs on scaled integers: mu and the lambdas are scaled by
+the lcm D of their denominators (1 for ints), to M = mu*D and L_i =
+lam_i*D, and one Fraction is built at the end.  Fractions remain only at
+the query (``OmegaQuery`` holds them) and at the result.
+
 The direct sums are evaluated as [y^k] of a product of one row polynomial
 per lambda, through ``series.power_product``, the engine of the line and
-circle composition sums.  Every row entry is an integer over one
-common denominator (the lcm D of the parameters' denominators), so the
-sum costs O(m*k^2) int steps and builds a single Fraction at the end.
-The closed forms have one int path for every parameter: they scale lambda
-and mu by their common denominator D (1 for ints), read one or two
-coefficients of a product of two binomial series over D with
-``series.binomial_product_coefficients``, one O(k) recurrence loop, and
-divide once at the end.
+circle composition sums.  Every row entry is one ``math.prod`` over the
+common denominator, so the sum costs O(m*k^2) int steps.  The closed forms
+read D, L = sum L_i and M once, and each expansion has one int core,
+shared by the query form and the ``*_total`` helper the counting formulas
+call: it reads one or two coefficients of a product of two binomial series
+over D with ``series.binomial_product_coefficients``, one O(k) recurrence
+loop.  Phi's closed form is one falling product over D.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -34,9 +38,10 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from operator import index
 
-from .binomials import Rational, _falling, binom_gen
+from .binomials import Rational, binom_gen
 from .series import binomial_product_coefficients, power_product
 
 
@@ -46,17 +51,23 @@ class SingularTermError(ValueError):
 
 class OmegaQuery(namedtuple("OmegaQuery", "lambdas mu k")):
     """Parameters (lambda_1..lambda_m, mu, k) of one composition-sum
-    evaluation; the lambdas and mu are stored as ``Fraction``s."""
+    evaluation; the lambdas and mu are stored as ``Fraction``s, k as an
+    int (anything ``operator.index`` accepts)."""
 
     __slots__ = ()
 
     def __new__(
         cls, lambdas: Iterable[Rational], mu: Rational, k: int
     ) -> OmegaQuery:
-        lambdas = tuple(Fraction(v) for v in lambdas)
-        mu = Fraction(mu)
+        lambdas = tuple(v if type(v) is Fraction else Fraction(v) for v in lambdas)
+        if type(mu) is not Fraction:
+            mu = Fraction(mu)
         if len(lambdas) < 1:
             raise ValueError("need at least one lambda")
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
         if k < 0:
             raise ValueError("k must be >= 0")
         return tuple.__new__(cls, (lambdas, mu, k))
@@ -67,7 +78,8 @@ class OmegaQuery(namedtuple("OmegaQuery", "lambdas mu k")):
 
     @property
     def lambda_total(self) -> Fraction:
-        return sum(self.lambdas, Fraction(0))
+        d, big_ls, _ = _scaled(self.mu, self.lambdas)
+        return Fraction(sum(big_ls), d)
 
 
 def compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -89,13 +101,18 @@ def omega_direct(q: OmegaQuery) -> Fraction:
     """Direct composition sum of products binom_gen(lam_i + mu*k_i, k_i).
 
     Row i holds D**j * j! * binom_gen(lam_i + mu*j, j) =
-    prod_{t<j} (L_i + M*j - t*D) at y^j (see ``_direct_sum``).  The
-    expanded row product is the composition sum term by term, so this stays
-    definitional and the audits' reference side.
+    prod_{t<j} (L_i + M*j - t*D) at y^j, times k!/j! (see ``_direct_sum``).
+    The expanded row product is the composition sum term by term, so this
+    stays definitional and the audits' reference side.
     """
     d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    k = q.k
+    scale = _scales(k)
     rows = (
-        [_falling(big_l + big_m * j, j, d) for j in range(q.k + 1)]
+        [
+            prod(range(big_l + big_m * j, big_l + (big_m - d) * j, -d), start=scale[j])
+            for j in range(k + 1)
+        ]
         for big_l in big_ls
     )
     return _direct_sum(q, d, rows)
@@ -107,24 +124,28 @@ def phi_direct(q: OmegaQuery) -> Fraction:
     composition makes that denominator 0, naming the first such composition
     in lexicographic order.
 
-    The weight cancels the falling product's first factor, so row i is 1 at
-    y^0 and ``L_i * prod_{1<=t<j} (L_i + M*j - t*D)`` at y^j, j >= 1.  The
-    sum stays definitional in the same way as ``omega_direct``.
+    The weight cancels the falling product's first factor, so row i is k!
+    at y^0 and ``L_i * prod_{1<=t<j} (L_i + M*j - t*D)`` times k!/j! at
+    y^j, j >= 1.  The sum stays definitional in the same way as
+    ``omega_direct``.
     """
     d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    k = q.k
     # for m >= 2 each j in 0..k is a part of some composition; for m = 1 only k
-    parts = range(q.k, q.k + 1) if q.m == 1 else range(q.k + 1)
+    parts = range(k, k + 1) if q.m == 1 else range(k + 1)
     if any(big_l + big_m * j == 0 for big_l in big_ls for j in parts):
-        for comp in compositions(q.k, q.m):
+        for comp in compositions(k, q.m):
             for i, (lam_i, k_i) in enumerate(zip(q.lambdas, comp)):
                 if lam_i + q.mu * k_i == 0:
                     raise SingularTermError(
                         f"lambda_{i + 1} + mu*k_{i + 1} = 0 in composition {comp}"
                     )
+    scale = _scales(k)
     rows = (
-        [1, *(
-            big_l * _falling(big_l + big_m * j - d, j - 1, d)
-            for j in range(1, q.k + 1)
+        [scale[0], *(
+            prod(range(big_l + big_m * j - d, big_l + (big_m - d) * j, -d),
+                 start=big_l * scale[j])
+            for j in range(1, k + 1)
         )]
         for big_l in big_ls
     )
@@ -141,19 +162,23 @@ def _scaled(
     return d, big_ls, mu.numerator * (d // mu.denominator)
 
 
-def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
-    """[y^k] of the product of the m integer rows, each entry j scaled by
-    k!/j!, over ``D**k * (k!)**m``.
+def _scales(k: int) -> list[int]:
+    """k!/j! for j = 0..k."""
+    return [factorial(k) // factorial(j) for j in range(k + 1)]
 
-    Entry j of row i is D**j * j! times the i-th factor of a composition
-    term at k_i = j, so every composition's term is its entries' product
-    over that one denominator: O(m*k^2) int steps through
+
+def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
+    """[y^k] of the product of the m integer rows over ``D**k * (k!)**m``.
+
+    Entry j of a row is D**j * j! times the row's factor of a composition
+    term at k_i = j, scaled by k!/j!, so every composition's term is its
+    entries' product over that one denominator: O(m*k^2) int steps through
     ``power_product`` instead of one Fraction product per composition.
     """
     k = q.k
-    scale = [factorial(k) // factorial(j) for j in range(k + 1)]
-    factors = (([x * s for x, s in zip(row, scale)], 1) for row in rows)
-    return Fraction(power_product(factors, k), d**k * factorial(k) ** q.m)
+    return Fraction(
+        power_product(((row, 1) for row in rows), k), d**k * factorial(k) ** q.m
+    )
 
 
 # The closed forms depend on the lambdas only through their sum, so the
@@ -162,7 +187,8 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # series, read by ``series.binomial_product_coefficients``.  Here
 # binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of (1+(1-mu)x)^(1-m),
 # binom(a+j, j) * (1-mu)^j that of (1+(mu-1)x)^(-a-1), and
-# binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j).
+# binom(upper, k-j) * c^(k-j) that of (1+cx)^upper at x^(k-j), with the
+# upper index lam + mu*k + m - 1.
 #
 # The third weighs the x^j term of K = (1+gx)^(-m), g = 1-mu, by
 # lam + mu*(m+j).  That weight is linear in j, and x*K' = -m*g*x*(1+gx)^(-m-1),
@@ -174,37 +200,36 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # (lam + mu*m) * h_top + g*lam * h_(top-1), with h the coefficients of
 # (1+gx)^(-m-1) * (1+x)^upper: the helper's pair.
 #
-# Every parameter takes the one int path: lam, mu and the kernels'
-# numerators are scaled by the common denominator D of lam and mu, the
-# helper scales the x^j coefficient by D^(3j), and the sum is divided once
-# at the end.  Int parameters (D = 1) get an int from the first two
-# expansions; rational ones get one Fraction.
+# Each expansion's core takes D, L = lam*D and M = mu*D and returns the
+# value as (numerator, denominator) ints: the helper scales the x^j
+# coefficient by D^(3j), and the sum is divided once at the end.  The
+# query forms read D, L and M from ``_scaled`` and build one Fraction; the
+# ``*_total`` helpers read them from ``_scaled_pair``, and int parameters
+# (D = 1) get an int from the first two expansions.
 
-def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
-    total, _ = binomial_product_coefficients(
-        (1 - m) * d, d - big_m, upper, d, k, d
-    )
-    return _unscaled(total, d ** (3 * k), lam, mu)
+def _omega_1(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
+    upper = big_l + big_m * k + (m - 1) * d
+    total, _ = binomial_product_coefficients((1 - m) * d, d - big_m, upper, d, k, d)
+    return total, d ** (3 * k)
 
 
-def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
+def _omega_2(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
+    upper = big_l + big_m * k + (m - 1) * d
     total, _ = binomial_product_coefficients(
         -big_l - (big_m - d) * k - d, big_m - d, upper, big_m, k, d
     )
-    return _unscaled(total, d ** (3 * k), lam, mu)
+    return total, d ** (3 * k)
 
 
-def omega_closed_3_total(
-    lam: Rational, mu: Rational, m: int, k: int, variant: str = "corrected"
-) -> Fraction:
+def _omega_3(
+    d: int, big_l: int, big_m: int, m: int, k: int, variant: str
+) -> tuple[int, int]:
     if k < 1:
         raise ValueError("the third expansion needs k >= 1")
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     top = k - (0 if variant == "printed" else 1)
-    d, big_l, big_m, upper = _scaled_upper(lam, mu, m, k)
+    upper = big_l + big_m * k + (m - 1) * d
     # the fold above over D^(3*top + 1): h is scaled by D^(3*top), h_before
     # by D^(3*top - 3), so lam + mu*m gains D and g*lam = (D - M)*L/D^2
     # gains D^4
@@ -212,48 +237,63 @@ def omega_closed_3_total(
         -(m + 1) * d, d - big_m, upper, d, top, d
     )
     total = (big_l + big_m * m) * h + (d - big_m) * d * d * big_l * h_before
-    return Fraction(total, d ** (3 * top + 1) * k)
+    return total, d ** (3 * top + 1) * k
 
 
-def _scaled_upper(
-    lam: Rational, mu: Rational, m: int, k: int
-) -> tuple[int, int, int, int]:
-    """``_scaled(mu, (lam,))``: D, L = lam*D and M = mu*D, and the closed
-    forms' upper index lam + mu*k + m - 1 times D.  Written out for one
-    lambda, since every closed line count makes this call: ``_scaled``'s
-    generic form costs more than the rest of a small count."""
+def _scaled_pair(lam: Rational, mu: Rational) -> tuple[int, int, int]:
+    """``_scaled(mu, (lam,))``: D, L = lam*D and M = mu*D.  Written out for
+    one lambda, since every closed line count makes this call:
+    ``_scaled``'s generic form costs more than the rest of a small count."""
     d = lcm(lam.denominator, mu.denominator)
-    big_l = lam.numerator * (d // lam.denominator)
-    big_m = mu.numerator * (d // mu.denominator)
-    return d, big_l, big_m, big_l + big_m * k + (m - 1) * d
+    return d, lam.numerator * (d // lam.denominator), mu.numerator * (d // mu.denominator)
 
 
-def _unscaled(total: int, denom: int, lam: Rational, mu: Rational) -> Rational:
-    """``total / denom`` in the parameters' type: the int ``total`` itself
-    for int lam and mu (D = 1, so denom = 1), else one Fraction, also when
-    D = 1."""
-    return Fraction(total, denom) if isinstance(lam + mu, Fraction) else total
+def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
+    total, denom = _omega_1(*_scaled_pair(lam, mu), m, k)
+    return total if isinstance(lam, int) and isinstance(mu, int) else Fraction(total, denom)
+
+
+def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
+    total, denom = _omega_2(*_scaled_pair(lam, mu), m, k)
+    return total if isinstance(lam, int) and isinstance(mu, int) else Fraction(total, denom)
+
+
+def omega_closed_3_total(
+    lam: Rational, mu: Rational, m: int, k: int, variant: str = "corrected"
+) -> Fraction:
+    return Fraction(*_omega_3(*_scaled_pair(lam, mu), m, k, variant))
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:
-    return omega_closed_1_total(q.lambda_total, q.mu, q.m, q.k)
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    return Fraction(*_omega_1(d, sum(big_ls), big_m, q.m, q.k))
 
 
 def omega_closed_2(q: OmegaQuery) -> Fraction:
-    return omega_closed_2_total(q.lambda_total, q.mu, q.m, q.k)
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    return Fraction(*_omega_2(d, sum(big_ls), big_m, q.m, q.k))
 
 
 def omega_closed_3(q: OmegaQuery, variant: str = "corrected") -> Fraction:
-    return omega_closed_3_total(q.lambda_total, q.mu, q.m, q.k, variant)
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    return Fraction(*_omega_3(d, sum(big_ls), big_m, q.m, q.k, variant))
 
 
 def phi_closed(q: OmegaQuery) -> Fraction:
-    """``lam/(lam + mu*k) * binom_gen(lam + mu*k, k)``; singular if the denominator is 0."""
-    lam = q.lambda_total
-    denom = lam + q.mu * q.k
-    if denom == 0:
+    """``lam/(lam + mu*k) * binom_gen(lam + mu*k, k)`` with lam the lambdas'
+    sum; singular if the denominator is 0.
+
+    With a = L + M*k, the weight cancels the falling product's first
+    factor: ``L * prod_{1<=t<k} (a - t*D) / (D**k * k!)``, and 1 at k = 0.
+    """
+    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    big_l, k = sum(big_ls), q.k
+    a = big_l + big_m * k
+    if a == 0:
         raise SingularTermError("lambda + mu*k = 0")
-    return lam / denom * binom_gen(denom, q.k)
+    if k == 0:
+        return Fraction(1)
+    return Fraction(big_l * prod(range(a - d, a - k * d, -d)), d**k * factorial(k))
 
 
 def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
@@ -266,9 +306,7 @@ def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
     if k < 0:
         raise ValueError("k must be >= 0")
     m = len(n_list)
-    left = omega_direct(
-        OmegaQuery(tuple(Fraction(v + 1) for v in n_list), Fraction(-1), k)
-    )
+    left = omega_direct(OmegaQuery([v + 1 for v in n_list], -1, k))
     n = sum(n_list)
     right = sum(
         binom_gen(m + j - 2, j) * binom_gen(n + 1 - k - 2 * j, k - 2 * j)

@@ -480,12 +480,18 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, WIDE_GRID])
     def test_case_params_are_ints_and_strs(self, grid):
-        # failures keep their params as yielded, unconverted, so every case
-        # generator must yield JSON scalars only (a Fraction would not encode)
+        # failures keep their formatted params unconverted, so every
+        # identity's formatter must give JSON scalars only (a Fraction would
+        # not encode); run_audit formats failing cases only, so this formats
+        # every case, passing ones included
         for identity in IdentityId:
             rng = random.Random(f"sepsets-audit:{identity.value}")
-            for params, _, _ in audit._cases(identity, grid, oracle.DEFAULT_CAP, rng):
-                assert {type(v) for v in params.values()} <= {int, str}, (identity, params)
+            params, cases = audit._cases(identity, grid, oracle.DEFAULT_CAP, rng)
+            for raw, _, _ in cases:
+                formatted = params(raw)
+                assert {type(v) for v in formatted.values()} <= {int, str}, (
+                    identity, formatted,
+                )
 
     def test_json_round_trip(self):
         report = run_audit(IdentityId.EQ4_2_PRINTED, GridSpec(2, 1, 2, 10))
@@ -503,6 +509,45 @@ class TestRunAudit:
         text = run_audit(IdentityId.EQ4_2_PRINTED, GridSpec(2, 1, 2, 10)).to_text()
         assert "FAIL" in text
         assert "m=2 p=1 k=2 n=7: lhs=14 rhs=15" in text
+
+    @pytest.mark.parametrize(
+        "identity,digest",
+        [
+            ("Eq2.1", "3748bdb7bcb9c003b89e6506b286245b92f08af11d5c17837dc4f47791c568ab"),
+            ("Eq2.2", "768257a65d6e6068d740bfc71bf75522690a81f25cf400c1be56deaa69bf3332"),
+            ("Eq3.1", "37cdc1cdbd99dded38976689ec4c77b823f423c7757c6f4314a3260e8e00032d"),
+            ("Eq3.2", "fd09c7afc8ec3a4fb44d5c65b1cfc579287a5aa8a2df797d64762e1157e7a737"),
+            ("Eq3.3-printed",
+             "dcccdd58bf77cca760af32fa50b31f4936e2c2e3949a0a119a87920a8872561f"),
+            ("Eq3.3-corrected",
+             "4ef580ae416fd68b7a86ad1d11b0ac960b5db636c694e6026bd0f8eb04939c87"),
+            ("Eq3.4", "8be2200dfae4bd642d0e1475418db74ea2ff9db7dc5686c66e7946a43cb74510"),
+            ("Eq3.5", "f287c5a5814d04223c148fc484ae268be7cebdc87ece0dcec0558252d981d303"),
+            ("Thm-H1", "4b3364575d4a503ef1be47413a245d2690deeb29c6d4f47a2ac2d0ef09671675"),
+            ("Thm-H2", "44ecb1e3e365a959b7fafbbaf1bdb155f7ef5ac30e757e3d3804d2974a2a0c81"),
+            ("Thm-H3-printed",
+             "30fa4a1544e3df7c4f6644344a7a29d048f14050591d5836c66d9603febab01e"),
+            ("Thm-H3-corrected",
+             "c9489a92869b4d11721353b2a52b101e8c419cfb98630d31a8f5743808c34fd2"),
+            ("Eq4.1", "8e8ddeaa791b030cdee7c911b5ec76248963d8cbae33ea0a952547f11251c6e4"),
+            ("Eq4.2-printed",
+             "4c2349ac4671828d7e8845012783804b143bf1adb7e42b18da51dc85471c4392"),
+            ("Eq4.2-corrected",
+             "3933ad599d7124e159f3257bc22e41e7763106a2233fc2ad43aba811f3c7f4e6"),
+            ("Eq4.4", "eaec2cb9e7d8ecd247491f1caff9aa962230e36d24c34cd6e074e63f7b6ce521"),
+            ("Eq4.5", "7ddc2ac81946295c3826f0e51e1099186a513ff36a5c1f01ce6e332690399b5b"),
+            ("HwangWei", "8546f5ec2b0afb319ec60bf390ca7e86d3d3dfd89dd158c31a1aee02ee4653c7"),
+            ("Gould", "aad342f015b24108c9f40081df875ffb030e1299733bf2a68ea2b2a8ad2b19e3"),
+            ("BijectionCount",
+             "2bbde0864754111d6201f19fd468922d5c8df9426c3d2e6a6a50f542ce70cfe7"),
+        ],
+    )
+    def test_text_reports_are_pinned(self, identity, digest):
+        # sha256 of the default-grid text report of every identity: the
+        # text formats each failure's params, so a drift in a failing
+        # case's params or in their order changes it
+        text = run_audit(IdentityId(identity), DEFAULT_GRID).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_identity_ids_cover_catalogue(self):
         values = {identity.value for identity in IdentityId}

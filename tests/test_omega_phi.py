@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets.binomials import binom_gen
@@ -67,6 +67,21 @@ class TestOmegaDirect:
             OmegaQuery((), F(1), 2)
         with pytest.raises(ValueError):
             OmegaQuery((F(1),), F(1), -1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", F(5, 2), None])
+    def test_rejects_non_integral_k_at_construction(self, k):
+        # one ValueError when the query is built, not a TypeError from a
+        # comparison or from a later range()
+        with pytest.raises(ValueError, match="k must be an integer"):
+            OmegaQuery((1,), 1, k)
+
+    def test_k_is_read_through_index(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        query = OmegaQuery((1,), 1, Two())
+        assert type(query.k) is int and query == OmegaQuery((1,), 1, 2)
 
 
 def reference_omega(query):
@@ -263,6 +278,66 @@ class TestOmegaClosedForms:
         assert omega_closed_1_total(lam, mu, m, k) == direct
         assert omega_closed_2_total(lam, mu, m, k) == direct
         assert omega_closed_3_total(lam, mu, m, k) == direct
+
+
+# pairwise coprime denominators, for queries whose common denominator is
+# their product
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def rational_queries(draw, singular=False):
+    """A query with m = 1..4 lambdas and k = 0..6, its lambdas and mu over
+    one shared denominator or over pairwise coprime ones.  ``singular``
+    sets the last lambda so that lam + mu*k = 0 for the lambdas' sum lam."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    nums = draw(st.lists(st.integers(-12, 12), min_size=m + 1, max_size=m + 1))
+    if draw(st.booleans()):
+        dens = [draw(st.integers(1, 12))] * (m + 1)
+    else:
+        dens = draw(st.permutations(PRIMES))[: m + 1]
+    mu, *lambdas = (F(a, b) for a, b in zip(nums, dens))
+    if singular:
+        lambdas[-1] = -(sum(lambdas[:-1], F(0)) + mu * k)
+    return OmegaQuery(lambdas, mu, k)
+
+
+def reference_phi_closed(query):
+    """``lam/(lam + mu*k) * binom_gen(lam + mu*k, k)`` in Fractions, with
+    lam the sum of the lambdas."""
+    lam = sum(query.lambdas, F(0))
+    denom = lam + query.mu * query.k
+    if denom == 0:
+        raise SingularTermError("lambda + mu*k = 0")
+    return lam / denom * binom_gen(denom, query.k)
+
+
+class TestQueryClosedFormsAtRationalPoints:
+    """The query forms run on the scaled ints of one ``_scaled`` call; each
+    must equal its Fraction definition."""
+
+    @given(rational_queries())
+    @example(q((F(3, 4),), F(-2, 3), 5))  # m = 1, coprime denominators
+    @example(q((F(1, 6), F(5, 6)), F(7, 6), 0))  # k = 0, shared denominator
+    @example(q((F(1, 2), F(2, 3), F(4, 5)), F(6, 7), 6))
+    @settings(max_examples=200, deadline=None)
+    def test_omega_closed_forms_equal_the_reference(self, query):
+        expected = reference_omega(query)
+        assert outcome(omega_closed_1, query) == (Fraction, expected)
+        assert outcome(omega_closed_2, query) == (Fraction, expected)
+        if query.k >= 1:
+            assert outcome(omega_closed_3, query) == (Fraction, expected)
+
+    @given(st.one_of(rational_queries(), rational_queries(singular=True)))
+    @example(q((F(3, 4),), F(-2, 3), 5))
+    @example(q((F(1, 6), F(5, 6)), F(7, 6), 0))
+    @example(q((F(1, 3), F(-1, 3)), F(5, 2), 0))  # k = 0 with lam = 0: singular
+    @example(q((F(2, 3),), F(-1, 6), 4))  # m = 1, lam + mu*k = 0
+    @settings(max_examples=300, deadline=None)
+    def test_phi_closed_equals_the_reference(self, query):
+        # values and singular queries alike: both raise SingularTermError
+        # on the same queries, with the same message
+        assert outcome(phi_closed, query) == outcome(reference_phi_closed, query)
 
 
 class TestPhi:

@@ -30,11 +30,7 @@ from math import gcd
 from operator import sub
 
 from .binomials import binom_nat
-from .omega_phi import (
-    omega_closed_1_total,
-    omega_closed_2_total,
-    omega_closed_3_total,
-)
+from .omega_phi import _omega_1, _omega_2, _omega_3
 from .series import coefficient, power_product, truncated_product
 
 
@@ -151,9 +147,10 @@ def h_closed_1(n: int, k: int, m: int, p: int) -> int:
     Term by term it is ``h_series``'s sum,
     ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, so the two
     routes do not check each other; ``h_composition``, ``h_recurrence`` and
-    the oracle do."""
+    the oracle do.  It is the first Omega expansion at lam = n + p*m and
+    mu = -p, read from its int core at D = 1."""
     _check_range("closed line formulas need", "line", n, k, m, p)
-    return omega_closed_1_total(n + m * p, -p, m, k)
+    return _omega_1(1, n + m * p, -p, m, k)[0]
 
 
 def h_closed_2(n: int, k: int, m: int, p: int) -> int:
@@ -165,7 +162,7 @@ def h_closed_2(n: int, k: int, m: int, p: int) -> int:
     takes about 0.15 s in-process.
     """
     _check_range("closed line formulas need", "line", n, k, m, p)
-    return omega_closed_2_total(n + m * p, -p, m, k)
+    return _omega_2(1, n + m * p, -p, m, k)[0]
 
 
 def h_closed_3(n: int, k: int, m: int, p: int) -> int:
@@ -177,7 +174,13 @@ def h_closed_3(n: int, k: int, m: int, p: int) -> int:
     _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
         raise ValueError("h_closed_3 needs k >= 1")
-    return _as_count(h_closed_3_value(n, k, m, p), "h_closed_3")
+    total, denom = _omega_3(1, n + m * p, -p, m, k, "corrected")
+    value, rest = divmod(total, denom)
+    if rest:
+        raise ValueError(
+            f"h_closed_3 produced a non-integer value {Fraction(total, denom)}"
+        )
+    return value
 
 
 def h_closed_3_value(
@@ -185,7 +188,7 @@ def h_closed_3_value(
 ) -> Fraction:
     """Exact rational value of the third formula (the printed variant is not
     guaranteed to be an integer)."""
-    return omega_closed_3_total(n + m * p, -p, m, k, variant)
+    return Fraction(*_omega_3(1, n + m * p, -p, m, k, variant))
 
 
 def g_closed(n: int, k: int, m: int, p: int) -> int:
@@ -216,17 +219,19 @@ def h_for_identity(n: int, k: int, m: int, p: int) -> int:
 @lru_cache(maxsize=1)
 def _line_counts(k: int) -> Callable[[int, int, int, int], int]:
     """``h_for_identity`` for every kk <= k, as ``h(nn, kk, m, p)``: each
-    (nn, m, p) is read from one ``h_composition_row(nn, k, m, p)``, built on
-    first read.  The empty selection counts 1 for every nn, even nn < 0, and
-    a negative kk counts 0.  Only the rows of the last k are kept, so the
-    audit, ``table`` and ``_line_column`` share them while k stays the same;
-    ``_line_counts.cache_clear()`` drops them."""
+    (nn, m, p) is read from one ``h_composition_row(nn, min(k, nn), m, p)``,
+    built on first read.  The empty selection counts 1 for every nn, even
+    nn < 0, and a negative kk or a kk above nn counts 0, with no row read,
+    so a row holds at most nn + 1 counts whatever k is.  Only the rows of
+    the last k are kept, so the audit, ``table`` and ``_line_column`` share
+    them while k stays the same; ``_line_counts.cache_clear()`` drops
+    them."""
     @cache
     def row(nn: int, m: int, p: int) -> list[int]:
-        return h_composition_row(nn, k, m, p)
+        return h_composition_row(nn, min(k, nn), m, p)
 
     def h(nn: int, kk: int, m: int, p: int) -> int:
-        if kk <= 0 or nn < 0:
+        if kk <= 0 or nn < kk:
             return int(kk == 0)
         return row(nn, m, p)[kk]
 
@@ -440,12 +445,12 @@ def h_series(n: int, k: int, m: int, p: int) -> int:
     holds: ``[y^k] (1+y)**(n+p*m+m-p*k-1) * (1+(p+1)*y)**(-(m-1))``, in
     O(k) big-int steps.
 
-    This is ``h_closed_1``'s sum term by term (``omega_closed_1_total`` at
-    lam = n + p*m, mu = -p is the same coefficient) and is evaluated by
-    that one call, so the two routes do not check each other;
+    This is ``h_closed_1``'s sum term by term (the first Omega expansion's
+    int core at lam = n + p*m, mu = -p is the same coefficient) and is
+    evaluated by that one call, so the two routes do not check each other;
     ``h_composition``, ``h_recurrence`` and the oracle do."""
     _check_range("h_series needs", "line", n, k, m, p)
-    return omega_closed_1_total(n + m * p, -p, m, k)
+    return _omega_1(1, n + m * p, -p, m, k)[0]
 
 
 def g_series(n: int, k: int, m: int, p: int) -> int:
@@ -545,12 +550,6 @@ def _check_range(what: str, family: str, n: int, k: int, m: int, p: int) -> None
     rule, bound = _RANGES[family]
     if n < bound(k, m, p):
         raise ValueError(f"{what} n >= {rule} = {bound(k, m, p)}, got n={n}")
-
-
-def _as_count(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} produced a non-integer value {value}")
-    return int(value)
 
 
 __all__ = [

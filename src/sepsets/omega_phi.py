@@ -21,11 +21,11 @@ The direct sums are evaluated as [y^k] of a product of one row polynomial
 per lambda, through ``series.power_product``, the engine of the line and
 circle composition sums.  Every row entry is one ``math.prod`` over the
 common denominator, so the sum costs O(m*k^2) int steps.  The closed forms
-read D, L = sum L_i and M once, and each expansion has one int core,
-shared by the query form and the ``*_total`` helper the counting formulas
-call: it reads one or two coefficients of a product of two binomial series
-over D with ``series.binomial_product_coefficients``, one O(k) recurrence
-loop.  Phi's closed form is one falling product over D.
+read D, L = sum L_i and M once, and each expansion has one int core: it
+reads one or two coefficients of a product of two binomial series over D
+with ``series.binomial_product_coefficients``, one O(k) recurrence loop.
+The closed line counts call the cores at D = 1.  Phi's closed form is one
+falling product over D.
 
 All parameters are exact rationals.  The identities are polynomial in the
 parameters, so exact verification at rational points is what the test
@@ -182,7 +182,7 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 
 
 # The closed forms depend on the lambdas only through their sum, so the
-# integer counting formulas reuse these helpers directly.  Each is the
+# closed line counts call these cores directly, at D = 1.  Each is the
 # coefficient of x^k (x^top for the third) in a product of two binomial
 # series, read by ``series.binomial_product_coefficients``.  Here
 # binom(m+j-2, j) * (mu-1)^j is the x^j coefficient of (1+(1-mu)x)^(1-m),
@@ -203,9 +203,9 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # Each expansion's core takes D, L = lam*D and M = mu*D and returns the
 # value as (numerator, denominator) ints: the helper scales the x^j
 # coefficient by D^(3j), and the sum is divided once at the end.  The
-# query forms read D, L and M from ``_scaled`` and build one Fraction; the
-# ``*_total`` helpers read them from ``_scaled_pair``, and int parameters
-# (D = 1) get an int from the first two expansions.
+# query forms read D, L and M from ``_scaled`` and build one Fraction.  At
+# D = 1 the first two denominators are 1; L and M must then be ints, since
+# the helper refuses a Fraction with TypeError rather than floor it.
 
 def _omega_1(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
     upper = big_l + big_m * k + (m - 1) * d
@@ -238,30 +238,6 @@ def _omega_3(
     )
     total = (big_l + big_m * m) * h + (d - big_m) * d * d * big_l * h_before
     return total, d ** (3 * top + 1) * k
-
-
-def _scaled_pair(lam: Rational, mu: Rational) -> tuple[int, int, int]:
-    """``_scaled(mu, (lam,))``: D, L = lam*D and M = mu*D.  Written out for
-    one lambda, since every closed line count makes this call:
-    ``_scaled``'s generic form costs more than the rest of a small count."""
-    d = lcm(lam.denominator, mu.denominator)
-    return d, lam.numerator * (d // lam.denominator), mu.numerator * (d // mu.denominator)
-
-
-def omega_closed_1_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    total, denom = _omega_1(*_scaled_pair(lam, mu), m, k)
-    return total if isinstance(lam, int) and isinstance(mu, int) else Fraction(total, denom)
-
-
-def omega_closed_2_total(lam: Rational, mu: Rational, m: int, k: int) -> Rational:
-    total, denom = _omega_2(*_scaled_pair(lam, mu), m, k)
-    return total if isinstance(lam, int) and isinstance(mu, int) else Fraction(total, denom)
-
-
-def omega_closed_3_total(
-    lam: Rational, mu: Rational, m: int, k: int, variant: str = "corrected"
-) -> Fraction:
-    return Fraction(*_omega_3(*_scaled_pair(lam, mu), m, k, variant))
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:

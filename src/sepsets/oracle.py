@@ -110,18 +110,20 @@ def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def _brute_counts(k: int, cap: int) -> Callable[[Topology, int, int, int, int], int]:
     """``count_brute`` for every kk <= k, as ``brute(topology, n, kk, m, p)``:
-    each (topology, n, m, p) is read from one ``count_brute_row`` scan to k
-    with the cap ``cap``, built on first read.  Only the rows of the last
-    (k, cap) are kept, so the audit and ``table`` share them while k and the
-    cap stay the same; ``_brute_counts.cache_clear()`` drops them.  A row
-    past the cap raises each time it is read, since exceptions are not
-    cached."""
+    each (topology, n, m, p) is read from one ``count_brute_row`` scan to
+    min(k, n) with the cap ``cap``, built on first read, and a kk above n
+    counts 0, so a row holds at most n + 1 counts whatever k is.  Only the
+    rows of the last (k, cap) are kept, so the audit and ``table`` share
+    them while k and the cap stay the same; ``_brute_counts.cache_clear()``
+    drops them.  A row past the cap raises each time it is read, as
+    ``count_brute`` does at every kk, since exceptions are not cached."""
     @cache
     def row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
-        return count_brute_row(count_query(topology, n, k, m, p), cap)
+        return count_brute_row(count_query(topology, n, min(k, n), m, p), cap)
 
     def brute(topology: Topology, n: int, kk: int, m: int, p: int) -> int:
-        return row(topology, n, m, p)[kk]
+        counts = row(topology, n, m, p)
+        return counts[kk] if kk <= n else 0
 
     return brute
 

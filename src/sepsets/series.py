@@ -119,20 +119,22 @@ def power_product(
     """[x^k] of the product of ``row ** count`` over ``factors``, at least
     one (coefficient list, count >= 1) pair; equal factors are raised by
     repeated squaring.  Each factor waits in ``last`` until the next one
-    arrives, so the final one meets the product only in
-    ``read(total, last, k)``: ``coefficient`` reads x^k alone,
-    ``truncated_product`` gives the list of x^0..x^k."""
-    total, last = [1], None
+    arrives; the first becomes the product as it is, with no product
+    taken, and the final one meets the product only in
+    ``read(total, last, k)``, against ``[1]`` when no other came:
+    ``coefficient`` reads x^k alone, ``truncated_product`` gives the list of
+    x^0..x^k."""
+    total = last = None
     for row, count in factors:
         while count:
             if count & 1:
                 if last is not None:
-                    total = truncated_product(total, last, k)
+                    total = last if total is None else truncated_product(total, last, k)
                 last = row
             count >>= 1
             if count:
                 row = truncated_product(row, row, k)
-    return read(total, last, k)
+    return read([1] if total is None else total, last, k)
 
 
 def binomial_product_coefficients(

@@ -551,6 +551,26 @@ class TestTableStream:
         peak(10)  # first-call allocations stay out of the comparison
         assert peak(2000) <= 1.3 * peak(500)
 
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    @pytest.mark.parametrize("topology", ["line", "circle"])
+    def test_memory_does_not_grow_with_n_max_past_it(self, tmp_path, topology):
+        # with --k-max far above --n-max, the line rows and the circle's
+        # oracle rows (all cells within the raised cap) hold at most n + 1
+        # counts each; padded to k-max + 1 they grew the peak with n-max.
+        # JSON, since the CSV note lists every oracle cell
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                assert main(["table", "--topology", topology, "--m", "1", "--p", "1",
+                             "--n-max", str(n_max), "--k-max", "1000", "--cap", "32",
+                             "--format", "json", "--out", str(tmp_path / "t.out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations stay out of the comparison
+        assert peak(32) <= 1.3 * peak(8)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_out_that_fills_up_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "table", "--topology", "line", "--m", "1", "--p", "1",
@@ -831,13 +851,14 @@ class TestAudit:
         # the identities share the process's rows: on the default grid one
         # row cache per identity made 564 oracle scans (294 distinct) and
         # 1,310 line rows (150 distinct); the reports stay those of
-        # separate run_audit calls
+        # separate run_audit calls.  The six line rows at n = 0 are not
+        # built: every read of them is at k = 0 or past n
         scans = record_calls(monkeypatch, oracle, "count_brute_row")
         rows = record_calls(monkeypatch, counting, "h_composition_row")
         code, out, _ = run(capsys, "audit", "--identity", "all", "--format", "json")
         assert code == 2
         assert len(scans) == len(set(scans)) == 294
-        assert len(rows) == len(set(rows)) == 150
+        assert len(rows) == len(set(rows)) == 144
         assert json.loads(out) == [
             audit.run_audit(identity, audit.DEFAULT_GRID).to_json_dict()
             for identity in IdentityId
@@ -881,22 +902,24 @@ class TestAudit:
     def test_grids_sharing_k_and_cap_share_rows(self, capsys, monkeypatch):
         # two grids with k_max = 4 and the default cap: the second one's
         # rows all lie within the first one's, so it scans none; keyed on
-        # the whole grid, it rebuilt all 150 rows
+        # the whole grid, it rebuilt all 150 rows.  The six line rows at
+        # n = 0 are read only at k = 0 or past n, so they are not built
         scans = record_calls(monkeypatch, oracle, "count_brute_row")
         rows = record_calls(monkeypatch, counting, "h_composition_row")
         assert run(capsys, "audit", "--identity", "Eq2.1")[0] == 0
-        assert (len(scans), len(rows)) == (150, 150)
+        assert (len(scans), len(rows)) == (150, 144)
         code, out, _ = run(
             capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=2,p<=1,k<=4,n<=20"
         )
         assert code == 0 and "checked: 210" in out
-        assert (len(scans), len(rows)) == (150, 150)
+        assert (len(scans), len(rows)) == (150, 144)
 
     @pytest.mark.usefixtures("fresh_audit_rows")
     def test_table_reads_the_audit_rows(self, capsys, monkeypatch):
         # the circle table's oracle cells at k_max = 4 and the default cap
         # are rows Eq2.2 has scanned, but for n = 0, which no circle
-        # identity reads (its range starts at n = m*p*k + 1)
+        # identity reads (its range starts at n = m*p*k + 1); a row is
+        # scanned only up to n, here to k = 0
         scans = record_calls(monkeypatch, oracle, "count_brute_row")
         assert run(capsys, "audit", "--identity", "Eq2.2")[0] == 0
         before = len(scans)
@@ -906,7 +929,7 @@ class TestAudit:
         )
         assert table[0] == 0 and "brute-force cells" in table[2]
         assert before > 0
-        assert scans[before:] == [(count_query("circle", 0, 4, 2, 1), 32)]
+        assert scans[before:] == [(count_query("circle", 0, 0, 2, 1), 32)]
         oracle._brute_counts.cache_clear()
         assert run(
             capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",

@@ -417,7 +417,8 @@ class TestRoutesAgreeWithTheOracleAtScale:
     """Every ``ROUTES`` entry and ``h_composition_row`` against one oracle
     row at seeded points below n = 600, where the errata live: just below
     each range bound and recurrence start x0, at them, one m past the
-    bound, and at every residue of n mod m from the bound on."""
+    bound, and at every residue of n mod m from the bound on; and further
+    out, at n of about 1500..2100, at the bounds and x0 alone."""
 
     @staticmethod
     def points(topology, count, seed):
@@ -438,11 +439,39 @@ class TestRoutesAgreeWithTheOracleAtScale:
             for n in sorted(edges.union(range(bound, bound + m))):
                 yield n, k, m, p
 
+    @staticmethod
+    def far_points(topology, count, seed):
+        # sparse (m, p): p in {1, 2}, k in 50..100 and m such that p*m*k,
+        # about the range bound, is 1600..2100; an oracle row there takes
+        # well under 0.1 s
+        rng = random.Random(seed)
+        for _ in range(count):
+            p, k = rng.randint(1, 2), rng.randint(50, 100)
+            m = round(rng.randint(1600, 2100) / (p * k))
+            if topology == "line":
+                bound = p * m * (k - 1)
+                x0 = bound + 1
+            else:
+                bound = m * p * k + 1
+                x0 = m * (p * k + 1) + 1
+            for n in sorted({bound - 1, bound, bound + m, x0 - 1, x0}):
+                yield n, k, m, p
+
     @pytest.mark.parametrize(
         "topology, in_range", [("line", line_in_range), ("circle", circle_in_range)]
     )
     def test_routes_equal_the_oracle_row(self, topology, in_range):
-        for n, k, m, p in self.points(topology, 16, seed=2008):
+        self.check(topology, in_range, self.points(topology, 16, seed=2008))
+
+    @pytest.mark.parametrize(
+        "topology, in_range", [("line", line_in_range), ("circle", circle_in_range)]
+    )
+    def test_routes_equal_the_oracle_row_further_out(self, topology, in_range):
+        self.check(topology, in_range, self.far_points(topology, 2, seed=2008))
+
+    @staticmethod
+    def check(topology, in_range, points):
+        for n, k, m, p in points:
             row = count_brute_row(count_query(topology, n, k, m, p), cap=n)
             if topology == "line":
                 assert h_composition_row(n, k, m, p) == list(row), (n, k, m, p)
@@ -546,3 +575,22 @@ class TestLargeK:
     def test_line_recurrence_at_k_400(self):
         # p + 1 seed products and O(k^2) row steps: well under a second
         assert h_recurrence(10**5, 400, 3, 2) == h_closed_1(10**5, 400, 3, 2)
+
+    def test_closed_line_routes_build_no_fraction(self, monkeypatch):
+        # integer parameters, integer arithmetic: the closed line routes
+        # read the Omega int cores at D = 1 and never build a Fraction
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+        assert Fraction(1, 2) and built == [(1, 2)]  # the spy sees a build
+        built.clear()
+        routes = (h_closed_1, h_closed_2, h_closed_3, h_series)
+        for n, k, m, p in ((12, 3, 2, 2), (10**6 + 6 * 2999, 3000, 3, 2)):
+            for route in routes:
+                route(n, k, m, p)
+                assert built == [], (route.__name__, n, k)

@@ -11,15 +11,15 @@ from sepsets.binomials import binom_gen
 from sepsets.omega_phi import (
     OmegaQuery,
     SingularTermError,
+    _omega_1,
+    _omega_2,
+    _omega_3,
     compositions,
     gould_check,
     hwang_wei_check,
     omega_closed_1,
-    omega_closed_1_total,
     omega_closed_2,
-    omega_closed_2_total,
     omega_closed_3,
-    omega_closed_3_total,
     omega_direct,
     phi_closed,
     phi_direct,
@@ -178,14 +178,12 @@ class TestOmegaClosedForms:
         assert omega_closed_3(query, "printed") == 20
         assert omega_closed_3(query, "corrected") == 10
 
-    def test_totals_stay_exact_on_integer_parameters(self):
-        assert type(omega_closed_1_total(5, -2, 3, 2)) is int
-        assert type(omega_closed_2_total(5, -2, 3, 2)) is int
-        # the printed third expansion is not an integer here: it must be an
-        # exact Fraction, never a float
-        value = omega_closed_3_total(-2, 0, 2, 3, "printed")
-        assert value == F(20, 3) and type(value) is Fraction
-        assert omega_closed_3_total(F(-2), F(0), 2, 3, "printed") == value
+    def test_printed_third_stays_exact_on_integer_parameters(self):
+        # the printed third expansion is not an integer here: its core gives
+        # the exact ratio of ints, never a float, and the query form the same
+        total, denom = _omega_3(1, -2, 0, 2, 3, "printed")
+        assert type(total) is type(denom) is int and F(total, denom) == F(20, 3)
+        assert omega_closed_3(q((-2, 0), 0, 3), "printed") == F(20, 3)
 
     @pytest.mark.parametrize(
         "lam,mu,m,k",
@@ -193,6 +191,24 @@ class TestOmegaClosedForms:
             (5, -2, 3, 2),
             (3, -1, 2, 0),
             (-7, 4, 1, 3),
+            (9, -2, 2, 64),
+            (9, 1, 2, 80),
+        ],
+    )
+    def test_return_type_follows_the_parameters(self, lam, mu, m, k):
+        # the cores at D = 1, as the closed line counts call them: int
+        # parameters give int values over the denominator 1 from the first
+        # two expansions, and the third's ratio is the direct sum
+        direct = omega_direct(OmegaQuery((lam,) + (0,) * (m - 1), mu, k))
+        for core in (_omega_1, _omega_2):
+            total, denom = core(1, lam, mu, m, k)
+            assert type(total) is int and denom == 1 and total == direct
+        if k >= 1:
+            assert F(*_omega_3(1, lam, mu, m, k, "corrected")) == direct
+
+    @pytest.mark.parametrize(
+        "lam,mu,m,k",
+        [
             (F(3), F(-1), 2, 0),
             (F(3), F(-1), 2, 3),
             (F(-26, 9), F(-7, 3), 5, 0),
@@ -205,22 +221,32 @@ class TestOmegaClosedForms:
             (F(-26, 9), F(5, 3), 2, 80),
             (F(1, 2), F(0), 2, 64),
             (F(5, 4), F(1), 1, 80),
-            (9, -2, 2, 64),
-            (9, 1, 2, 80),
         ],
     )
-    def test_return_type_follows_the_parameters(self, lam, mu, m, k):
-        # int lam and mu give an int from the first two expansions; a
-        # Fraction anywhere gives a Fraction, also when the common
-        # denominator is 1 and at k = 0
-        expected = int if type(lam) is type(mu) is int else Fraction
-        direct = omega_direct(OmegaQuery((lam,) + (0,) * (m - 1), mu, k))
-        for total in (omega_closed_1_total, omega_closed_2_total):
-            value = total(lam, mu, m, k)
-            assert type(value) is expected and value == direct
-        if k >= 1:
-            value = omega_closed_3_total(lam, mu, m, k)
+    def test_query_forms_at_one_rational_lambda(self, lam, mu, m, k):
+        # a Fraction parameter reaches the cores only through the query
+        # forms, also when the common denominator is 1 and at k = 0
+        query = OmegaQuery((lam,) + (0,) * (m - 1), mu, k)
+        direct = omega_direct(query)
+        for closed in (omega_closed_1, omega_closed_2):
+            value = closed(query)
             assert type(value) is Fraction and value == direct
+        if k >= 1:
+            value = omega_closed_3(query)
+            assert type(value) is Fraction and value == direct
+
+    @pytest.mark.parametrize(
+        "lam,mu", [(F(3), -1), (3, F(-1)), (F(7, 2), -1), (3, F(-1, 2))]
+    )
+    def test_cores_refuse_a_fraction_at_d_one(self, lam, mu):
+        # D = 1 means int L and M: a Fraction, integral or not, is refused,
+        # never floored
+        for core in (_omega_1, _omega_2):
+            with pytest.raises(TypeError):
+                core(1, lam, mu, 2, 3)
+        for variant in ("printed", "corrected"):
+            with pytest.raises(TypeError):
+                _omega_3(1, lam, mu, 2, 3, variant)
 
     def test_third_rejects_k_zero(self):
         with pytest.raises(ValueError):
@@ -265,19 +291,19 @@ class TestOmegaClosedForms:
         # lam + (mu-1)*k is negative at most of these points
         lam, m = sum(lambdas), len(lambdas)
         direct = omega_direct(OmegaQuery(tuple(lambdas), mu, k))
-        for total in (omega_closed_1_total, omega_closed_2_total):
-            value = total(lam, mu, m, k)
-            assert type(value) is int and value == direct
+        for core in (_omega_1, _omega_2):
+            total, denom = core(1, lam, mu, m, k)
+            assert type(total) is int and denom == 1 and total == direct
         if k >= 1:
-            assert omega_closed_3_total(lam, mu, m, k) == direct
+            assert F(*_omega_3(1, lam, mu, m, k, "corrected")) == direct
 
     def test_int_totals_at_negative_upper_indices(self):
         # lam + (mu-1)*k = -11 and lam + mu*k + m - 1 = -6
         lam, mu, m, k = -3, -1, 2, 4
         direct = omega_direct(q((-1, -2), mu, k))
-        assert omega_closed_1_total(lam, mu, m, k) == direct
-        assert omega_closed_2_total(lam, mu, m, k) == direct
-        assert omega_closed_3_total(lam, mu, m, k) == direct
+        assert _omega_1(1, lam, mu, m, k) == (direct, 1)
+        assert _omega_2(1, lam, mu, m, k) == (direct, 1)
+        assert F(*_omega_3(1, lam, mu, m, k, "corrected")) == direct
 
 
 # pairwise coprime denominators, for queries whose common denominator is

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepsets import binomials, counting
+from sepsets import binomials, counting, series
 from sepsets.binomials import binom_gen
 from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
@@ -195,6 +195,18 @@ class TestPowerProduct:
                 total = truncated_product(total, row, k)
         expected = total[k] if read is coefficient else total
         assert power_product(factors, k, read) == expected
+
+    def test_first_factor_costs_no_product(self, monkeypatch):
+        # the first row is the running product as it is and the last meets
+        # it only in the read, so three distinct rows cost one product
+        calls = []
+        product = series.truncated_product
+        monkeypatch.setattr(
+            series, "truncated_product", lambda *args: calls.append(args) or product(*args)
+        )
+        rows = [[1, 2, 3], [1, 1], [1, 0, 5]]
+        assert power_product(((row, 1) for row in rows), 4) == 25
+        assert len(calls) == 1
 
 
 class TestMulAndCoeff:

@@ -172,33 +172,42 @@ def _cmd_table(args) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                brute_cells = _write_table(args, fh.write)
+                brute_runs = _write_table(args, fh.write)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        brute_cells = _write_table(args, sys.stdout.write)
-    if brute_cells:
-        print(
-            "note: brute-force cells (below the circle formula range): "
-            + " ".join(f"({n},{k})" for n, k in brute_cells),
-            file=sys.stderr,
-        )
+        brute_runs = _write_table(args, sys.stdout.write)
+    if brute_runs:
+        note = sys.stderr.write
+        note("note: brute-force cells (below the circle formula range):")
+        for n, first, last in brute_runs:
+            note("".join([f" ({n},{k})" for k in range(first, last + 1)]))
+        note("\n")
     return 0
 
 
-def _write_table(args, write) -> list[tuple[int, int]]:
+def _write_table(args, write) -> list[list[int]]:
     """Stream the table to ``write``, one chunk per n, and return the
-    brute-force cells the CSV note lists: at most (cap + 1) * (k-max + 1)."""
-    brute_cells = []
+    brute-force cells the CSV note lists, as runs ``[n, first k, last k]``
+    of consecutive cells: a cell next to the last run's end extends it, any
+    other starts a run.  An n within the cap is below the circle formula
+    range at every k past some point, so it gives one run."""
+    runs = []
     if args.format == "csv":
         write("n,k,count\n")
         for n, row in _table_rows(args):
             write("".join([f"{n},{k},{value}\n" for k, value, _ in row]))
-            brute_cells += [(n, k) for k, _, label in row if label == "brute"]
+            for k, _, label in row:
+                if label != "brute":
+                    continue
+                if runs and runs[-1][0] == n and runs[-1][2] == k - 1:
+                    runs[-1][2] = k
+                else:
+                    runs.append([n, k, k])
     else:
         write_array(write, ([cell(n, *c) for c in row] for n, row in _table_rows(args)))
         write("\n")
-    return brute_cells
+    return runs
 
 
 def _table_rows(args):

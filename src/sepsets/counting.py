@@ -174,21 +174,21 @@ def h_closed_3(n: int, k: int, m: int, p: int) -> int:
     _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
         raise ValueError("h_closed_3 needs k >= 1")
-    total, denom = _omega_3(1, n + m * p, -p, m, k, "corrected")
-    value, rest = divmod(total, denom)
-    if rest:
-        raise ValueError(
-            f"h_closed_3 produced a non-integer value {Fraction(total, denom)}"
-        )
+    value = h_closed_3_value(n, k, m, p)
+    if isinstance(value, Fraction):
+        raise ValueError(f"h_closed_3 produced a non-integer value {value}")
     return value
 
 
 def h_closed_3_value(
     n: int, k: int, m: int, p: int, variant: str = "corrected"
-) -> Fraction:
-    """Exact rational value of the third formula (the printed variant is not
-    guaranteed to be an integer)."""
-    return Fraction(*_omega_3(1, n + m * p, -p, m, k, variant))
+) -> int | Fraction:
+    """Exact value of the third formula: an ``int`` when it is whole, as
+    every corrected value in the line range is, else a ``Fraction`` (the
+    printed variant is not guaranteed to be an integer)."""
+    total, denom = _omega_3(1, n + m * p, -p, m, k, variant)
+    value, rest = divmod(total, denom)
+    return Fraction(total, denom) if rest else value
 
 
 def g_closed(n: int, k: int, m: int, p: int) -> int:

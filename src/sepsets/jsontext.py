@@ -4,12 +4,14 @@ cell with or without ``"method"``.
 
 ``json.dumps`` with an indent runs json's pure-Python encoder over every
 value; here each record is one template, and only its scalars go through
-json's rules: ``int.__repr__`` for an int (so an int past 4300 digits
-needs ``sys.set_int_max_str_digits(0)``, as it does for json),
-``encode_basestring_ascii`` for a str and ``json.dumps`` for anything
-else.  A record is written at an indent of ``indent`` spaces: its first
-line carries no indent, since it follows its container's, and every later
-line carries ``indent`` more spaces than it would at the top level.
+json's rules: its decimal digits for an int (``int.__repr__``, or
+``str.format``'s ``{}`` in a failure's template, which writes the same; so
+an int past 4300 digits needs ``sys.set_int_max_str_digits(0)``, as it
+does for json), ``encode_basestring_ascii`` for a str and ``json.dumps``
+for anything else.  A record is written at an indent of ``indent``
+spaces: its first line carries no indent, since it follows its
+container's, and every later line carries ``indent`` more spaces than it
+would at the top level.
 """
 
 from __future__ import annotations
@@ -48,24 +50,42 @@ def write_array(write, batches) -> None:
 
 def report(identity, grid, checked, failures: list[dict], indent: int = 0) -> str:
     """An audit report: its failures are ``{"params": {...}, "lhs": ...,
-    "rhs": ...}`` dicts, ``params`` flat."""
+    "rhs": ...}`` dicts, ``params`` flat.  Each failure is written from one
+    ``str.format`` template per tuple of params keys, built once per
+    report."""
     i1, i2, i3, i4 = ("\n" + " " * (indent + d) for d in (2, 4, 6, 8))
-    listed = array([_failure(f["params"], f["lhs"], f["rhs"], i2, i3, i4) for f in failures],
-                   indent + 2)
+    templates = {}  # params keys -> their template's bound format
+    items = []
+    for f in failures:
+        params = f["params"]
+        keys = tuple(params)
+        fill = templates.get(keys)
+        if fill is None:
+            fill = templates[keys] = _failure_template(keys, i2, i3, i4).format
+        values = [*params.values(), f["lhs"], f["rhs"]]
+        items.append(fill(*[v if type(v) is int else scalar(v) for v in values]))
+    listed = array(items, indent + 2)
     return (
         f'{{{i1}"identity": {scalar(identity)},{i1}"grid": {scalar(grid)},'
         f'{i1}"checked": {scalar(checked)},{i1}"failures": {listed}\n{" " * indent}}}'
     )
 
 
-def _failure(params: dict, lhs, rhs, i2: str, i3: str, i4: str) -> str:
-    # i2, i3, i4: a newline and the indent of the failure, its keys, its params' keys
-    if params:
-        pairs = ("," + i4).join([f"{_string(key)}: {scalar(val)}" for key, val in params.items()])
-        params_text = f"{{{i4}{pairs}{i3}}}"
+def _failure_template(keys: tuple, i2: str, i3: str, i4: str) -> str:
+    """A failure with a ``{}`` field for each params value, then lhs and
+    rhs; i2, i3, i4 are a newline and the indent of the failure, its keys
+    and its params' keys.  The keys are written as JSON strings with their
+    braces doubled, so ``str.format`` gives them back as they are."""
+    if keys:
+        pairs = ("," + i4).join(
+            [_string(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys]
+        )
+        params = "{{" + i4 + pairs + i3 + "}}"
     else:
-        params_text = "{}"
-    return f'{{{i3}"params": {params_text},{i3}"lhs": {scalar(lhs)},{i3}"rhs": {scalar(rhs)}{i2}}}'
+        params = "{{}}"
+    return (
+        "{{" + i3 + '"params": ' + params + "," + i3 + '"lhs": {},' + i3 + '"rhs": {}' + i2 + "}}"
+    )
 
 
 def cell(n: int, k: int, count: int, method: str | None = None) -> str:

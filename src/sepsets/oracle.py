@@ -26,10 +26,9 @@ two agree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache, lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 
 from .counting import CountQuery, SeparationParams, Topology, count_query
 
@@ -132,30 +131,44 @@ def _order(n: int, diffs: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The positions 0..n-1 (position x+1 is x) in the scan's order, each
     with the set of later positions that choosing it rules out (bit j: the
     position j places on).  The order is a breadth-first search, each
-    component from its least unvisited position; the neighbours of v,
-    v - d and v + d for d in the sorted ``diffs``, come out in index order
-    with no sort and no neighbour list.
+    component from its least unvisited position; the neighbours of v come
+    out in index order with no sort and no neighbour list: v - d for the
+    sorted ``diffs`` walked backwards, skipping d > v, then v + d walked
+    forwards, stopping at the first past n - 1.
     """
-    offsets = [-d for d in reversed(diffs)] + list(diffs)
     where = [-1] * n  # each position's place in the order, once reached
     order: list[int] = []
+    size = 0  # len(order)
     start = 0
     for i in range(n):
-        if i == len(order):  # the component is done: start the next one
+        if i == size:  # the component is done: start the next one
             while where[start] >= 0:
                 start += 1
             where[start] = i
             order.append(start)
+            size += 1
         v = order[i]
         ahead = 0
-        # the neighbours v + o that lie in 0..n-1, in index order
-        lo, hi = bisect_left(offsets, -v), bisect_left(offsets, n - v)
-        for o in islice(offsets, lo, hi):
-            u = v + o
+        for d in reversed(diffs):
+            if d > v:
+                continue
+            u = v - d
             w = where[u]
             if w < 0:
-                w = where[u] = len(order)
+                w = where[u] = size
                 order.append(u)
+                size += 1
+            if w > i:
+                ahead |= 1 << (w - i)
+        for d in diffs:
+            u = v + d
+            if u >= n:
+                break
+            w = where[u]
+            if w < 0:
+                w = where[u] = size
+                order.append(u)
+                size += 1
             if w > i:
                 ahead |= 1 << (w - i)
         yield v, ahead

@@ -504,6 +504,22 @@ class TestTableStream:
             "(0,0) (0,1) (0,2) (1,1) (1,2) (2,1) (2,2) (3,2) (4,2)\n"
         )
 
+    def test_csv_note_runs_break_at_gaps_and_rows(self, capsys, monkeypatch):
+        # a run of the note holds consecutive k of one n: a gap in k or a
+        # new n starts the next one
+        rows = [(3, [(0, 1, "brute"), (1, 2, "brute"), (2, 3, None), (3, 4, "brute")]),
+                (4, [(4, 5, "brute")]), (5, [(5, 6, "brute"), (6, 7, "brute")])]
+        monkeypatch.setattr(cli, "_table_rows", lambda args: iter(rows))
+        code, out, err = run(capsys, "table", "--topology", "circle", "--m", "1", "--p", "1",
+                             "--n-max", "5", "--k-max", "6")
+        assert code == 0 and out.splitlines()[1:] == [
+            f"{n},{k},{v}" for n, row in rows for k, v, _ in row
+        ]
+        assert err == (
+            "note: brute-force cells (below the circle formula range): "
+            "(3,0) (3,1) (3,3) (4,4) (5,5) (5,6)\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "flags, message",
@@ -552,18 +568,20 @@ class TestTableStream:
         assert peak(2000) <= 1.3 * peak(500)
 
     @pytest.mark.usefixtures("fresh_audit_rows")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("topology", ["line", "circle"])
-    def test_memory_does_not_grow_with_n_max_past_it(self, tmp_path, topology):
+    def test_memory_does_not_grow_with_n_max_past_it(self, tmp_path, topology, fmt):
         # with --k-max far above --n-max, the line rows and the circle's
         # oracle rows (all cells within the raised cap) hold at most n + 1
         # counts each; padded to k-max + 1 they grew the peak with n-max.
-        # JSON, since the CSV note lists every oracle cell
+        # The CSV note keeps one run of k per n, where a list of every
+        # oracle cell grew it too
         def peak(n_max):
             tracemalloc.start()
             try:
                 assert main(["table", "--topology", topology, "--m", "1", "--p", "1",
                              "--n-max", str(n_max), "--k-max", "1000", "--cap", "32",
-                             "--format", "json", "--out", str(tmp_path / "t.out")]) == 0
+                             "--format", fmt, "--out", str(tmp_path / "t.out")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -38,7 +38,8 @@ from sepsets.counting import (
     h_recurrence,
     line_in_range,
 )
-from sepsets.omega_phi import compositions
+from sepsets.audit import DEFAULT_GRID
+from sepsets.omega_phi import _omega_3, compositions
 from sepsets.oracle import count_brute, count_brute_row
 from sepsets.counting import g_series, h_series
 
@@ -222,6 +223,40 @@ class TestHClosedForms:
     def test_printed_third_variant_is_wrong_here(self):
         assert h_closed_3_value(6, 2, 2, 1, "printed") == 17
         assert h_closed_3_value(6, 2, 2, 1, "corrected") == 11
+
+    def test_third_value_is_an_int_exactly_when_whole(self):
+        # at the audit's points of the default grid every corrected value is
+        # an int, and the printed one is an int at 360 points (356 of them
+        # wrong) and a Fraction that is not whole at the other 132
+        g = DEFAULT_GRID
+        points = [
+            (n, k, m, p)
+            for m, p, k, n in product(range(1, g.m_max + 1), range(1, g.p_max + 1),
+                                      range(1, g.k_max + 1), range(g.n_max + 1))
+            if line_in_range(n, k, m, p)
+        ]
+        whole = 0
+        for point in points:
+            assert type(h_closed_3_value(*point)) is int, point
+            printed = h_closed_3_value(*point, "printed")
+            if type(printed) is int:
+                whole += 1
+            else:
+                assert type(printed) is Fraction and printed.denominator > 1, point
+        assert (len(points), whole) == (492, 360)
+
+    def test_third_value_is_the_omega_core_at_d_1(self):
+        # in and out of the line range, both variants: the same number, an
+        # int exactly when the core's pair divides
+        rng = random.Random(33)
+        for _ in range(400):
+            n, k = rng.randint(0, 300), rng.randint(1, 12)
+            m, p = rng.randint(1, 6), rng.randint(1, 4)
+            for variant in ("printed", "corrected"):
+                value = h_closed_3_value(n, k, m, p, variant)
+                expected = Fraction(*_omega_3(1, n + m * p, -p, m, k, variant))
+                assert value == expected, (n, k, m, p, variant)
+                assert (type(value) is int) == (expected.denominator == 1)
 
     def test_agree_with_composition_on_range(self):
         for m, p in product(range(1, 4), range(1, 3)):

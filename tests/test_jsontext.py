@@ -41,6 +41,18 @@ class TestReport:
     @given(reports)
     @example(AuditReport("Eq3.5", "m<=3,p<=2,k<=4,n<=24", 540, []))
     @example(AuditReport("é", "\"\\", 1, [{"params": {}, "lhs": "1/2", "rhs": 0}]))
+    # keys that str.format would read as fields, unless their braces are doubled
+    @example(AuditReport("x", "g", 1, [
+        {"params": {"{": 1, "}": "}", "{}": -2, "{0}": "{1}", "é{n}": 3}, "lhs": "{}", "rhs": 4},
+    ]))
+    # failures with different params keys, the empty dict among them, each
+    # write from the template of their keys, in turn
+    @example(AuditReport("x", "g", 4, [
+        {"params": {"m": 1, "k": 2}, "lhs": 3, "rhs": "7/2"},
+        {"params": {"k": 2, "m": 1}, "lhs": 3, "rhs": 4},
+        {"params": {"m": 5, "k": 6}, "lhs": "-1/3", "rhs": 0},
+        {"params": {}, "lhs": 0, "rhs": 1},
+    ]))
     @settings(max_examples=150, deadline=None)
     def test_bytes_of_json_dumps(self, r):
         assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)

@@ -283,6 +283,20 @@ class TestCountMatchesEnumeration:
         # the 4-line with m = 3 joins only 0-3; isolated positions follow
         assert [v for v, _ in _order(4, [3])] == [0, 3, 1, 2]
 
+    def test_order_is_pinned(self):
+        # sha256 of every order and mask over both topologies, n <= 40,
+        # 1 <= m <= n + 1 and p <= 6, one line per conflict graph, taken
+        # from the order that found each position's neighbours by bisecting
+        # a list of signed offsets
+        digest = hashlib.sha256()
+        for circular, n, p in product((False, True), range(41), range(1, 7)):
+            for m in range(1, n + 2):
+                steps = list(_order(n, sorted(_forbidden(n, m, p, circular))))
+                digest.update(f"{steps}\n".encode())
+        assert digest.hexdigest() == (
+            "cb1c420f622fb09ab53727b822adfd2e06042ea41eccc7afffb7a47841f38f78"
+        )
+
     @pytest.mark.parametrize("topology", ["line", "circle"])
     def test_edge_cases(self, topology):
         assert count_brute(count_query(topology, 0, 0, 1, 1)) == 1

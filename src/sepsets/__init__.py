@@ -57,7 +57,6 @@ from .audit import (
     AuditReport,
     GridSpec,
     IdentityId,
-    bijection_count_check,
     run_audit,
 )
 
@@ -110,5 +109,4 @@ __all__ = [
     "g_recurrence",
     "g_alternating",
     "h_from_g",
-    "bijection_count_check",
 ]

@@ -1,6 +1,6 @@
-"""Identity audits: the catalogue of identities, the one loop that verifies
-them and records counterexamples, and the bijection cardinality check.
-The count routes the catalogue checks live in ``counting``.
+"""Identity audits: the catalogue of identities and the one loop that
+verifies them and records counterexamples.  The count routes the
+catalogue checks live in ``counting``.
 
 Each identity in the catalogue is a generator of ``(raw, lhs, rhs)``
 cases, paired with the function that formats a case's raw parameters (a
@@ -11,12 +11,13 @@ grid point satisfying its validity precondition; mismatches are
 collected as data (never raised).  The catalogue
 deliberately includes the known-bad ``printed`` formula variants so their
 counterexamples are reproduced, witnesses included.  Only the oracle
-sides and ``bijection_count_check`` read the brute-force cap.
+sides read the brute-force cap.
 
 The grid identities read the oracle and the line counts from the rows
 their engines keep, ``oracle._brute_counts`` for the last (k, cap) and
 ``counting._line_counts`` for the last k, so every audit with that k_max
-and cap, in one command or across calls, builds each row once.  A caller
+and cap, in one command or across calls, builds each row once; nothing
+else reads those stores, so no other command evicts them.  A caller
 that patches an engine the rows are built from must clear both stores
 before it audits.  A sampled instance that ``omega_phi`` finds singular
 is skipped (Omega and Phi) or redrawn (Gould).
@@ -40,10 +41,7 @@ from fractions import Fraction
 from functools import partial
 
 from .counting import (
-    CountQuery,
-    SeparationParams,
     Topology,
-    _check_range,
     _g_alternating_sum,
     _g_from_h_sum,
     _line_counts,
@@ -70,7 +68,7 @@ from .omega_phi import (
     phi_closed,
     phi_direct,
 )
-from .oracle import DEFAULT_CAP, _brute_counts, count_brute
+from .oracle import DEFAULT_CAP, _brute_counts
 
 
 class IdentityId(str, Enum):
@@ -171,18 +169,6 @@ def _failure(params: dict, lhs, rhs) -> dict:
     # params comes from the identity's formatter, whose values are ints and
     # strs already
     return {"params": params, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-
-
-def bijection_count_check(
-    n: int, k: int, m: int, p: int, cap: int = DEFAULT_CAP
-) -> tuple[int, int]:
-    """Both brute-force circle counts compared by the bijection-cardinality
-    audit: separation parameters (m, p) versus (1, p).  They agree where
-    ``circle_in_range`` holds (the catalogue's BijectionCount claim)."""
-    _check_range("bijection check needs", "circle", n, k, m, p)
-    lhs = count_brute(CountQuery(Topology.CIRCLE, n, k, SeparationParams(m, p)), cap)
-    rhs = count_brute(CountQuery(Topology.CIRCLE, n, k, SeparationParams(1, p)), cap)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

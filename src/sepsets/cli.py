@@ -12,33 +12,34 @@ plain argv (a command, then each of its flags in full at most once, each
 with a value that does not start with ``-``) straight from that table.
 argparse is imported and built only for an argv the reader declines, so
 help, usage and every error line stay argparse's.  Repeated ``main()``
-calls also share the oracle and line rows that ``audit`` and ``table``
-read, kept beside their engines for the last k and cap
-(``oracle._brute_counts``, ``counting._line_counts``).
+calls share only the oracle and line rows that ``audit`` reads, kept
+beside their engines for the last k and cap; ``table`` builds its own
+rows and drops them.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 
 from .audit import DEFAULT_GRID, IdentityId, parse_grid, run_audit
 from .counting import (
     ROUTES,
-    Topology,
     _check_mp,
-    _line_counts,
     _route,
     circle_in_range,
     count_query,
+    h_composition_row,
     line_in_range,
 )
 from .jsontext import array, cell, write_array
-from .oracle import DEFAULT_CAP, _brute_counts, count_brute, list_brute
+from .oracle import DEFAULT_CAP, count_brute, count_brute_row, list_brute
 
 METHODS = ("auto", *ROUTES["line"], "brute")
+
+_SLICE = 4096  # the most cells ``table`` holds at once, whatever --k-max is
 
 # An option is (flag, int or str, choices or None, default or _REQUIRED,
 # help or None).  Each command lists its help and its options in --help order.
@@ -181,17 +182,19 @@ def _cmd_table(args) -> int:
         note = sys.stderr.write
         note("note: brute-force cells (below the circle formula range):")
         for n, first, last in brute_runs:
-            note("".join([f" ({n},{k})" for k in range(first, last + 1)]))
+            for start in range(first, last + 1, _SLICE):
+                end = min(start + _SLICE, last + 1)
+                note("".join([f" ({n},{k})" for k in range(start, end)]))
         note("\n")
     return 0
 
 
 def _write_table(args, write) -> list[list[int]]:
-    """Stream the table to ``write``, one chunk per n, and return the
-    brute-force cells the CSV note lists, as runs ``[n, first k, last k]``
-    of consecutive cells: a cell next to the last run's end extends it, any
-    other starts a run.  An n within the cap is below the circle formula
-    range at every k past some point, so it gives one run."""
+    """Stream the table to ``write``, one chunk per ``_table_rows`` slice,
+    and return the brute-force cells the CSV note lists, as runs ``[n, first
+    k, last k]`` of consecutive cells: a cell next to the last run's end
+    extends it, any other starts a run.  An n within the cap is below the
+    circle formula range at every k past some point, so it gives one run."""
     runs = []
     if args.format == "csv":
         write("n,k,count\n")
@@ -211,27 +214,33 @@ def _write_table(args, write) -> list[list[int]]:
 
 
 def _table_rows(args):
-    """``(n, [(k, count, label), ...])`` for each n; the label is the method
-    of a circle cell below the formula range, else None."""
-    topology, m, p, k_max = args.topology, args.m, args.p, args.k_max
+    """``(n, [(k, count, label), ...])`` for each slice of at most ``_SLICE``
+    of an n's cells, in order; the label is the method of a circle cell
+    below the formula range, else None."""
+    topology, m, p, k_max, cap = args.topology, args.m, args.p, args.k_max, args.cap
     circle = topology == "circle"
-    # below the formula range, one composition product (line) or one oracle
-    # scan (circle) per n, kept beside its engine, answers every cell of that n
-    if circle:
-        row_method = "brute"
-        row_count = partial(_brute_counts(k_max, args.cap), Topology.CIRCLE)
-    else:
-        row_method, row_count = "composition", _line_counts(k_max)
+    row_method = "brute" if circle else "composition"
     for n in range(args.n_max + 1):
-        row = []
-        for k in range(k_max + 1):
-            method = _auto(topology, n, k, m, p, args.cap)
-            if method == row_method:
-                value = row_count(n, k, m, p)
-            else:
-                value = _route(topology, method)(n, k, m, p)
-            row.append((k, value, method if circle and method != "closed1" else None))
-        yield n, row
+        # below the formula range, one oracle scan (circle) or composition
+        # product (line) answers every cell of this n up to k = n: built on
+        # the first such cell and dropped with this n
+        row = None
+        for start in range(0, k_max + 1, _SLICE):
+            chunk = []
+            for k in range(start, min(start + _SLICE, k_max + 1)):
+                method = _auto(topology, n, k, m, p, cap)
+                if method != row_method:
+                    value = _route(topology, method)(n, k, m, p)
+                elif k > n:
+                    value = 0
+                else:
+                    if row is None:
+                        top = min(k_max, n)
+                        row = (count_brute_row(count_query(topology, n, top, m, p), cap)
+                               if circle else h_composition_row(n, top, m, p))
+                    value = row[k]
+                chunk.append((k, value, method if circle and method != "closed1" else None))
+            yield n, chunk
 
 
 def _cmd_audit(args) -> int:

@@ -223,9 +223,8 @@ def _line_counts(k: int) -> Callable[[int, int, int, int], int]:
     built on first read.  The empty selection counts 1 for every nn, even
     nn < 0, and a negative kk or a kk above nn counts 0, with no row read,
     so a row holds at most nn + 1 counts whatever k is.  Only the rows of
-    the last k are kept, so the audit, ``table`` and ``_line_column`` share
-    them while k stays the same; ``_line_counts.cache_clear()`` drops
-    them."""
+    the last k are kept, for the audit, their one reader, while k stays the
+    same; ``_line_counts.cache_clear()`` drops them."""
     @cache
     def row(nn: int, m: int, p: int) -> list[int]:
         return h_composition_row(nn, min(k, nn), m, p)
@@ -327,11 +326,15 @@ def _newton_at(column: tuple[int, ...], x: int) -> int:
 
 @lru_cache(maxsize=1)
 def _line_column(k: int, m: int, p: int) -> tuple[int, ...]:
-    """``h_recurrence``'s Newton column at x0 = p*m*(k-1) + 1, k >= 1; only
-    the last (k, m, p) is kept."""
+    """``h_recurrence``'s Newton column at x0 = p*m*(k-1) + 1, k >= 1, seeded
+    from one ``h_composition_row(nn, min(k, nn), m, p)`` per column nn, built
+    here on first read (a kk above nn, or nn < 0, counts ``int(kk == 0)``
+    unread); only the last (k, m, p) is kept."""
     x0 = p * m * (k - 1) + 1
-    h = _line_counts(k)
-    return _recurrence(k, p + 1, x0, lambda nn, kk: h(nn, kk, m, p))
+    row = cache(lambda nn: h_composition_row(nn, min(k, nn), m, p))
+    return _recurrence(
+        k, p + 1, x0, lambda nn, kk: row(nn)[kk] if 0 < kk <= nn else int(kk == 0)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -521,7 +524,7 @@ def line_in_range(n: int, k: int, m: int, p: int) -> bool:
 
 def circle_in_range(n: int, k: int, m: int, p: int) -> bool:
     """Whether n is in the range of ``g_closed``, ``g_series``, ``g_from_h``
-    and the bijection check."""
+    and the BijectionCount audit."""
     return n >= _RANGES["circle"][1](k, m, p)
 
 

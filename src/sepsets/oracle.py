@@ -16,8 +16,8 @@ line and (p' + 1)^2 on the circle: a measured bound, which tests pin at
 every m <= n + 1 for n <= 40, p <= 6 and at large points that reach it.
 Each state's value packs the counts for every size 0..k into one int, so
 one scan gives the whole row; ``count_brute`` reads one entry of it, and
-``_brute_counts`` keeps the rows that the audit and ``table`` read across
-k.  The scan never splits the positions into residue rows, so it stays
+``_brute_counts`` keeps the rows that the audit reads across k.  The
+scan never splits the positions into residue rows, so it stays
 independent of the composition sums and closed forms it checks.
 ``list_brute`` enumerates the subsets by an iterative depth-first walk that
 shares only the rule with the scan, not its algorithm; tests check that the
@@ -112,8 +112,8 @@ def _brute_counts(k: int, cap: int) -> Callable[[Topology, int, int, int, int], 
     each (topology, n, m, p) is read from one ``count_brute_row`` scan to
     min(k, n) with the cap ``cap``, built on first read, and a kk above n
     counts 0, so a row holds at most n + 1 counts whatever k is.  Only the
-    rows of the last (k, cap) are kept, so the audit and ``table`` share
-    them while k and the cap stay the same; ``_brute_counts.cache_clear()``
+    rows of the last (k, cap) are kept, for the audit, their one reader,
+    while k and the cap stay the same; ``_brute_counts.cache_clear()``
     drops them.  A row past the cap raises each time it is read, as
     ``count_brute`` does at every kk, since exceptions are not cached."""
     @cache

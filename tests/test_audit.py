@@ -1,4 +1,4 @@
-"""Tests for recurrence evaluators, the bijection check, and the audit engine."""
+"""Tests for recurrence evaluators and the audit engine."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ from sepsets.audit import (
     DEFAULT_GRID,
     GridSpec,
     IdentityId,
-    bijection_count_check,
     parse_grid,
     run_audit,
 )
@@ -28,7 +27,6 @@ from sepsets.counting import (
     h_from_g,
     h_recurrence,
 )
-from sepsets.oracle import EnumerationCapError
 
 SMALL_GRID = GridSpec(m_max=2, p_max=2, k_max=3, n_max=14)
 WIDE_GRID = GridSpec(m_max=4, p_max=3, k_max=6, n_max=30)
@@ -374,26 +372,6 @@ class TestBoundaryCounterexamples:
     def test_line_from_circle_fails_at_exact_boundary(self):
         assert h_from_g(2, 2, 2, 1) == 3
         assert h_composition(2, 2, 2, 1) == 1
-
-
-class TestBijectionCount:
-    def test_paper_example(self):
-        assert bijection_count_check(5, 2, 2, 1) == (5, 5)
-
-    def test_seven_circle(self):
-        assert bijection_count_check(7, 2, 2, 1) == (14, 14)
-
-    def test_k_one(self):
-        for n in (7, 11):
-            assert bijection_count_check(n, 1, 3, 2) == (n, n)
-
-    def test_rejects_below_range(self):
-        with pytest.raises(ValueError):
-            bijection_count_check(4, 2, 2, 1)
-
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            bijection_count_check(40, 2, 2, 1)
 
 
 class TestGrid:

@@ -453,6 +453,15 @@ class TestTable:
         assert code == 0
         assert 0 < len(calls) <= 41
 
+    def test_circle_cells_come_from_one_scan_per_n(self, capsys, monkeypatch):
+        # the n below the circle range at k = 8, n < m*p*k + 1 = 17, are
+        # each scanned once, only to min(k-max, n); the rest are in range
+        scans = record_calls(monkeypatch, cli, "count_brute_row")
+        code, _, _ = run(capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+                         "--n-max", "24", "--k-max", "8")
+        assert code == 0
+        assert scans == [(count_query("circle", n, min(8, n), 2, 1), 32) for n in range(17)]
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_circle_cells_equal_the_oracle(self, capsys, m, p):
@@ -588,6 +597,42 @@ class TestTableStream:
 
         peak(1)  # first-call allocations stay out of the comparison
         assert peak(32) <= 1.3 * peak(8)
+
+    @staticmethod
+    def table_peak(tmp_path, *flags):
+        """The traced peak of one ``table`` run written to a file."""
+        tracemalloc.start()
+        try:
+            assert main(["table", *flags, "--out", str(tmp_path / "t.out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_rows_below_the_range(self, tmp_path, fmt):
+        # every n below 174 has cells below the line range at k = 30; each
+        # n's row is dropped after that n, where keeping every row in the
+        # line counts' store grew the peak 3.4x
+        def peak(n_max):
+            return self.table_peak(tmp_path, "--topology", "line", "--m", "3", "--p", "2",
+                                   "--n-max", str(n_max), "--k-max", "30", "--format", fmt)
+
+        peak(10)  # first-call allocations stay out of the comparison
+        assert peak(240) <= 1.3 * peak(60)
+
+    @pytest.mark.parametrize("topology, fmt", [("line", "csv"), ("circle", "csv"),
+                                               ("circle", "json")])
+    def test_memory_does_not_grow_with_k_max(self, tmp_path, topology, fmt):
+        # the cells and the CSV note's runs are written in slices of at most
+        # cli._SLICE cells; one chunk of all k-max + 1 cells grew the peak
+        # 9.3x from --k-max 3000 to 30000 at --n-max 2
+        def peak(k_max):
+            return self.table_peak(tmp_path, "--topology", topology, "--m", "1", "--p", "1",
+                                   "--n-max", "0", "--k-max", str(k_max), "--format", fmt)
+
+        peak(10)  # first-call allocations stay out of the comparison
+        assert peak(32768) <= 1.3 * peak(8192)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_out_that_fills_up_is_one_error_line(self, capsys):
@@ -933,26 +978,21 @@ class TestAudit:
         assert (len(scans), len(rows)) == (150, 144)
 
     @pytest.mark.usefixtures("fresh_audit_rows")
-    def test_table_reads_the_audit_rows(self, capsys, monkeypatch):
-        # the circle table's oracle cells at k_max = 4 and the default cap
-        # are rows Eq2.2 has scanned, but for n = 0, which no circle
-        # identity reads (its range starts at n = m*p*k + 1); a row is
-        # scanned only up to n, here to k = 0
+    def test_table_and_recurrence_keep_the_audit_rows(self, capsys, monkeypatch):
+        # only the audit reads the oracle and line rows kept across calls:
+        # a table at another k-max and a line recurrence count build their
+        # own rows, so an audit after them scans none and builds none (when
+        # they read the stores, they evicted all 294 scans and 144 rows)
+        first = run(capsys, "audit", "--identity", "all")
+        assert run(capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+                   "--n-max", "24", "--k-max", "8")[0] == 0
+        assert run(capsys, "count", "--topology", "line", "--n", "2000", "--k", "50",
+                   "--m", "3", "--p", "2", "--method", "recurrence")[0] == 0
         scans = record_calls(monkeypatch, oracle, "count_brute_row")
-        assert run(capsys, "audit", "--identity", "Eq2.2")[0] == 0
-        before = len(scans)
-        table = run(
-            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
-            "--n-max", "24", "--k-max", "4",
-        )
-        assert table[0] == 0 and "brute-force cells" in table[2]
-        assert before > 0
-        assert scans[before:] == [(count_query("circle", 0, 0, 2, 1), 32)]
-        oracle._brute_counts.cache_clear()
-        assert run(
-            capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
-            "--n-max", "24", "--k-max", "4",
-        ) == table
+        rows = record_calls(monkeypatch, counting, "h_composition_row")
+        assert run(capsys, "audit", "--identity", "all") == first
+        assert (len(scans), len(rows)) == (0, 0)
+        assert not hasattr(cli, "_brute_counts") and not hasattr(cli, "_line_counts")
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

@@ -3,15 +3,17 @@ verifies them and records counterexamples.  The count routes the
 catalogue checks live in ``counting``.
 
 Each identity in the catalogue is a generator of ``(raw, lhs, rhs)``
-cases, paired with the function that formats a case's raw parameters (a
-grid point, an ``OmegaQuery`` or a sampled instance) as the report's
-params dict.  ``run_audit`` counts and compares the cases, and formats
-the params of a failing case only.  Each identity is checked at every
-grid point satisfying its validity precondition; mismatches are
-collected as data (never raised).  The catalogue
-deliberately includes the known-bad ``printed`` formula variants so their
-counterexamples are reproduced, witnesses included.  Only the oracle
-sides read the brute-force cap.
+cases, paired with the function that builds a failing case's record.  A
+grid identity compares two counts at every grid point satisfying its
+validity precondition.  A sampled family (Eq3.1 to Eq3.4, Hwang-Wei,
+Gould) draws its rationals as (numerator, denominator) int pairs and
+calls the ``omega_phi`` int cores, so its sides a/b and c/e are compared
+as the ints a*e and c*b; only a failing case's record formats its params
+and its sides, in lowest terms.  An instance a core finds singular is
+skipped (Omega and Phi) or redrawn (Gould).  Mismatches are collected as
+data (never raised).  The catalogue deliberately includes the known-bad
+``printed`` formula variants so their counterexamples are reproduced,
+witnesses included.  Only the oracle sides read the brute-force cap.
 
 The grid identities read the oracle and the line counts from the rows
 their engines keep, ``oracle._brute_counts`` for the last (k, cap) and
@@ -19,8 +21,7 @@ their engines keep, ``oracle._brute_counts`` for the last (k, cap) and
 and cap, in one command or across calls, builds each row once; nothing
 else reads those stores, so no other command evicts them.  A caller
 that patches an engine the rows are built from must clear both stores
-before it audits.  A sampled instance that ``omega_phi`` finds singular
-is skipped (Omega and Phi) or redrawn (Gould).
+before it audits.
 
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
@@ -39,6 +40,8 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from math import gcd
+from itertools import islice
 
 from .counting import (
     Topology,
@@ -57,16 +60,15 @@ from .counting import (
 )
 from .jsontext import report
 from .omega_phi import (
-    OmegaQuery,
     SingularTermError,
-    gould_check,
-    hwang_wei_check,
-    omega_closed_1,
-    omega_closed_2,
-    omega_closed_3,
-    omega_direct,
-    phi_closed,
-    phi_direct,
+    _hwang_wei,
+    _omega_1,
+    _omega_2,
+    _omega_3,
+    _omega_direct,
+    _phi_closed,
+    _phi_direct,
+    _scaled,
 )
 from .oracle import DEFAULT_CAP, _brute_counts
 
@@ -158,25 +160,26 @@ class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
         return "\n".join(lines)
 
 
-def _jsonable(value: int | Fraction) -> int | str:
-    """An int as it is; a Fraction as an int when whole, else as "a/b"."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    return value
+def _ratio(value: int | Fraction, den: int = 1) -> int | str:
+    """value/den as a Fraction prints it, or as an int when whole; no Fraction is built."""
+    num, d = value.as_integer_ratio()
+    d *= den
+    g = gcd(num, d) if d > 0 else -gcd(num, d)
+    return num // g if d == g else f"{num // g}/{d // g}"
 
 
-def _failure(params: dict, lhs, rhs) -> dict:
+def _failure(params: dict, lhs, rhs, den: int = 1) -> dict:
     # params comes from the identity's formatter, whose values are ints and
-    # strs already
-    return {"params": params, "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
+    # strs already; the two sides are over den
+    return {"params": params, "lhs": _ratio(lhs, den), "rhs": _ratio(rhs, den)}
 
 
 # ---------------------------------------------------------------------------
 # the catalogue: every identity is a generator of (raw, lhs, rhs) cases and
-# the formatter of their raw parameters
+# the builder of a failing case's record
 
 Case = tuple[object, object, object]
-Params = Callable[[object], dict]
+Record = Callable[[object, object, object], dict]
 Route = Callable[[int, int, int, int], object]
 
 
@@ -193,9 +196,9 @@ def _grid_cases(
                         yield (n, k, m, p), lhs(n, k, m, p), rhs(n, k, m, p)
 
 
-def _grid_params(point: tuple[int, int, int, int]) -> dict:
+def _grid_failure(point: tuple[int, int, int, int], lhs, rhs) -> dict:
     n, k, m, p = point
-    return {"m": m, "p": p, "k": k, "n": n}
+    return _failure({"m": m, "p": p, "k": k, "n": n}, lhs, rhs)
 
 
 def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
@@ -234,41 +237,46 @@ def _eq4_5_applies(n: int, k: int, m: int, p: int) -> bool:
     return n >= m * p * (k - 1) + 1
 
 
-def _random_fraction(rng: random.Random, num_bound: int = 20, den_bound: int = 20) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+def _random_pair(rng: random.Random, bound: int = 20) -> tuple[int, int]:
+    """A rational drawn as its (numerator, denominator), numerator first."""
+    return rng.randint(-bound, bound), rng.randint(1, bound)
 
 
-def _omega_cases(
-    grid: GridSpec,
-    rng: random.Random,
-    lhs: Callable[[OmegaQuery], Fraction],
-    rhs: Callable[[OmegaQuery], Fraction],
-    min_k: int = 0,
-) -> Iterator[Case]:
-    """42 instances: two witnesses at k = 2, then seeded random ones with
-    k >= min_k.  An instance with a singular side is skipped."""
-    queries = [
-        OmegaQuery((Fraction(4), Fraction(4)), Fraction(-1), 2),
-        OmegaQuery((Fraction(1), Fraction(1)), Fraction(1), 2),
-    ]
-    m_hi = max(1, min(grid.m_max, 4))
-    k_hi = max(min_k, min(grid.k_max, 5))
-    while len(queries) < 42:
-        m = rng.randint(1, m_hi)
-        k = rng.randint(min_k, k_hi)
-        lambdas = tuple(_random_fraction(rng) for _ in range(m))
-        queries.append(OmegaQuery(lambdas, _random_fraction(rng), k))
-    for q in queries:
+def _rational_cases(draws: Iterator[tuple], lhs: Callable, rhs: Callable) -> Iterator[Case]:
+    """Both sides of each drawn (lambdas, mu, k), scaled once to (D, L_i, M):
+    a/b = lhs(D, L_i, M, k) and c/e = rhs(D, sum L_i, M, m, k) as the ints
+    a*e and c*b, with b*e in the raw case.  A singular draw is skipped."""
+    for draw in draws:
+        lambdas, mu, k = draw
+        d, big_ls, big_m = _scaled(mu, lambdas)
         try:
-            sides = lhs(q), rhs(q)
+            a, b = lhs(d, big_ls, big_m, k)
+            c, e = rhs(d, sum(big_ls), big_m, len(big_ls), k)
         except SingularTermError:
             continue
-        yield q, *sides
+        yield (draw, b * e), a * e, c * b
 
 
-def _omega_params(q: OmegaQuery) -> dict:
-    lambdas = "(" + ",".join(str(v) for v in q.lambdas) + ")"
-    return {"lambdas": lambdas, "mu": str(q.mu), "k": q.k}
+def _phi_closed_m(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
+    return _phi_closed(d, big_l, big_m, k)
+
+
+def _omega_draws(grid: GridSpec, rng: random.Random, min_k: int = 0) -> Iterator[tuple]:
+    """Two witnesses at k = 2, then 40 seeded random ones with k >= min_k."""
+    yield ((4, 1), (4, 1)), (-1, 1), 2
+    yield ((1, 1), (1, 1)), (1, 1), 2
+    m_hi = max(1, min(grid.m_max, 4))
+    k_hi = max(min_k, min(grid.k_max, 5))
+    for _ in range(40):
+        m = rng.randint(1, m_hi)
+        k = rng.randint(min_k, k_hi)
+        yield tuple(_random_pair(rng) for _ in range(m)), _random_pair(rng), k
+
+
+def _omega_params(draw: tuple) -> dict:
+    lambdas, mu, k = draw
+    lambdas = "(" + ",".join(str(_ratio(*v)) for v in lambdas) + ")"
+    return {"lambdas": lambdas, "mu": str(_ratio(*mu)), "k": k}
 
 
 def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
@@ -279,7 +287,8 @@ def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
         k = rng.randint(0, min(grid.k_max, 6))
         instances.append((tuple(rng.randint(0, 10) for _ in range(m)), k))
     for n_list, k in instances:
-        yield (n_list, k), *hwang_wei_check(n_list, k)
+        left, den, right = _hwang_wei(n_list, k)
+        yield ((n_list, k), den), left, right * den
 
 
 def _hwang_wei_params(instance: tuple[tuple[int, ...], int]) -> dict:
@@ -287,40 +296,34 @@ def _hwang_wei_params(instance: tuple[tuple[int, ...], int]) -> dict:
     return {"n_list": str(n_list), "k": k}
 
 
-def _gould_cases(rng: random.Random) -> Iterator[Case]:
-    """42 instances: two witnesses, then seeded random ones; a draw that
-    ``gould_check`` finds singular is redrawn."""
-    witnesses = [
-        (Fraction(1), Fraction(1), Fraction(1), 2),
-        (Fraction(1), Fraction(2), Fraction(0), 2),
-    ]
-    checked = 0
-    while checked < 42:
-        if witnesses:
-            a, b, c, n = witnesses.pop(0)
-        else:
-            a, b, c = (_random_fraction(rng, 8, 8) for _ in range(3))
-            n = rng.randint(0, 6)
-        try:
-            sides = gould_check(a, b, c, n)
-        except SingularTermError:
-            continue
-        checked += 1
-        yield (a, b, c, n), *sides
+def _gould_draws(rng: random.Random) -> Iterator[tuple]:
+    """Lambdas (a, b), mu = c and k = n: two witnesses, then seeded random
+    ones without end."""
+    yield ((1, 1), (1, 1)), (1, 1), 2
+    yield ((1, 1), (2, 1)), (0, 1), 2
+    while True:
+        a, b, c = (_random_pair(rng, 8) for _ in range(3))
+        yield (a, b), c, rng.randint(0, 6)
 
 
-def _gould_params(instance: tuple[Fraction, Fraction, Fraction, int]) -> dict:
-    a, b, c, n = instance
-    return {"a": str(a), "b": str(b), "c": str(c), "n": n}
+def _gould_params(draw: tuple) -> dict:
+    (a, b), c, n = draw
+    return {"a": str(_ratio(*a)), "b": str(_ratio(*b)), "c": str(_ratio(*c)), "n": n}
+
+
+def _sampled_failure(params: Callable[[tuple], dict], raw, lhs: int, rhs: int) -> dict:
+    draw, den = raw
+    return _failure(params(draw), lhs, rhs, den)
 
 
 def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
-) -> tuple[Params, Iterator[Case]]:
-    """The catalogue: the params formatter and the cases of one identity on
-    one grid, reading the oracle and the line counts from the rows kept for
-    (grid.k_max, cap)."""
+) -> tuple[Record, Iterator[Case]]:
+    """The catalogue: the failure record builder and the cases of one
+    identity on one grid, reading the oracle and the line counts from the
+    rows kept for (grid.k_max, cap)."""
     brute, line = _brute_counts(grid.k_max, cap), _line_counts(grid.k_max)
+    omega = partial(_sampled_failure, _omega_params)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
@@ -335,15 +338,15 @@ def _cases(
                 lambda n, k, m, p: _g_from_h_sum(n, k, m, p, line),
             )
         case IdentityId.EQ3_1:
-            return _omega_params, _omega_cases(grid, rng, omega_direct, omega_closed_1)
+            return omega, _rational_cases(_omega_draws(grid, rng), _omega_direct, _omega_1)
         case IdentityId.EQ3_2:
-            return _omega_params, _omega_cases(grid, rng, omega_direct, omega_closed_2)
+            return omega, _rational_cases(_omega_draws(grid, rng), _omega_direct, _omega_2)
         case IdentityId.EQ3_3_PRINTED | IdentityId.EQ3_3_CORRECTED:
             variant = "printed" if identity is IdentityId.EQ3_3_PRINTED else "corrected"
-            closed = partial(omega_closed_3, variant=variant)
-            return _omega_params, _omega_cases(grid, rng, omega_direct, closed, min_k=1)
+            closed = partial(_omega_3, variant=variant)
+            return omega, _rational_cases(_omega_draws(grid, rng, 1), _omega_direct, closed)
         case IdentityId.EQ3_4:
-            return _omega_params, _omega_cases(grid, rng, phi_direct, phi_closed)
+            return omega, _rational_cases(_omega_draws(grid, rng), _phi_direct, _phi_closed_m)
         case IdentityId.EQ3_5:
             sides = circle_in_range, circle_brute, g_closed
         case IdentityId.THM_H1:
@@ -380,9 +383,11 @@ def _cases(
         case IdentityId.EQ4_5:
             sides = _eq4_5_applies, line, h_from_g
         case IdentityId.HWANG_WEI:
-            return _hwang_wei_params, _hwang_wei_cases(grid, rng)
+            return partial(_sampled_failure, _hwang_wei_params), _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:
-            return _gould_params, _gould_cases(rng)
+            # a singular draw is redrawn: the first 42 regular ones count
+            cases = _rational_cases(_gould_draws(rng), _phi_direct, _phi_closed_m)
+            return partial(_sampled_failure, _gould_params), islice(cases, 42)
         case IdentityId.BIJECTION_COUNT:
             sides = (
                 lambda n, k, m, p: k >= 1 and circle_in_range(n, k, m, p),
@@ -391,7 +396,7 @@ def _cases(
             )
         case _:
             raise ValueError(f"unknown identity {identity!r}")
-    return _grid_params, _grid_cases(grid, *sides)
+    return _grid_failure, _grid_cases(grid, *sides)
 
 
 def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> AuditReport:
@@ -401,13 +406,13 @@ def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> A
     Failures are data, not errors.
     """
     rng = random.Random(f"sepsets-audit:{identity.value}")
-    params, cases = _cases(identity, grid, cap, rng)
+    record, cases = _cases(identity, grid, cap, rng)
     checked = 0
     failures = []
     for raw, lhs, rhs in cases:
         checked += 1
         if lhs != rhs:
-            failures.append(_failure(params(raw), lhs, rhs))
+            failures.append(record(raw, lhs, rhs))
     return AuditReport(
         identity=identity.value,
         grid=grid.describe(),

@@ -12,24 +12,20 @@ exhibit the discrepancy) and ``corrected`` shifts the inner binomial's
 lower index from ``k-j`` to ``k-1-j``, which agrees with the direct sum
 everywhere.  ``corrected`` is the default.
 
-Every evaluation runs on scaled integers: mu and the lambdas are scaled by
-the lcm D of their denominators (1 for ints), to M = mu*D and L_i =
-lam_i*D, and one Fraction is built at the end.  Fractions remain only at
-the query (``OmegaQuery`` holds them) and at the result.
-
-The direct sums are evaluated as [y^k] of a product of one row polynomial
-per lambda, through ``series.power_product``, the engine of the line and
-circle composition sums.  Every row entry is one ``math.prod`` over the
-common denominator, so the sum costs O(m*k^2) int steps.  The closed forms
-read D, L = sum L_i and M once, and each expansion has one int core: it
-reads one or two coefficients of a product of two binomial series over D
-with ``series.binomial_product_coefficients``, one O(k) recurrence loop.
-The closed line counts call the cores at D = 1.  Phi's closed form is one
-falling product over D.
-
-All parameters are exact rationals.  The identities are polynomial in the
-parameters, so exact verification at rational points is what the test
-suite and the audit subsystem rely on.
+Each quantity has one int core.  It takes mu and the lambdas scaled by a
+common denominator D (the lcm of theirs; 1 for ints), M = mu*D and L_i =
+lam_i*D, and returns the exact value as a (numerator, denominator) pair
+of ints.  The query forms read D, L_i and M from an ``OmegaQuery``'s
+Fractions and build one Fraction from the pair.  The audit draws its
+rationals as int pairs and the closed line counts call the Omega cores at
+D = 1, so neither builds a Fraction for a value it only compares or
+returns whole.  The direct sums are [y^k] of a product of one int row per
+lambda through ``series.power_product``, O(m*k^2) int steps; each closed
+Omega expansion is one O(k) loop of
+``series.binomial_product_coefficients``, and Phi's closed form one
+falling product.  The identities are polynomial in the parameters, so
+exact verification at rational points is what the tests and the audit
+rely on.
 """
 
 from __future__ import annotations
@@ -64,13 +60,7 @@ class OmegaQuery(namedtuple("OmegaQuery", "lambdas mu k")):
             mu = Fraction(mu)
         if len(lambdas) < 1:
             raise ValueError("need at least one lambda")
-        try:
-            k = index(k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {k!r}") from None
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return tuple.__new__(cls, (lambdas, mu, k))
+        return tuple.__new__(cls, (lambdas, mu, _count(k, "k")))
 
     @property
     def m(self) -> int:
@@ -78,7 +68,7 @@ class OmegaQuery(namedtuple("OmegaQuery", "lambdas mu k")):
 
     @property
     def lambda_total(self) -> Fraction:
-        d, big_ls, _ = _scaled(self.mu, self.lambdas)
+        d, big_ls, _ = _query_scaled(self)
         return Fraction(sum(big_ls), d)
 
 
@@ -98,68 +88,74 @@ def compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
 
 
 def omega_direct(q: OmegaQuery) -> Fraction:
-    """Direct composition sum of products binom_gen(lam_i + mu*k_i, k_i).
-
-    Row i holds D**j * j! * binom_gen(lam_i + mu*j, j) =
-    prod_{t<j} (L_i + M*j - t*D) at y^j, times k!/j! (see ``_direct_sum``).
-    The expanded row product is the composition sum term by term, so this
-    stays definitional and the audits' reference side.
-    """
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
-    k = q.k
-    scale = _scales(k)
-    rows = (
-        [
-            prod(range(big_l + big_m * j, big_l + (big_m - d) * j, -d), start=scale[j])
-            for j in range(k + 1)
-        ]
-        for big_l in big_ls
-    )
-    return _direct_sum(q, d, rows)
+    """Direct composition sum of products binom_gen(lam_i + mu*k_i, k_i)."""
+    return Fraction(*_omega_direct(*_query_scaled(q), q.k))
 
 
 def phi_direct(q: OmegaQuery) -> Fraction:
     """Weighted composition sum: each factor of ``omega_direct``'s terms
     times ``lam_i/(lam_i + mu*k_i)``.  Raises SingularTermError when some
     composition makes that denominator 0, naming the first such composition
-    in lexicographic order.
+    in lexicographic order."""
+    return Fraction(*_phi_direct(*_query_scaled(q), q.k))
+
+
+def _omega_direct(d: int, big_ls: Sequence[int], big_m: int, k: int) -> tuple[int, int]:
+    """``omega_direct`` at the scaled ints, as (numerator, denominator).
+
+    Row i holds D**j * j! * binom_gen(lam_i + mu*j, j) =
+    prod_{t<j} (L_i + M*j - t*D) at y^j, times k!/j!, so each composition's
+    term is its entries' product over one denominator, D**k * (k!)**m.  The
+    expanded row product is the composition sum term by term, so this stays
+    definitional and the audits' reference side.
+    """
+    scale = _scales(k)
+    return _direct_sum(d, k, [
+        [prod(range(big_l + big_m * j, big_l + (big_m - d) * j, -d), start=scale[j])
+         for j in range(k + 1)]
+        for big_l in big_ls
+    ])
+
+
+def _phi_direct(d: int, big_ls: Sequence[int], big_m: int, k: int) -> tuple[int, int]:
+    """``phi_direct`` at the scaled ints; L_i + M*j = D*(lam_i + mu*j), so
+    the singular compositions are read from the ints.
 
     The weight cancels the falling product's first factor, so row i is k!
     at y^0 and ``L_i * prod_{1<=t<j} (L_i + M*j - t*D)`` times k!/j! at
     y^j, j >= 1.  The sum stays definitional in the same way as
-    ``omega_direct``.
+    ``_omega_direct``.
     """
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
-    k = q.k
+    m = len(big_ls)
     # for m >= 2 each j in 0..k is a part of some composition; for m = 1 only k
-    parts = range(k, k + 1) if q.m == 1 else range(k + 1)
+    parts = range(k, k + 1) if m == 1 else range(k + 1)
     if any(big_l + big_m * j == 0 for big_l in big_ls for j in parts):
-        for comp in compositions(k, q.m):
-            for i, (lam_i, k_i) in enumerate(zip(q.lambdas, comp)):
-                if lam_i + q.mu * k_i == 0:
+        for comp in compositions(k, m):
+            for i, (big_l, k_i) in enumerate(zip(big_ls, comp)):
+                if big_l + big_m * k_i == 0:
                     raise SingularTermError(
                         f"lambda_{i + 1} + mu*k_{i + 1} = 0 in composition {comp}"
                     )
     scale = _scales(k)
-    rows = (
+    return _direct_sum(d, k, [
         [scale[0], *(
             prod(range(big_l + big_m * j - d, big_l + (big_m - d) * j, -d),
                  start=big_l * scale[j])
             for j in range(1, k + 1)
         )]
         for big_l in big_ls
-    )
-    return _direct_sum(q, d, rows)
+    ])
 
 
-def _scaled(
-    mu: Rational, lambdas: Sequence[Rational]
-) -> tuple[int, list[int], int]:
-    """The common denominator D of mu and the lambdas, each L_i = lam_i*D,
-    and M = mu*D."""
-    d = lcm(mu.denominator, *(lam.denominator for lam in lambdas))
-    big_ls = [lam.numerator * (d // lam.denominator) for lam in lambdas]
-    return d, big_ls, mu.numerator * (d // mu.denominator)
+def _scaled(mu: tuple[int, int], lambdas: Sequence[tuple]) -> tuple[int, list[int], int]:
+    """The common denominator D of mu and the lambdas, each given as a
+    (numerator, denominator) pair, each L_i = lam_i*D, and M = mu*D."""
+    d = lcm(mu[1], *(den for _, den in lambdas))
+    return d, [num * (d // den) for num, den in lambdas], mu[0] * (d // mu[1])
+
+
+def _query_scaled(q: OmegaQuery) -> tuple[int, list[int], int]:
+    return _scaled(q.mu.as_integer_ratio(), [lam.as_integer_ratio() for lam in q.lambdas])
 
 
 def _scales(k: int) -> list[int]:
@@ -167,18 +163,10 @@ def _scales(k: int) -> list[int]:
     return [factorial(k) // factorial(j) for j in range(k + 1)]
 
 
-def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
-    """[y^k] of the product of the m integer rows over ``D**k * (k!)**m``.
-
-    Entry j of a row is D**j * j! times the row's factor of a composition
-    term at k_i = j, scaled by k!/j!, so every composition's term is its
-    entries' product over that one denominator: O(m*k^2) int steps through
-    ``power_product`` instead of one Fraction product per composition.
-    """
-    k = q.k
-    return Fraction(
-        power_product(((row, 1) for row in rows), k), d**k * factorial(k) ** q.m
-    )
+def _direct_sum(d: int, k: int, rows: list[list[int]]) -> tuple[int, int]:
+    """[y^k] of the product of the m int rows over ``D**k * (k!)**m``: O(m*k^2)
+    int steps through ``power_product``, not one product per composition."""
+    return power_product(((row, 1) for row in rows), k), d**k * factorial(k) ** len(rows)
 
 
 # The closed forms depend on the lambdas only through their sum, so the
@@ -200,12 +188,10 @@ def _direct_sum(q: OmegaQuery, d: int, rows: Iterable[list[int]]) -> Fraction:
 # (lam + mu*m) * h_top + g*lam * h_(top-1), with h the coefficients of
 # (1+gx)^(-m-1) * (1+x)^upper: the helper's pair.
 #
-# Each expansion's core takes D, L = lam*D and M = mu*D and returns the
-# value as (numerator, denominator) ints: the helper scales the x^j
-# coefficient by D^(3j), and the sum is divided once at the end.  The
-# query forms read D, L and M from ``_scaled`` and build one Fraction.  At
-# D = 1 the first two denominators are 1; L and M must then be ints, since
-# the helper refuses a Fraction with TypeError rather than floor it.
+# The helper scales the x^j coefficient by D^(3j), and each core divides
+# once at the end.  At D = 1 the first two denominators are 1; L and M must
+# then be ints, since the helper refuses a Fraction with TypeError rather
+# than floor it.
 
 def _omega_1(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
     upper = big_l + big_m * k + (m - 1) * d
@@ -241,59 +227,59 @@ def _omega_3(
 
 
 def omega_closed_1(q: OmegaQuery) -> Fraction:
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    d, big_ls, big_m = _query_scaled(q)
     return Fraction(*_omega_1(d, sum(big_ls), big_m, q.m, q.k))
 
 
 def omega_closed_2(q: OmegaQuery) -> Fraction:
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    d, big_ls, big_m = _query_scaled(q)
     return Fraction(*_omega_2(d, sum(big_ls), big_m, q.m, q.k))
 
 
 def omega_closed_3(q: OmegaQuery, variant: str = "corrected") -> Fraction:
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
+    d, big_ls, big_m = _query_scaled(q)
     return Fraction(*_omega_3(d, sum(big_ls), big_m, q.m, q.k, variant))
 
 
 def phi_closed(q: OmegaQuery) -> Fraction:
     """``lam/(lam + mu*k) * binom_gen(lam + mu*k, k)`` with lam the lambdas'
-    sum; singular if the denominator is 0.
+    sum; singular if the denominator is 0."""
+    d, big_ls, big_m = _query_scaled(q)
+    return Fraction(*_phi_closed(d, sum(big_ls), big_m, q.k))
 
-    With a = L + M*k, the weight cancels the falling product's first
-    factor: ``L * prod_{1<=t<k} (a - t*D) / (D**k * k!)``, and 1 at k = 0.
-    """
-    d, big_ls, big_m = _scaled(q.mu, q.lambdas)
-    big_l, k = sum(big_ls), q.k
+
+def _phi_closed(d: int, big_l: int, big_m: int, k: int) -> tuple[int, int]:
+    """``phi_closed`` at the scaled ints, as (numerator, denominator): with
+    a = L + M*k, ``L * prod_{t<k} (a - t*D) / (a * D**k * k!)``, which is 1
+    at k = 0."""
     a = big_l + big_m * k
     if a == 0:
         raise SingularTermError("lambda + mu*k = 0")
-    if k == 0:
-        return Fraction(1)
-    return Fraction(big_l * prod(range(a - d, a - k * d, -d)), d**k * factorial(k))
+    return big_l * prod(range(a, a - k * d, -d)), a * d**k * factorial(k)
 
 
 def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
-    """Both sides of the mu = -1 specialization.
+    """Both sides of the mu = -1 specialization, for int row lengths n_i.
 
     Left: the direct composition sum with lambdas ``n_i + 1`` and mu = -1.
     Right: ``sum_j binom(m+j-2, j) * binom(n+1-k-2j, k-2j)`` with n = sum n_i.
     The caller asserts equality.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    m = len(n_list)
-    left = omega_direct(OmegaQuery([v + 1 for v in n_list], -1, k))
-    n = sum(n_list)
+    num, den, right = _hwang_wei(n_list, _count(k, "k"))
+    return Fraction(num, den), right
+
+
+def _hwang_wei(n_list: Sequence[int], k: int) -> tuple[int, int, int]:
+    """``hwang_wei_check``'s left side as (numerator, denominator), and its right."""
+    m, n = len(n_list), sum(n_list)
     right = sum(
         binom_gen(m + j - 2, j) * binom_gen(n + 1 - k - 2 * j, k - 2 * j)
         for j in range(k + 1)
     )
-    return left, right
+    return *_omega_direct(1, [v + 1 for v in n_list], -1, k), right
 
 
-def gould_check(
-    a: Rational, b: Rational, c: Rational, n: int
-) -> tuple[Fraction, Fraction]:
+def gould_check(a: Rational, b: Rational, c: Rational, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of the two-part convolution identity: Phi with the two
     lambdas (a, b) and mu = c at k = n, as its direct sum and its closed form.
 
@@ -301,7 +287,16 @@ def gould_check(
     Right: ``(a+b)/(a+b+cn) * binom(a+b+cn, n)`` (evaluated at n).
     Raises SingularTermError if any denominator vanishes.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = OmegaQuery((a, b), c, n)
+    q = OmegaQuery((a, b), c, _count(n, "n"))
     return phi_direct(q), phi_closed(q)
+
+
+def _count(value: int, name: str) -> int:
+    """``operator.index(value)``; one ValueError unless that is an int >= 0."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return value

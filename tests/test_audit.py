@@ -3,7 +3,8 @@
 import hashlib
 import json
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
@@ -15,6 +16,7 @@ from sepsets.audit import (
     run_audit,
 )
 from sepsets import audit, counting, oracle
+from sepsets.omega_phi import OmegaQuery
 from sepsets.counting import (
     circle_in_range,
     g_alternating,
@@ -28,6 +30,7 @@ from sepsets.counting import (
     h_recurrence,
 )
 
+F = Fraction
 SMALL_GRID = GridSpec(m_max=2, p_max=2, k_max=3, n_max=14)
 WIDE_GRID = GridSpec(m_max=4, p_max=3, k_max=6, n_max=30)
 
@@ -459,17 +462,16 @@ class TestRunAudit:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, WIDE_GRID])
     def test_case_params_are_ints_and_strs(self, grid):
         # failures keep their formatted params unconverted, so every
-        # identity's formatter must give JSON scalars only (a Fraction would
-        # not encode); run_audit formats failing cases only, so this formats
-        # every case, passing ones included
+        # identity's record must hold JSON scalars only (a Fraction would
+        # not encode); run_audit builds records for failing cases only, so
+        # this builds one for every case, passing ones included
         for identity in IdentityId:
             rng = random.Random(f"sepsets-audit:{identity.value}")
-            params, cases = audit._cases(identity, grid, oracle.DEFAULT_CAP, rng)
-            for raw, _, _ in cases:
-                formatted = params(raw)
-                assert {type(v) for v in formatted.values()} <= {int, str}, (
-                    identity, formatted,
-                )
+            record, cases = audit._cases(identity, grid, oracle.DEFAULT_CAP, rng)
+            for raw, lhs, rhs in cases:
+                failure = record(raw, lhs, rhs)
+                values = [*failure["params"].values(), failure["lhs"], failure["rhs"]]
+                assert {type(v) for v in values} <= {int, str}, (identity, failure)
 
     def test_json_round_trip(self):
         report = run_audit(IdentityId.EQ4_2_PRINTED, GridSpec(2, 1, 2, 10))
@@ -584,6 +586,88 @@ class TestRunAudit:
         # order or the skipped instances changes it
         report = run_audit(identity, DEFAULT_GRID)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "identity,checked,digest",
+        [
+            ("Eq3.1", 42, "73e395c40baad63ce3cda2ba0b5282d2ba175996752aa78bd02eced027507cfd"),
+            ("Eq3.2", 42, "5ac533c43130001512c5b5a9bf28ffac9047c96041d5baec408d03906fcd44e5"),
+            ("Eq3.3-printed", 42,
+             "4b7954941275443367e7480ffa79529d9376febaeec4f63afb36ce19fced5c73"),
+            ("Eq3.3-corrected", 42,
+             "81257f44c8fde5b60cf89bc2a6d0ae575dbd819e88b752d1b7c06ae5dd66cb68"),
+            ("Eq3.4", 40, "761f97aae218073d1c5c5261761dd4031c441f5fc9be4a75d6406658411ef5e6"),
+            ("HwangWei", 42, "d224e8dfc52f0c25b1cdd3e3c37cf5088a996717cc35fc09548561a4072db860"),
+            ("Gould", 42, "82e68fad4074f7caf2946a562076e090b02d4256efdc5a69cc63a317f6d259c7"),
+        ],
+    )
+    def test_sampled_family_reports_are_pinned_on_the_wide_grid(
+        self, identity, checked, digest
+    ):
+        # sha256 of the WIDE_GRID JSON report of each sampled family, fixed
+        # while the families still drew Fractions and evaluated OmegaQuery
+        # forms; the wide grid draws m <= 4 and k <= 5 (6 for Hwang-Wei),
+        # where Eq3.4 skips two singular instances.  The default-grid
+        # reports are pinned by test_rational_identity_reports_are_pinned.
+        report = run_audit(IdentityId(identity), WIDE_GRID)
+        assert report.checked == checked
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_passing_sampled_cases_build_no_fraction(self, monkeypatch):
+        # the sampled families draw int pairs and compare int cores, so no
+        # case builds a Fraction or an OmegaQuery; a failing case's record
+        # formats its params and sides from the ints, and only a failing
+        # case formats params at all
+        built, formatted = [], []
+        for spied in (Fraction, OmegaQuery):
+            monkeypatch.setattr(spied, "__new__", staticmethod(
+                lambda cls, *args, new=spied.__new__, **kwargs: (
+                    built.append(cls) or new(cls, *args, **kwargs)
+                )
+            ))
+        assert Fraction(1, 2) and OmegaQuery((1,), 1, 0) and len(built) >= 2
+        for name in ("_omega_params", "_hwang_wei_params", "_gould_params"):
+            monkeypatch.setattr(audit, name, lambda draw, f=getattr(audit, name): (
+                formatted.append(draw) or f(draw)
+            ))
+        for identity, failed in [
+            ("Eq3.1", 0), ("Eq3.2", 0), ("Eq3.3-printed", 42), ("Eq3.3-corrected", 0),
+            ("Eq3.4", 0), ("HwangWei", 0), ("Gould", 0),
+        ]:
+            built.clear()
+            formatted.clear()
+            report = run_audit(IdentityId(identity), DEFAULT_GRID)
+            assert (built, len(report.failures), len(formatted)) == ([], failed, failed), (
+                identity
+            )
+
+    @pytest.mark.parametrize("identity,min_k", [("Eq3.1", 0), ("Eq3.3-corrected", 1)])
+    def test_omega_draws_are_the_fraction_draws(self, identity, min_k):
+        # the int pairs are the rationals the Fraction sampler drew, in the
+        # same rng calls and order
+        grid = DEFAULT_GRID
+        rng = random.Random(f"sepsets-audit:{identity}")
+        draws = list(audit._omega_draws(grid, random.Random(f"sepsets-audit:{identity}"), min_k))
+        expected = [((F(4), F(4)), F(-1), 2), ((F(1), F(1)), F(1), 2)]
+        while len(expected) < 42:
+            m = rng.randint(1, min(grid.m_max, 4))
+            k = rng.randint(min_k, max(min_k, min(grid.k_max, 5)))
+            lambdas = tuple(F(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(m))
+            expected.append((lambdas, F(rng.randint(-20, 20), rng.randint(1, 20)), k))
+        assert [
+            (tuple(F(*v) for v in lambdas), F(*mu), k) for lambdas, mu, k in draws
+        ] == expected
+
+    def test_gould_draws_are_the_fraction_draws(self):
+        rng = random.Random("sepsets-audit:Gould")
+        draws = audit._gould_draws(random.Random("sepsets-audit:Gould"))
+        expected = [(F(1), F(1), F(1), 2), (F(1), F(2), F(0), 2)]
+        while len(expected) < 60:
+            a, b, c = (F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(3))
+            expected.append((a, b, c, rng.randint(0, 6)))
+        assert [
+            (F(*a), F(*b), F(*c), n) for (a, b), c, n in islice(draws, 60)
+        ] == expected
 
     @pytest.mark.parametrize(
         "grid,identity,digest",

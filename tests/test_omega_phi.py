@@ -14,6 +14,10 @@ from sepsets.omega_phi import (
     _omega_1,
     _omega_2,
     _omega_3,
+    _omega_direct,
+    _phi_closed,
+    _phi_direct,
+    _scaled,
     compositions,
     gould_check,
     hwang_wei_check,
@@ -26,6 +30,11 @@ from sepsets.omega_phi import (
 )
 
 F = Fraction
+
+
+class Two:
+    def __index__(self):
+        return 2
 
 
 def q(lambdas, mu, k):
@@ -76,10 +85,6 @@ class TestOmegaDirect:
             OmegaQuery((1,), 1, k)
 
     def test_k_is_read_through_index(self):
-        class Two:
-            def __index__(self):
-                return 2
-
         query = OmegaQuery((1,), 1, Two())
         assert type(query.k) is int and query == OmegaQuery((1,), 1, 2)
 
@@ -366,6 +371,68 @@ class TestQueryClosedFormsAtRationalPoints:
         assert outcome(phi_closed, query) == outcome(reference_phi_closed, query)
 
 
+def scaled_ints(query, t):
+    """D, the L_i and M of a query, each times t: any common denominator of
+    mu and the lambdas, as the audit's unreduced draws give, not only
+    their lcm."""
+    d, big_ls, big_m = _scaled(
+        query.mu.as_integer_ratio(), [lam.as_integer_ratio() for lam in query.lambdas]
+    )
+    return d * t, [v * t for v in big_ls], big_m * t
+
+
+@st.composite
+def phi_direct_singular_queries(draw):
+    """A query with lambda_i + mu*j = 0 for a part j of some composition."""
+    query = draw(rational_queries())
+    i = draw(st.integers(0, query.m - 1))
+    j = query.k if query.m == 1 else draw(st.integers(0, query.k))
+    lambdas = list(query.lambdas)
+    lambdas[i] = -query.mu * j
+    return OmegaQuery(lambdas, query.mu, query.k)
+
+
+class TestIntCores:
+    """Each int core, read as ``Fraction(num, den)``, equals its query form
+    and the Fraction definition, at any common denominator; on a singular
+    query the core and the query form raise the same SingularTermError."""
+
+    @given(rational_queries(), st.integers(1, 3))
+    @example(q((F(3, 4),), F(-2, 3), 5), 1)  # m = 1, coprime denominators
+    @example(q((F(1, 6), F(5, 6)), F(7, 6), 0), 2)  # k = 0, shared denominator
+    @settings(max_examples=150, deadline=None)
+    def test_omega_direct(self, query, t):
+        d, big_ls, big_m = scaled_ints(query, t)
+        value = F(*_omega_direct(d, big_ls, big_m, query.k))
+        assert value == omega_direct(query) == reference_omega(query)
+
+    @given(st.one_of(rational_queries(), phi_direct_singular_queries()), st.integers(1, 3))
+    @example(q((F(3, 4),), F(-2, 3), 5), 1)  # m = 1
+    @example(q((F(-2, 3),), F(1, 3), 2), 2)  # m = 1, singular at j = k
+    @example(q((F(1, 6), F(5, 6)), F(7, 6), 0), 2)  # k = 0
+    @example(q((F(0), F(5, 6)), F(7, 6), 0), 1)  # k = 0, lambda_1 = 0
+    @settings(max_examples=200, deadline=None)
+    def test_phi_direct(self, query, t):
+        d, big_ls, big_m = scaled_ints(query, t)
+        expected = outcome(reference_phi, query)
+        assert outcome(lambda _: F(*_phi_direct(d, big_ls, big_m, query.k)), query) == expected
+        assert outcome(phi_direct, query) == expected
+
+    @given(st.one_of(rational_queries(), rational_queries(singular=True)), st.integers(1, 3))
+    @example(q((F(3, 4),), F(-2, 3), 5), 3)  # m = 1
+    @example(q((F(2, 3),), F(-1, 6), 4), 1)  # m = 1, lam + mu*k = 0
+    @example(q((F(1, 6), F(5, 6)), F(7, 6), 0), 2)  # k = 0
+    @example(q((F(1, 3), F(-1, 3)), F(5, 2), 0), 1)  # k = 0 with lam = 0
+    @settings(max_examples=200, deadline=None)
+    def test_phi_closed(self, query, t):
+        d, big_ls, big_m = scaled_ints(query, t)
+        expected = outcome(reference_phi_closed, query)
+        assert outcome(lambda _: F(*_phi_closed(d, sum(big_ls), big_m, query.k)), query) == (
+            expected
+        )
+        assert outcome(phi_closed, query) == expected
+
+
 class TestPhi:
     def test_weighted_sum(self):
         assert phi_direct(q((1, 1), 1, 2)) == 3
@@ -410,6 +477,17 @@ class TestHwangWei:
     def test_single_row(self):
         assert hwang_wei_check((2,), 1) == (2, 2)
 
+    @pytest.mark.parametrize("k", [2.5, "2", F(5, 2), None])
+    def test_rejects_non_integral_k(self, k):
+        # one ValueError naming k, not a TypeError from its comparison with 0
+        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+            hwang_wei_check((3, 3), k)
+
+    def test_k_is_read_through_index(self):
+        assert hwang_wei_check((3, 3), Two()) == (11, 11)
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            hwang_wei_check((3, 3), -1)
+
     def test_randomized(self):
         rng = random.Random(33)
         for _ in range(60):
@@ -435,6 +513,17 @@ class TestGould:
             gould_check(-2, 5, 1, 3)  # a + c*k = 0 at k = 2
         with pytest.raises(SingularTermError):
             gould_check(1, 1, -1, 2)  # a + b + c*n = 0
+
+    @pytest.mark.parametrize("n", [2.5, "2", F(5, 2), None])
+    def test_rejects_non_integral_n(self, n):
+        # the message names n, the argument, not the query's k
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            gould_check(1, 1, 1, n)
+
+    def test_n_is_read_through_index(self):
+        assert gould_check(1, 1, 1, Two()) == (3, 3)
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            gould_check(1, 1, 1, -1)
 
     def test_randomized(self):
         rng = random.Random(34)

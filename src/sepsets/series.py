@@ -34,6 +34,22 @@ carry at least v_p(i!) of its factors, as i consecutive integers do).
 Each of the k steps multiplies the last two big ints by small ones, and
 nothing is listed, so memory stays at a few ints of the answer's size.
 
+``truncated_product`` multiplies rows of nonnegative ints as one int when
+that is faster (Kronecker substitution, 1882): each row becomes one int
+with coefficient i in byte field i, the two ints are multiplied once, and
+the product's fields are the convolution sums, since a field is wide
+enough to hold any of them and so no carry crosses a field.  The
+schoolbook loop does about len(a) * len(b) interpreter steps; the packed
+product moves the work into one multiplication, which pays while the
+coefficients are a few machine words.  Every field is as wide as the
+largest sum, though, and most coefficients of a row are far smaller, so
+wide fields multiply mostly zero padding; on a 2-vCPU CPython 3.11 the
+loop wins again past a width of about 5.5 * sqrt(terms) bytes.  Only rows
+of at least ``PACK_MIN_TERMS`` terms whose width stays within
+``width**2 <= PACK_WIDTH_SCALE * terms`` are packed; short rows, wide
+coefficients, negative entries (the Omega/Phi direct sums) and anything
+but ``int`` (``PowerSeries``' ``Fraction``s, ``bool``) take the loop.
+
 ``PowerSeries`` wraps a coefficient tuple with a checked product.  No
 count route uses it; it stays because the benchmark's tracer wraps its
 ``__mul__`` and ``coeff``.  The series count routes ``h_series`` and
@@ -48,9 +64,31 @@ from operator import index, mul
 from .binomials import Rational
 
 
+# The packed path's gate (see the module docstring): the fewest terms, and
+# the largest width**2 / terms, at which one int multiplication beats the
+# loop; both measured on squares of real composition rows.
+PACK_MIN_TERMS = 14
+PACK_WIDTH_SCALE = 20
+
+
 def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
     """Coefficients of x^0 .. x^order of the product of two coefficient
-    sequences, in exact arithmetic; zero terms are skipped."""
+    sequences, in exact arithmetic.
+
+    Rows of nonnegative ``int``s with at least ``PACK_MIN_TERMS`` terms
+    up to x^order, whose field width stays within the module's gate, are
+    multiplied as one packed int (``_packed_product``); every other
+    product takes the schoolbook loop, which skips zero terms."""
+    if (
+        len(a) >= PACK_MIN_TERMS <= len(b)
+        and order >= PACK_MIN_TERMS - 1
+        and {*map(type, a), *map(type, b)} == {int}
+        and min(a) >= 0 <= min(b)
+    ):
+        terms = min(len(a), len(b), order + 1)
+        width = (max(a).bit_length() + max(b).bit_length() + terms.bit_length() + 7) // 8
+        if width * width <= PACK_WIDTH_SCALE * terms:
+            return _packed_product(a, b, order, width)
     out = [0] * (order + 1)
     for i in range(min(len(a), order + 1)):
         x = a[i]
@@ -60,6 +98,32 @@ def truncated_product(a: Sequence, b: Sequence, order: int) -> list:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _packed_product(a: Sequence, b: Sequence, order: int, width: int) -> list:
+    """``truncated_product`` of two rows of nonnegative ints by one int
+    multiplication, with ``width``-byte little-endian fields.  A field
+    holds any convolution sum when width * 8 bits >= the bits of max(a)
+    and of max(b) plus those of the number of terms a sum has (at most
+    min(len(a), len(b), order + 1)); then no carry crosses a field, and
+    the product's fields 0..order are the coefficients.  A square packs
+    once."""
+    top = order + 1
+    square, a, b = b is a, a[:top], b[:top]
+    packed = _pack(a, width)
+    product = packed * (packed if square else _pack(b, width))
+    fields = len(a) + len(b) - 1
+    data = product.to_bytes(fields * width, "little")
+    out = [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, min(fields, top) * width, width)
+    ]
+    return out + [0] * (top - len(out))
+
+
+def _pack(row: Sequence, width: int) -> int:
+    """The int whose byte field i, ``width`` bytes wide, holds row[i]."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]), "little")
 
 
 class PowerSeries:

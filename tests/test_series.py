@@ -1,8 +1,10 @@
 """Tests for the truncated power-series engine and the series-based counts."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,8 @@ from sepsets.counting import g_closed, h_composition
 from sepsets.oracle import count_brute
 from sepsets.counting import count_query, g_series, h_series
 from sepsets.series import (
+    PACK_MIN_TERMS,
+    PACK_WIDTH_SCALE,
     PowerSeries,
     binomial_product_coefficients,
     coefficient,
@@ -22,6 +26,26 @@ from sepsets.series import (
 )
 
 F = Fraction
+
+
+def schoolbook(a, b, order):
+    """[x^t] of the product of a and b for t = 0..order by the definition,
+    the sum of a[i] * b[t - i] over every pair, zeros included."""
+    return [
+        sum(a[i] * b[t - i] for i in range(max(0, t + 1 - len(b)), min(len(a), t + 1)))
+        for t in range(order + 1)
+    ]
+
+
+def width_cap(terms):
+    """The widest field, in bytes, that ``truncated_product`` packs for
+    products with ``terms`` terms: width**2 <= PACK_WIDTH_SCALE * terms."""
+    return isqrt(PACK_WIDTH_SCALE * terms)
+
+
+def packed_calls():
+    """A spy on the packed path, for a ``with`` block."""
+    return mock.patch.object(series, "_packed_product", wraps=series._packed_product)
 
 
 def binomial_series(a, c, order, d=1):
@@ -77,6 +101,95 @@ class TestBinomialSeries:
             [binom_gen(F(-4), j) * F(3) ** j for j in range(7)], [F(1), F(5)], 6
         )
         assert f == g
+
+
+class TestTruncatedProduct:
+    """The schoolbook loop and the packed path give the same coefficients;
+    the gate sends only long rows of nonnegative ints with narrow fields to
+    the packed path."""
+
+    @st.composite
+    def rows_at_the_gate(draw):
+        # lengths from just below the cutoff; a field width of one byte,
+        # half the cap, the cap or one byte past it, split between the two
+        # rows' largest entries; zero runs (all-zero rows at 0 bits); an
+        # order below both lengths or past both; squares and tuples
+        la = draw(st.integers(PACK_MIN_TERMS - 2, PACK_MIN_TERMS + 30))
+        square = draw(st.booleans())
+        lb = la if square else draw(st.integers(PACK_MIN_TERMS - 2, 2 * la))
+        order = draw(st.one_of(st.integers(0, la + lb), st.integers(la + lb, la + lb + 4)))
+        terms = min(la, lb, order + 1)
+        cap = width_cap(terms)
+        width = draw(st.sampled_from([1, max(1, cap // 2), cap, cap + 1]))
+        bits = 8 * width - terms.bit_length()
+        high = bits // 2 if square else draw(st.integers(0, bits))
+
+        def row(length, top_bits):
+            top = (1 << top_bits) - 1
+            entries = draw(st.lists(
+                st.one_of(st.just(0), st.integers(0, top)), min_size=length, max_size=length
+            ))
+            entries[draw(st.integers(0, length - 1))] = top
+            return tuple(entries) if as_tuple else entries
+
+        as_tuple = draw(st.booleans())
+        a = row(la, high)
+        b = a if square else row(lb, bits - high)
+        return a, b, order, terms >= PACK_MIN_TERMS and width <= cap
+
+    @given(rows_at_the_gate())
+    @example(([0] * 20, [0] * 20, 25, True))
+    @example((list(range(PACK_MIN_TERMS)), list(range(PACK_MIN_TERMS)), 40, True))
+    @example((list(range(PACK_MIN_TERMS - 1)), list(range(PACK_MIN_TERMS)), 40, False))
+    @example((list(range(30)), list(range(30)), PACK_MIN_TERMS - 2, False))
+    @example((list(range(30)), list(range(30)), PACK_MIN_TERMS - 1, True))
+    @settings(max_examples=400, deadline=None)
+    def test_is_the_schoolbook_product(self, case):
+        a, b, order, packs = case
+        with packed_calls() as packed:
+            value = truncated_product(a, b, order)
+        assert value == schoolbook(a, b, order)
+        assert len(value) == order + 1 and all(type(x) is int for x in value)
+        assert packed.call_count == packs
+
+    @given(
+        st.lists(st.integers(0, 2**20), min_size=PACK_MIN_TERMS, max_size=40),
+        st.sampled_from([F(1, 3), F(4), -1, -(2**70), True, False]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_other_entries_take_the_loop(self, row, entry, data):
+        # a Fraction, a negative int or a bool anywhere keeps the loop's values
+        other = data.draw(st.sampled_from(["square", "row", "tuple"]))
+        row[data.draw(st.integers(0, len(row) - 1))] = entry
+        b = {"square": row, "row": row[::-1], "tuple": tuple(row)}[other]
+        order = data.draw(st.integers(0, 2 * len(row)))
+        with packed_calls() as packed:
+            assert truncated_product(row, b, order) == schoolbook(row, b, order)
+        assert packed.call_count == 0
+
+    @pytest.mark.parametrize("terms", [64, 300])
+    @pytest.mark.parametrize("square", [True, False])
+    def test_packed_peak_is_a_few_operand_sizes(self, terms, square):
+        # the packed ints, the product, its bytes, the multiplication's own
+        # scratch and the output: at fields of the cap's width about 5x the
+        # packed operands for a square and 6x otherwise.  (At the cutoff's
+        # 16-byte fields each output int's 28-byte header adds about 2x.)
+        rng = random.Random(terms)
+        width = width_cap(terms)
+        bits = 8 * width - terms.bit_length()
+        a = [rng.getrandbits(bits // 2) for _ in range(terms)]
+        b = a if square else [rng.getrandbits(bits - bits // 2) for _ in range(2 * terms)]
+        with packed_calls() as packed:
+            assert truncated_product(a, b, len(a) + len(b)) == schoolbook(a, b, len(a) + len(b))
+        assert packed.call_args.args[3] == width
+        tracemalloc.start()
+        try:
+            truncated_product(a, b, len(a) + len(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (len(a) + len(b)) * width, peak
 
 
 class TestCoefficient:
@@ -179,20 +292,25 @@ class TestBinomialProductCoefficients:
 
 
 class TestPowerProduct:
-    rows = st.lists(st.integers(-5, 5), min_size=1, max_size=6)
+    # short signed rows, and rows long enough for the packed path
+    rows = st.one_of(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+        st.lists(st.integers(0, 2**40), min_size=PACK_MIN_TERMS, max_size=PACK_MIN_TERMS + 10),
+    )
     factors = st.lists(st.tuples(rows, st.integers(1, 9)), min_size=1, max_size=4)
 
     @given(
-        factors, st.integers(0, 12), st.sampled_from([coefficient, truncated_product])
+        factors, st.integers(0, 40), st.sampled_from([coefficient, truncated_product])
     )
     @example(factors=[([1, 1], 1)], k=0, read=coefficient)
     @example(factors=[([1, 2, 1], 9), ([3], 1)], k=12, read=truncated_product)
+    @example(factors=[(list(range(1, 21)), 3), ([1, 1], 2)], k=40, read=truncated_product)
     @settings(max_examples=300, deadline=None)
     def test_is_the_left_to_right_product(self, factors, k, read):
         total = [1]
         for row, count in factors:
             for _ in range(count):
-                total = truncated_product(total, row, k)
+                total = schoolbook(total, row, k)
         expected = total[k] if read is coefficient else total
         assert power_product(factors, k, read) == expected
 

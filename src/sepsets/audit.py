@@ -15,13 +15,18 @@ data (never raised).  The catalogue deliberately includes the known-bad
 ``printed`` formula variants so their counterexamples are reproduced,
 witnesses included.  Only the oracle sides read the brute-force cap.
 
-The grid identities read the oracle and the line counts from the rows
-their engines keep, ``oracle._brute_counts`` for the last (k, cap) and
-``counting._line_counts`` for the last k, so every audit with that k_max
-and cap, in one command or across calls, builds each row once; nothing
-else reads those stores, so no other command evicts them.  A caller
-that patches an engine the rows are built from must clear both stores
-before it audits.
+The grid identities read every count from three stores kept beside
+their engines: the oracle rows of ``oracle._brute_counts`` for the last
+(k, cap), the line rows of ``counting._line_counts`` and the circle
+counts of ``counting._circle_counts`` for the last k.  So every audit
+with that k_max and cap, in one command or across calls, builds each row
+and evaluates each circle count once; nothing else reads those stores,
+so no other command fills or evicts them.  A caller that patches an
+engine the stores are built from must clear all three before it audits.
+The Thm-H3 audits read the third formula's int core as a (numerator,
+denominator) pair and compare the line count as the scaled int
+line*denominator with the numerator, as the sampled families do, so no
+``Fraction`` is built.
 
 Validity preconditions are the count-level ones.  Three families need a
 small margin over the ranges stated alongside the formulas, because at
@@ -38,24 +43,21 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from math import gcd
 from itertools import islice
 
 from .counting import (
     Topology,
+    _circle_counts,
     _g_alternating_sum,
     _g_from_h_sum,
+    _h_from_g_sum,
     _line_counts,
     alternating_in_range,
     circle_in_range,
-    g_closed,
-    g_for_identity,
     h_closed_1,
     h_closed_2,
-    h_closed_3_value,
-    h_from_g,
     line_in_range,
 )
 from .jsontext import report
@@ -160,12 +162,10 @@ class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
         return "\n".join(lines)
 
 
-def _ratio(value: int | Fraction, den: int = 1) -> int | str:
-    """value/den as a Fraction prints it, or as an int when whole; no Fraction is built."""
-    num, d = value.as_integer_ratio()
-    d *= den
-    g = gcd(num, d) if d > 0 else -gcd(num, d)
-    return num // g if d == g else f"{num // g}/{d // g}"
+def _ratio(num: int, den: int = 1) -> int | str:
+    """num/den as a Fraction prints it, or as an int when whole; no Fraction is built."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g if den == g else f"{num // g}/{den // g}"
 
 
 def _failure(params: dict, lhs, rhs, den: int = 1) -> dict:
@@ -196,9 +196,26 @@ def _grid_cases(
                         yield (n, k, m, p), lhs(n, k, m, p), rhs(n, k, m, p)
 
 
-def _grid_failure(point: tuple[int, int, int, int], lhs, rhs) -> dict:
+def _scaled_grid_cases(
+    grid: GridSpec,
+    applies: Callable[[int, int, int, int], bool],
+    lhs: Route,
+    rhs: Callable[[int, int, int, int], tuple[int, int]],
+) -> Iterator[Case]:
+    """``_grid_cases`` for an rhs that is a (numerator, denominator) pair:
+    lhs is compared as lhs*den with the numerator, and the raw case is
+    (point, den)."""
+    for point, left, (num, den) in _grid_cases(grid, applies, lhs, rhs):
+        yield (point, den), left * den, num
+
+
+def _grid_params(point: tuple[int, int, int, int]) -> dict:
     n, k, m, p = point
-    return _failure({"m": m, "p": p, "k": k, "n": n}, lhs, rhs)
+    return {"m": m, "p": p, "k": k, "n": n}
+
+
+def _grid_failure(point: tuple[int, int, int, int], lhs, rhs) -> dict:
+    return _failure(_grid_params(point), lhs, rhs)
 
 
 def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
@@ -311,19 +328,22 @@ def _gould_params(draw: tuple) -> dict:
     return {"a": str(_ratio(*a)), "b": str(_ratio(*b)), "c": str(_ratio(*c)), "n": n}
 
 
-def _sampled_failure(params: Callable[[tuple], dict], raw, lhs: int, rhs: int) -> dict:
-    draw, den = raw
-    return _failure(params(draw), lhs, rhs, den)
+def _scaled_failure(params: Callable[[tuple], dict], raw, lhs: int, rhs: int) -> dict:
+    """The record of a case whose raw is (instance, den) and whose sides
+    are over den."""
+    instance, den = raw
+    return _failure(params(instance), lhs, rhs, den)
 
 
 def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
 ) -> tuple[Record, Iterator[Case]]:
     """The catalogue: the failure record builder and the cases of one
-    identity on one grid, reading the oracle and the line counts from the
-    rows kept for (grid.k_max, cap)."""
+    identity on one grid, reading the oracle, line and circle counts from
+    the stores kept for (grid.k_max, cap)."""
     brute, line = _brute_counts(grid.k_max, cap), _line_counts(grid.k_max)
-    omega = partial(_sampled_failure, _omega_params)
+    circle = _circle_counts(grid.k_max)
+    omega = partial(_scaled_failure, _omega_params)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
@@ -348,17 +368,18 @@ def _cases(
         case IdentityId.EQ3_4:
             return omega, _rational_cases(_omega_draws(grid, rng), _phi_direct, _phi_closed_m)
         case IdentityId.EQ3_5:
-            sides = circle_in_range, circle_brute, g_closed
+            sides = circle_in_range, circle_brute, circle
         case IdentityId.THM_H1:
             sides = line_in_range, line, h_closed_1
         case IdentityId.THM_H2:
             sides = line_in_range, line, h_closed_2
         case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
             variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
-            sides = (
+            return partial(_scaled_failure, _grid_params), _scaled_grid_cases(
+                grid,
                 lambda n, k, m, p: k >= 1 and line_in_range(n, k, m, p),
                 line,
-                partial(h_closed_3_value, variant=variant),
+                lambda n, k, m, p: _omega_3(1, n + m * p, -p, m, k, variant),
             )
         case IdentityId.EQ4_1:
             sides = (
@@ -370,24 +391,27 @@ def _cases(
             delta = 0 if identity is IdentityId.EQ4_2_PRINTED else 1
             sides = (
                 _eq4_2_applies,
-                g_for_identity,
-                lambda n, k, m, p: g_for_identity(n - 1, k, m, p)
-                + g_for_identity(n - p - delta, k - 1, m, p),
+                circle,
+                lambda n, k, m, p: circle(n - 1, k, m, p) + circle(n - p - delta, k - 1, m, p),
             )
         case IdentityId.EQ4_4:
             sides = (
                 alternating_in_range,
-                g_for_identity,
+                circle,
                 lambda n, k, m, p: _g_alternating_sum(n, k, m, p, line),
             )
         case IdentityId.EQ4_5:
-            sides = _eq4_5_applies, line, h_from_g
+            sides = (
+                _eq4_5_applies,
+                line,
+                lambda n, k, m, p: _h_from_g_sum(n, k, m, p, circle),
+            )
         case IdentityId.HWANG_WEI:
-            return partial(_sampled_failure, _hwang_wei_params), _hwang_wei_cases(grid, rng)
+            return partial(_scaled_failure, _hwang_wei_params), _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:
             # a singular draw is redrawn: the first 42 regular ones count
             cases = _rational_cases(_gould_draws(rng), _phi_direct, _phi_closed_m)
-            return partial(_sampled_failure, _gould_params), islice(cases, 42)
+            return partial(_scaled_failure, _gould_params), islice(cases, 42)
         case IdentityId.BIJECTION_COUNT:
             sides = (
                 lambda n, k, m, p: k >= 1 and circle_in_range(n, k, m, p),

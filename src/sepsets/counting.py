@@ -248,6 +248,21 @@ def g_for_identity(n: int, k: int, m: int, p: int) -> int:
     return g_composition(n, k, m, p)
 
 
+@lru_cache(maxsize=1)
+def _circle_counts(k: int) -> Callable[[int, int, int, int], int]:
+    """``g_for_identity`` as ``g(nn, kk, m, p)``, the circle twin of
+    ``_line_counts``: each distinct (nn, kk, m, p) is evaluated once, on
+    first read, by the ``g_for_identity`` bound at that moment, and kept
+    while k stays the same.  The audit, its one reader, keys it on its
+    grid's k_max, so the store holds one count per circle cell that the
+    last k's audits read; ``_circle_counts.cache_clear()`` drops them."""
+    @cache
+    def g(nn: int, kk: int, m: int, p: int) -> int:
+        return g_for_identity(nn, kk, m, p)
+
+    return g
+
+
 def g_from_h(n: int, k: int, m: int, p: int) -> int:
     """Circle count assembled from line counts by deleting the wrap-around
     zone: ``sum_j binom(m, j) p^j H(n - p*m - (p+1)*j, k - j)``.
@@ -429,16 +444,25 @@ def h_from_g(n: int, k: int, m: int, p: int) -> int:
     ``sum_j (-1)^j binom(m+j-1,j) p^j G(n+p*m-(p+1)*j, k-j)``.
 
     Stated where ``line_in_range`` holds; circle terms below the closed-form
-    range come from the cycle composition.
+    range come from the cycle composition.  The sum itself is
+    ``_h_from_g_sum``, which the audit calls over its kept circle counts.
     """
     _check_range("h_from_g needs", "line", n, k, m, p)
+    return _h_from_g_sum(n, k, m, p, g_for_identity)
+
+
+def _h_from_g_sum(n: int, k: int, m: int, p: int, g: Callable[..., int]) -> int:
+    """``h_from_g``'s sum with no range check, each circle count
+    G(nn, kk) taken from ``g(nn, kk, m, p)``; ``g`` keeps
+    ``g_for_identity``'s conventions, so the audit can pass one that reads
+    a kept count.  The twin of ``_g_from_h_sum``."""
     total = 0
     for j in range(k + 1):
         total += (
             (-1) ** j
             * binom_nat(m + j - 1, j)
             * p**j
-            * g_for_identity(n + p * m - (p + 1) * j, k - j, m, p)
+            * g(n + p * m - (p + 1) * j, k - j, m, p)
         )
     return total
 

@@ -329,6 +329,29 @@ class TestHFromG:
         with pytest.raises(ValueError):
             h_from_g(1, 2, 2, 1)
 
+    def test_range_error_text(self):
+        with pytest.raises(ValueError) as error:
+            h_from_g(1, 2, 2, 1)
+        assert str(error.value) == "h_from_g needs n >= p*m*(k-1) = 2, got n=1"
+
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(3, 2, 6, 40)])
+    def test_the_audits_sum_over_kept_counts_is_the_route(self, grid):
+        # Eq4.5's right side is h_from_g's sum read over the audit's circle
+        # store; at every point the audit checks it equals the public route
+        # and the definitional count
+        store = counting._circle_counts(grid.k_max)
+        points = 0
+        for m, p, k, n in product(range(1, grid.m_max + 1), range(1, grid.p_max + 1),
+                                  range(grid.k_max + 1), range(grid.n_max + 1)):
+            if audit._eq4_5_applies(n, k, m, p):
+                points += 1
+                value = counting._h_from_g_sum(n, k, m, p, store)
+                assert value == h_from_g(n, k, m, p) == h_composition(n, k, m, p), (
+                    n, k, m, p,
+                )
+        assert points == run_audit(IdentityId.EQ4_5, grid).checked
+
 
 class TestFormulaRoutesNeedNoOracle:
     """With the oracle scan disabled, the circle routes below the closed-form

@@ -943,10 +943,12 @@ class TestAudit:
         for identity, result in shared.items():
             oracle._brute_counts.cache_clear()
             counting._line_counts.cache_clear()
+            counting._circle_counts.cache_clear()
             assert run(capsys, "audit", "--identity", identity) == result
         run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=1,p<=1,k<=2,n<=8")
         assert oracle._brute_counts.cache_info().currsize == 1
         assert counting._line_counts.cache_info().currsize == 1
+        assert counting._circle_counts.cache_info().currsize == 1
 
     def test_cap_and_k_are_the_key(self, capsys):
         # the default cap's rows reach n = 24; a cap of 20 must not read them
@@ -979,20 +981,29 @@ class TestAudit:
 
     @pytest.mark.usefixtures("fresh_audit_rows")
     def test_table_and_recurrence_keep_the_audit_rows(self, capsys, monkeypatch):
-        # only the audit reads the oracle and line rows kept across calls:
-        # a table at another k-max and a line recurrence count build their
-        # own rows, so an audit after them scans none and builds none (when
-        # they read the stores, they evicted all 294 scans and 144 rows)
+        # only the audit reads the oracle and line rows and the circle counts
+        # kept across calls: a table at another k-max and a line and a circle
+        # recurrence count build their own, so they neither fill nor evict
+        # the stores, and an audit after them scans none, builds none and
+        # evaluates no circle count (when they read the stores, they evicted
+        # all 294 scans and 144 rows)
         first = run(capsys, "audit", "--identity", "all")
+        circle = counting._circle_counts(4)
+        stores = counting._circle_counts.cache_info(), circle.cache_info()
         assert run(capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
                    "--n-max", "24", "--k-max", "8")[0] == 0
         assert run(capsys, "count", "--topology", "line", "--n", "2000", "--k", "50",
                    "--m", "3", "--p", "2", "--method", "recurrence")[0] == 0
+        assert run(capsys, "count", "--topology", "circle", "--n", "2000", "--k", "50",
+                   "--m", "3", "--p", "2", "--method", "recurrence")[0] == 0
+        assert (counting._circle_counts.cache_info(), circle.cache_info()) == stores
         scans = record_calls(monkeypatch, oracle, "count_brute_row")
         rows = record_calls(monkeypatch, counting, "h_composition_row")
+        counts = record_calls(monkeypatch, counting, "g_for_identity")
         assert run(capsys, "audit", "--identity", "all") == first
-        assert (len(scans), len(rows)) == (0, 0)
-        assert not hasattr(cli, "_brute_counts") and not hasattr(cli, "_line_counts")
+        assert (len(scans), len(rows), len(counts)) == (0, 0, 0)
+        assert not any(hasattr(cli, name)
+                       for name in ("_brute_counts", "_line_counts", "_circle_counts"))
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

@@ -5,6 +5,8 @@ show where a kernel is reached and how often.  A change that moves one
 re-pins it and says so in CHANGES.md.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from sepsets import counting, oracle, series
@@ -12,12 +14,17 @@ from sepsets.cli import main
 
 
 @pytest.fixture
-def packed(monkeypatch):
-    """The argument tuples of every packed product from now on, with every
-    row and column cache dropped first, so each count is a cold one."""
-    for cached in (oracle._brute_counts, counting._line_counts, counting._line_column,
-                   counting._circle_column):
+def cold():
+    """Drop every row, count and column store, so each count is a cold one."""
+    for cached in (oracle._brute_counts, counting._line_counts, counting._circle_counts,
+                   counting._line_column, counting._circle_column):
         cached.cache_clear()
+
+
+@pytest.fixture
+def packed(monkeypatch, cold):
+    """The argument tuples of every packed product from now on, with every
+    store dropped first."""
     calls, product = [], series._packed_product
     monkeypatch.setattr(
         series, "_packed_product", lambda *args: calls.append(args) or product(*args)
@@ -49,3 +56,28 @@ def test_table_packed_products(packed, capsys, topology, n_max, k_max, count):
     assert main(["table", "--topology", topology, "--m", "3", "--p", "2",
                  "--n-max", str(n_max), "--k-max", str(k_max)]) == 0
     assert len(packed) == count
+
+
+def test_audit_evaluates_each_circle_count_once(cold, monkeypatch, capsys):
+    # the default grid's audits read 641 distinct circle cells: 468 in the
+    # closed form's range, 6 compositions below it, and empty or too-short
+    # cells that call no engine.  Evaluating every read made 3,918 closed
+    # forms (3,378 through counting's name) and 10 compositions.  Thm-H3
+    # compares scaled ints, where Thm-H3-printed built 132 Fractions
+    calls = {"g_closed": 0, "g_composition": 0, "Fraction": 0}
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    for name in ("g_closed", "g_composition"):
+        monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
+    assert main(["audit", "--identity", "all"]) == 2  # the printed errata fail
+    assert calls == {"g_closed": 468, "g_composition": 6, "Fraction": 0}
+    store = counting._circle_counts(4).cache_info()
+    assert (store.misses, store.currsize) == (641, 641)
+    counting._circle_counts.cache_clear()
+    assert counting._circle_counts.cache_info().currsize == 0

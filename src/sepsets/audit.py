@@ -15,14 +15,14 @@ data (never raised).  The catalogue deliberately includes the known-bad
 ``printed`` formula variants so their counterexamples are reproduced,
 witnesses included.  Only the oracle sides read the brute-force cap.
 
-The grid identities read every count from three stores kept beside
-their engines: the oracle rows of ``oracle._brute_counts`` for the last
-(k, cap), the line rows of ``counting._line_counts`` and the circle
-counts of ``counting._circle_counts`` for the last k.  So every audit
+The grid identities read every count from one store, ``_counts``, kept
+here for the last (k_max, cap): the oracle rows of an
+``oracle._brute_reader``, the line rows of a ``counting._line_reader``
+and each circle count of ``counting.g_for_identity``.  So every audit
 with that k_max and cap, in one command or across calls, builds each row
-and evaluates each circle count once; nothing else reads those stores,
-so no other command fills or evicts them.  A caller that patches an
-engine the stores are built from must clear all three before it audits.
+and evaluates each circle count once; nothing else reads the store, so
+no other command fills or evicts it.  A caller that patches an engine
+the store reads must drop it first, by ``_counts.cache_clear()``.
 The Thm-H3 audits read the third formula's int core as a (numerator,
 denominator) pair and compare the line count as the scaled int
 line*denominator with the numerator, as the sampled families do, so no
@@ -43,17 +43,17 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
-from functools import partial
+from functools import cache, lru_cache, partial
 from math import gcd
 from itertools import islice
 
+from . import counting
 from .counting import (
     Topology,
-    _circle_counts,
     _g_alternating_sum,
     _g_from_h_sum,
     _h_from_g_sum,
-    _line_counts,
+    _line_reader,
     alternating_in_range,
     circle_in_range,
     h_closed_1,
@@ -72,7 +72,7 @@ from .omega_phi import (
     _phi_direct,
     _scaled,
 )
-from .oracle import DEFAULT_CAP, _brute_counts
+from .oracle import DEFAULT_CAP, _brute_reader
 
 
 class IdentityId(str, Enum):
@@ -335,14 +335,23 @@ def _scaled_failure(params: Callable[[tuple], dict], raw, lhs: int, rhs: int) ->
     return _failure(params(instance), lhs, rhs, den)
 
 
+@lru_cache(maxsize=1)
+def _counts(k: int, cap: int) -> tuple[Callable, Callable, Callable]:
+    """The store: ``(brute, line, circle)``, the oracle, line and circle
+    counts for every kk <= k, each row or circle count evaluated on first
+    read and kept while k and the cap stay the same.  ``circle`` calls the
+    ``counting.g_for_identity`` bound at that read."""
+    circle = cache(lambda nn, kk, m, p: counting.g_for_identity(nn, kk, m, p))
+    return _brute_reader(k, cap), _line_reader(k), circle
+
+
 def _cases(
     identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
 ) -> tuple[Record, Iterator[Case]]:
     """The catalogue: the failure record builder and the cases of one
     identity on one grid, reading the oracle, line and circle counts from
-    the stores kept for (grid.k_max, cap)."""
-    brute, line = _brute_counts(grid.k_max, cap), _line_counts(grid.k_max)
-    circle = _circle_counts(grid.k_max)
+    the store kept for (grid.k_max, cap)."""
+    brute, line, circle = _counts(grid.k_max, cap)
     omega = partial(_scaled_failure, _omega_params)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)

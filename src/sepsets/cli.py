@@ -12,9 +12,11 @@ plain argv (a command, then each of its flags in full at most once, each
 with a value that does not start with ``-``) straight from that table.
 argparse is imported and built only for an argv the reader declines, so
 help, usage and every error line stay argparse's.  Repeated ``main()``
-calls share only the oracle and line rows that ``audit`` reads, kept
-beside their engines for the last k and cap; ``table`` builds its own
-rows and drops them.
+calls share the parser, the recurrences' last Newton columns and one
+store of counts: the oracle rows, line rows and circle counts that
+``audit`` reads, kept for the last k and cap and dropped by
+``audit._counts.cache_clear()``; ``table`` builds its own rows and drops
+them.
 """
 
 from __future__ import annotations

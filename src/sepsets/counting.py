@@ -168,8 +168,9 @@ def h_closed_2(n: int, k: int, m: int, p: int) -> int:
 def h_closed_3(n: int, k: int, m: int, p: int) -> int:
     """Third single-sum line formula (needs ``k >= 1``), corrected: the
     inner binomial's lower index is ``k-1-j``, which matches the
-    definitional count.  The printed ``k-j`` is wrong; the audits read its
-    values through ``h_closed_3_value`` and exhibit its counterexamples.
+    definitional count.  The printed ``k-j`` is wrong; the Thm-H3 audits
+    read both variants from ``omega_phi._omega_3`` and exhibit the printed
+    one's counterexamples.
     """
     _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
@@ -216,15 +217,12 @@ def h_for_identity(n: int, k: int, m: int, p: int) -> int:
     return h_composition(n, k, m, p)
 
 
-@lru_cache(maxsize=1)
-def _line_counts(k: int) -> Callable[[int, int, int, int], int]:
+def _line_reader(k: int) -> Callable[[int, int, int, int], int]:
     """``h_for_identity`` for every kk <= k, as ``h(nn, kk, m, p)``: each
     (nn, m, p) is read from one ``h_composition_row(nn, min(k, nn), m, p)``,
     built on first read.  The empty selection counts 1 for every nn, even
     nn < 0, and a negative kk or a kk above nn counts 0, with no row read,
-    so a row holds at most nn + 1 counts whatever k is.  Only the rows of
-    the last k are kept, for the audit, their one reader, while k stays the
-    same; ``_line_counts.cache_clear()`` drops them."""
+    so a row holds at most nn + 1 counts whatever k is."""
     @cache
     def row(nn: int, m: int, p: int) -> list[int]:
         return h_composition_row(nn, min(k, nn), m, p)
@@ -246,21 +244,6 @@ def g_for_identity(n: int, k: int, m: int, p: int) -> int:
     if circle_in_range(n, k, m, p):
         return g_closed(n, k, m, p)
     return g_composition(n, k, m, p)
-
-
-@lru_cache(maxsize=1)
-def _circle_counts(k: int) -> Callable[[int, int, int, int], int]:
-    """``g_for_identity`` as ``g(nn, kk, m, p)``, the circle twin of
-    ``_line_counts``: each distinct (nn, kk, m, p) is evaluated once, on
-    first read, by the ``g_for_identity`` bound at that moment, and kept
-    while k stays the same.  The audit, its one reader, keys it on its
-    grid's k_max, so the store holds one count per circle cell that the
-    last k's audits read; ``_circle_counts.cache_clear()`` drops them."""
-    @cache
-    def g(nn: int, kk: int, m: int, p: int) -> int:
-        return g_for_identity(nn, kk, m, p)
-
-    return g
 
 
 def g_from_h(n: int, k: int, m: int, p: int) -> int:
@@ -342,14 +325,11 @@ def _newton_at(column: tuple[int, ...], x: int) -> int:
 @lru_cache(maxsize=1)
 def _line_column(k: int, m: int, p: int) -> tuple[int, ...]:
     """``h_recurrence``'s Newton column at x0 = p*m*(k-1) + 1, k >= 1, seeded
-    from one ``h_composition_row(nn, min(k, nn), m, p)`` per column nn, built
-    here on first read (a kk above nn, or nn < 0, counts ``int(kk == 0)``
-    unread); only the last (k, m, p) is kept."""
+    from a ``_line_reader`` of its own, one composition row per column; only
+    the last (k, m, p) is kept."""
     x0 = p * m * (k - 1) + 1
-    row = cache(lambda nn: h_composition_row(nn, min(k, nn), m, p))
-    return _recurrence(
-        k, p + 1, x0, lambda nn, kk: row(nn)[kk] if 0 < kk <= nn else int(kk == 0)
-    )
+    h = _line_reader(k)
+    return _recurrence(k, p + 1, x0, lambda nn, kk: h(nn, kk, m, p))
 
 
 @lru_cache(maxsize=1)

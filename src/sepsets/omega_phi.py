@@ -259,12 +259,16 @@ def _phi_closed(d: int, big_l: int, big_m: int, k: int) -> tuple[int, int]:
 
 
 def hwang_wei_check(n_list: Sequence[int], k: int) -> tuple[Fraction, int]:
-    """Both sides of the mu = -1 specialization, for int row lengths n_i.
+    """Both sides of the mu = -1 specialization, for at least one int row
+    length n_i (each read through ``operator.index``).
 
     Left: the direct composition sum with lambdas ``n_i + 1`` and mu = -1.
     Right: ``sum_j binom(m+j-2, j) * binom(n+1-k-2j, k-2j)`` with n = sum n_i.
     The caller asserts equality.
     """
+    n_list = [_integer(v, "n_i") for v in n_list]
+    if not n_list:
+        raise ValueError("need at least one row length")
     num, den, right = _hwang_wei(n_list, _count(k, "k"))
     return Fraction(num, den), right
 
@@ -291,12 +295,17 @@ def gould_check(a: Rational, b: Rational, c: Rational, n: int) -> tuple[Fraction
     return phi_direct(q), phi_closed(q)
 
 
-def _count(value: int, name: str) -> int:
-    """``operator.index(value)``; one ValueError unless that is an int >= 0."""
+def _integer(value: int, name: str) -> int:
+    """``operator.index(value)``; one ValueError unless that is an int."""
     try:
-        value = index(value)
+        return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _count(value: int, name: str) -> int:
+    """``operator.index(value)``; one ValueError unless that is an int >= 0."""
+    value = _integer(value, name)
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
     return value

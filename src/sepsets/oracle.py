@@ -16,7 +16,7 @@ line and (p' + 1)^2 on the circle: a measured bound, which tests pin at
 every m <= n + 1 for n <= 40, p <= 6 and at large points that reach it.
 Each state's value packs the counts for every size 0..k into one int, so
 one scan gives the whole row; ``count_brute`` reads one entry of it, and
-``_brute_counts`` keeps the rows that the audit reads across k.  The
+``_brute_reader`` reads each row it is asked for once, at every size.  The
 scan never splits the positions into residue rows, so it stays
 independent of the composition sums and closed forms it checks.
 ``list_brute`` enumerates the subsets by an iterative depth-first walk that
@@ -27,7 +27,7 @@ two agree.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 
 from .counting import CountQuery, SeparationParams, Topology, count_query
@@ -106,16 +106,13 @@ def count_brute_row(q: CountQuery, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     return _scan(q.n, diffs, k) + (0,) * (q.k - k)
 
 
-@lru_cache(maxsize=1)
-def _brute_counts(k: int, cap: int) -> Callable[[Topology, int, int, int, int], int]:
+def _brute_reader(k: int, cap: int) -> Callable[[Topology, int, int, int, int], int]:
     """``count_brute`` for every kk <= k, as ``brute(topology, n, kk, m, p)``:
     each (topology, n, m, p) is read from one ``count_brute_row`` scan to
     min(k, n) with the cap ``cap``, built on first read, and a kk above n
-    counts 0, so a row holds at most n + 1 counts whatever k is.  Only the
-    rows of the last (k, cap) are kept, for the audit, their one reader,
-    while k and the cap stay the same; ``_brute_counts.cache_clear()``
-    drops them.  A row past the cap raises each time it is read, as
-    ``count_brute`` does at every kk, since exceptions are not cached."""
+    counts 0, so a row holds at most n + 1 counts whatever k is.  A row
+    past the cap raises each time it is read, as ``count_brute`` does at
+    every kk, since exceptions are not cached."""
     @cache
     def row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
         return count_brute_row(count_query(topology, n, min(k, n), m, p), cap)

@@ -340,7 +340,7 @@ class TestHFromG:
         # Eq4.5's right side is h_from_g's sum read over the audit's circle
         # store; at every point the audit checks it equals the public route
         # and the definitional count
-        store = counting._circle_counts(grid.k_max)
+        store = audit._counts(grid.k_max, oracle.DEFAULT_CAP)[2]
         points = 0
         for m, p, k, n in product(range(1, grid.m_max + 1), range(1, grid.p_max + 1),
                                   range(grid.k_max + 1), range(grid.n_max + 1)):

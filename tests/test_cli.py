@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -792,6 +793,24 @@ def test_plain_argv_imports_no_argparse():
     assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] False\n")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--help"], "d3f5afeedd9818b7f59cfe758d2b206bebadfb00a150fbed2ab2fabe7a9b9e7d"),
+    (["count", "-h"], "a57c1cf257f48d28cbe7b3d6ec05033f33befba072f42967c56721ada08009ae"),
+    (["list", "-h"], "5d45b7cb46e72c38f1bbf338c79b1a868e7fc01573a66bbeb36cc04355851d6f"),
+    (["table", "-h"], "5fb08a1b480e17ae53158267be5b6133535f7df1531903a8ffa8810165e5e367"),
+    (["audit", "-h"], "a81ed043b79dafa8d31e3f534aa800c56b43332a1225fdf8aefc10de69cc5b2d"),
+])
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    # sha256 of the help at 80 columns; the top-level description is the
+    # module docstring up to its last paragraph, which stays out of it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (done.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestAudit:
     def test_passing_identity_exits_zero(self, capsys):
         code, out, _ = run(
@@ -941,14 +960,10 @@ class TestAudit:
                 assert len(scans) == before
         assert 0 < len(scans) == len(set(scans))
         for identity, result in shared.items():
-            oracle._brute_counts.cache_clear()
-            counting._line_counts.cache_clear()
-            counting._circle_counts.cache_clear()
+            audit._counts.cache_clear()
             assert run(capsys, "audit", "--identity", identity) == result
         run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=1,p<=1,k<=2,n<=8")
-        assert oracle._brute_counts.cache_info().currsize == 1
-        assert counting._line_counts.cache_info().currsize == 1
-        assert counting._circle_counts.cache_info().currsize == 1
+        assert audit._counts.cache_info().currsize == 1
 
     def test_cap_and_k_are_the_key(self, capsys):
         # the default cap's rows reach n = 24; a cap of 20 must not read them
@@ -961,7 +976,7 @@ class TestAudit:
         # rows scanned to k = 4 hold no count for k = 5
         wider = run(capsys, "audit", "--identity", "Eq2.1", "--grid", "m<=3,p<=2,k<=5,n<=24")
         assert wider[0] == 0 and "checked: 900" in wider[1]
-        assert oracle._brute_counts.cache_info().currsize == 1
+        assert audit._counts.cache_info().currsize == 1
 
     @pytest.mark.usefixtures("fresh_audit_rows")
     def test_grids_sharing_k_and_cap_share_rows(self, capsys, monkeypatch):
@@ -984,26 +999,29 @@ class TestAudit:
         # only the audit reads the oracle and line rows and the circle counts
         # kept across calls: a table at another k-max and a line and a circle
         # recurrence count build their own, so they neither fill nor evict
-        # the stores, and an audit after them scans none, builds none and
-        # evaluates no circle count (when they read the stores, they evicted
+        # the store, and an audit after them scans none, builds none and
+        # evaluates no circle count, where the cold one made 294 scans, 144
+        # rows and 641 circle counts (when they read the stores, they evicted
         # all 294 scans and 144 rows)
+        spies = [record_calls(monkeypatch, oracle, "count_brute_row"),
+                 record_calls(monkeypatch, counting, "h_composition_row"),
+                 record_calls(monkeypatch, counting, "g_for_identity")]
         first = run(capsys, "audit", "--identity", "all")
-        circle = counting._circle_counts(4)
-        stores = counting._circle_counts.cache_info(), circle.cache_info()
+        assert [len(calls) for calls in spies] == [294, 144, 641]
+        circle = audit._counts(4, oracle.DEFAULT_CAP)[2]
+        stores = audit._counts.cache_info(), circle.cache_info()
         assert run(capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
                    "--n-max", "24", "--k-max", "8")[0] == 0
         assert run(capsys, "count", "--topology", "line", "--n", "2000", "--k", "50",
                    "--m", "3", "--p", "2", "--method", "recurrence")[0] == 0
         assert run(capsys, "count", "--topology", "circle", "--n", "2000", "--k", "50",
                    "--m", "3", "--p", "2", "--method", "recurrence")[0] == 0
-        assert (counting._circle_counts.cache_info(), circle.cache_info()) == stores
-        scans = record_calls(monkeypatch, oracle, "count_brute_row")
-        rows = record_calls(monkeypatch, counting, "h_composition_row")
-        counts = record_calls(monkeypatch, counting, "g_for_identity")
+        assert (audit._counts.cache_info(), circle.cache_info()) == stores
+        for calls in spies:
+            calls.clear()
         assert run(capsys, "audit", "--identity", "all") == first
-        assert (len(scans), len(rows), len(counts)) == (0, 0, 0)
-        assert not any(hasattr(cli, name)
-                       for name in ("_brute_counts", "_line_counts", "_circle_counts"))
+        assert [len(calls) for calls in spies] == [0, 0, 0]
+        assert not any(hasattr(cli, name) for name in ("_counts", "_brute_reader", "_line_reader"))
 
 
 @pytest.mark.parametrize("k", ["2", "-1"])

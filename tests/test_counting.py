@@ -13,13 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsets.binomials import binom_nat
-from sepsets import binomials, counting
+from sepsets import audit, binomials, counting
 from sepsets.counting import (
     ROUTES,
     CountQuery,
     SeparationParams,
     _composition,
-    _line_counts,
     _line_ways,
     _row_counts,
     Topology,
@@ -27,6 +26,7 @@ from sepsets.counting import (
     count_query,
     g_closed,
     g_composition,
+    g_for_identity,
     g_from_h,
     h_closed_1,
     h_closed_2,
@@ -40,7 +40,7 @@ from sepsets.counting import (
 )
 from sepsets.audit import DEFAULT_GRID
 from sepsets.omega_phi import _omega_3, compositions
-from sepsets.oracle import count_brute, count_brute_row
+from sepsets.oracle import EnumerationCapError, count_brute, count_brute_row
 from sepsets.counting import g_series, h_series
 
 
@@ -194,12 +194,27 @@ class TestHCompositionRow:
         assert row == [1, 3, 2, 0, 0, 0, 0]
         assert tuple(row) == count_brute_row(count_query("line", 3, 6, 2, 1))
 
-    def test_line_counts_read_rows_with_identity_conventions(self):
-        h = _line_counts(5)
+    @pytest.mark.usefixtures("fresh_audit_rows")
+    def test_the_audits_counts_read_rows_with_identity_conventions(self):
+        # the audit's store for k = 5: each reader keeps its definition's
+        # conventions at every point, past n and below 0 too
+        cap = 13
+        brute, line, circle = audit._counts(5, cap)
         for m, p in product(range(1, 4), range(1, 3)):
             for n in range(-3, 14):
                 for k in range(-1, 6):
-                    assert h(n, k, m, p) == h_for_identity(n, k, m, p), (n, k, m, p)
+                    point = n, k, m, p
+                    assert line(*point) == h_for_identity(*point), point
+                    assert circle(*point) == g_for_identity(*point), point
+                    if 0 <= n <= cap and k >= 0:
+                        for topology in Topology:
+                            assert brute(topology, *point) == count_brute(
+                                count_query(topology, n, k, m, p), cap
+                            ), (topology, *point)
+            for topology in Topology:  # past the cap, at every read
+                for _ in range(2):
+                    with pytest.raises(EnumerationCapError):
+                        brute(topology, cap + 1, 0, m, p)
 
     @pytest.mark.parametrize(
         "n,k,m,p", [(5, 2, 0, 1), (5, 2, 1, 0), (5, -1, 1, 1), (-1, 2, 1, 1)]
@@ -591,7 +606,7 @@ class TestLargeK:
         route = getattr(counting, name)
         closed = h_closed_2 if name.startswith("h") else g_closed
         for k in ks:
-            for cached in (counting._line_counts, counting._line_column, counting._circle_column):
+            for cached in (counting._line_column, counting._circle_column):
                 cached.cache_clear()
             tracemalloc.start()
             try:

@@ -9,16 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from sepsets import counting, oracle, series
+from sepsets import audit, counting, oracle, series
 from sepsets.cli import main
 
 
 @pytest.fixture
-def cold():
-    """Drop every row, count and column store, so each count is a cold one."""
-    for cached in (oracle._brute_counts, counting._line_counts, counting._circle_counts,
-                   counting._line_column, counting._circle_column):
-        cached.cache_clear()
+def cold(fresh_audit_rows):
+    """Drop the audit's store and both recurrence columns, so each count is a
+    cold one."""
+    counting._line_column.cache_clear()
+    counting._circle_column.cache_clear()
 
 
 @pytest.fixture
@@ -63,8 +63,10 @@ def test_audit_evaluates_each_circle_count_once(cold, monkeypatch, capsys):
     # closed form's range, 6 compositions below it, and empty or too-short
     # cells that call no engine.  Evaluating every read made 3,918 closed
     # forms (3,378 through counting's name) and 10 compositions.  Thm-H3
-    # compares scaled ints, where Thm-H3-printed built 132 Fractions
-    calls = {"g_closed": 0, "g_composition": 0, "Fraction": 0}
+    # compares scaled ints, where Thm-H3-printed built 132 Fractions.  The
+    # oracle and line rows are the 294 scans and 144 rows the audit reads
+    calls = dict.fromkeys(("count_brute_row", "h_composition_row", "g_for_identity",
+                           "g_closed", "g_composition", "Fraction"), 0)
 
     def counted(name, function):
         def spy(*args, **kwargs):
@@ -72,12 +74,15 @@ def test_audit_evaluates_each_circle_count_once(cold, monkeypatch, capsys):
             return function(*args, **kwargs)
         return spy
 
-    for name in ("g_closed", "g_composition"):
+    monkeypatch.setattr(oracle, "count_brute_row",
+                        counted("count_brute_row", oracle.count_brute_row))
+    for name in ("h_composition_row", "g_for_identity", "g_closed", "g_composition"):
         monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
     assert main(["audit", "--identity", "all"]) == 2  # the printed errata fail
-    assert calls == {"g_closed": 468, "g_composition": 6, "Fraction": 0}
-    store = counting._circle_counts(4).cache_info()
+    assert calls == {"count_brute_row": 294, "h_composition_row": 144, "g_for_identity": 641,
+                     "g_closed": 468, "g_composition": 6, "Fraction": 0}
+    store = audit._counts(4, oracle.DEFAULT_CAP)[2].cache_info()
     assert (store.misses, store.currsize) == (641, 641)
-    counting._circle_counts.cache_clear()
-    assert counting._circle_counts.cache_info().currsize == 0
+    audit._counts.cache_clear()
+    assert audit._counts.cache_info().currsize == 0

@@ -488,6 +488,24 @@ class TestHwangWei:
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
             hwang_wei_check((3, 3), -1)
 
+    def test_rejects_no_rows(self):
+        # an empty list gave a TypeError from the empty product's None
+        with pytest.raises(ValueError, match=r"^need at least one row length$"):
+            hwang_wei_check((), 2)
+
+    @pytest.mark.parametrize("n_i", [F(3), "3", 2.5])
+    def test_rejects_non_integral_row_lengths(self, n_i):
+        # one ValueError, not a TypeError from range or +
+        with pytest.raises(ValueError, match=r"^n_i must be an integer, got "):
+            hwang_wei_check((n_i, 3), 2)
+
+    def test_row_lengths_are_read_through_index(self):
+        assert hwang_wei_check((Two(), 3), 2) == hwang_wei_check((2, 3), 2) == (7, 7)
+        assert hwang_wei_check([Two()], 1) == (2, 2)
+        # negative lengths are evaluated as before
+        assert hwang_wei_check((-2, 3), 2) == (1, 1)
+        assert hwang_wei_check((-3, -1, 4), 3) == (-12, -12)
+
     def test_randomized(self):
         rng = random.Random(33)
         for _ in range(60):

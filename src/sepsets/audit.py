@@ -2,14 +2,16 @@
 verifies them and records counterexamples.  The count routes the
 catalogue checks live in ``counting``.
 
-Each identity in the catalogue is a generator of ``(raw, lhs, rhs)``
-cases, paired with the function that builds a failing case's record.  A
-grid identity compares two counts at every grid point satisfying its
-validity precondition.  A sampled family (Eq3.1 to Eq3.4, Hwang-Wei,
-Gould) draws its rationals as (numerator, denominator) int pairs and
-calls the ``omega_phi`` int cores, so its sides a/b and c/e are compared
-as the ints a*e and c*b; only a failing case's record formats its params
-and its sides, in lowest terms.  An instance a core finds singular is
+Each identity in the catalogue is a generator of ``(instance, den, lhs,
+rhs)`` cases, both sides already scaled by den, paired with the function
+that formats an instance's params; the one loop builds every failing
+case's record from the two, alike for every family.  A grid identity
+compares two counts (den 1) at every grid point satisfying its validity
+precondition.  A sampled family (Eq3.1 to Eq3.4, Hwang-Wei, Gould) draws
+its rationals as (numerator, denominator) int pairs and calls the
+``omega_phi`` int cores, so its sides a/b and c/e are compared as the
+ints a*e and c*b over den b*e; only a failing case's record formats its
+params and its sides, in lowest terms.  An instance a core finds singular is
 skipped (Omega and Phi) or redrawn (Gould).  Mismatches are collected as
 data (never raised).  The catalogue deliberately includes the known-bad
 ``printed`` formula variants so their counterexamples are reproduced,
@@ -162,38 +164,38 @@ class AuditReport(namedtuple("AuditReport", "identity grid checked failures")):
         return "\n".join(lines)
 
 
-def _ratio(num: int, den: int = 1) -> int | str:
+def _ratio(num: int, den: int) -> int | str:
     """num/den as a Fraction prints it, or as an int when whole; no Fraction is built."""
     g = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // g if den == g else f"{num // g}/{den // g}"
 
 
-def _failure(params: dict, lhs, rhs, den: int = 1) -> dict:
+def _failure(params: dict, lhs: int, rhs: int, den: int) -> dict:
     # params comes from the identity's formatter, whose values are ints and
     # strs already; the two sides are over den
     return {"params": params, "lhs": _ratio(lhs, den), "rhs": _ratio(rhs, den)}
 
 
 # ---------------------------------------------------------------------------
-# the catalogue: every identity is a generator of (raw, lhs, rhs) cases and
-# the builder of a failing case's record
+# the catalogue: every identity is a generator of (instance, den, lhs, rhs)
+# cases, whose sides are over den, and the formatter of an instance's params
 
-Case = tuple[object, object, object]
-Record = Callable[[object, object, object], dict]
+Case = tuple[object, int, int, int]
 Route = Callable[[int, int, int, int], object]
 
 
 def _grid_cases(
     grid: GridSpec, applies: Callable[[int, int, int, int], bool], lhs: Route, rhs: Route
 ) -> Iterator[Case]:
-    """Both sides at every grid point where the identity applies, the raw
-    point (n, k, m, p) in the routes' own argument order."""
+    """Both sides over den 1 at every grid point where the identity
+    applies, the instance the point (n, k, m, p) in the routes' own
+    argument order."""
     for m in range(1, grid.m_max + 1):
         for p in range(1, grid.p_max + 1):
             for k in range(grid.k_max + 1):
                 for n in range(grid.n_max + 1):
                     if applies(n, k, m, p):
-                        yield (n, k, m, p), lhs(n, k, m, p), rhs(n, k, m, p)
+                        yield (n, k, m, p), 1, lhs(n, k, m, p), rhs(n, k, m, p)
 
 
 def _scaled_grid_cases(
@@ -203,19 +205,14 @@ def _scaled_grid_cases(
     rhs: Callable[[int, int, int, int], tuple[int, int]],
 ) -> Iterator[Case]:
     """``_grid_cases`` for an rhs that is a (numerator, denominator) pair:
-    lhs is compared as lhs*den with the numerator, and the raw case is
-    (point, den)."""
-    for point, left, (num, den) in _grid_cases(grid, applies, lhs, rhs):
-        yield (point, den), left * den, num
+    lhs is compared as lhs*den with the numerator."""
+    for point, _, left, (num, den) in _grid_cases(grid, applies, lhs, rhs):
+        yield point, den, left * den, num
 
 
 def _grid_params(point: tuple[int, int, int, int]) -> dict:
     n, k, m, p = point
     return {"m": m, "p": p, "k": k, "n": n}
-
-
-def _grid_failure(point: tuple[int, int, int, int], lhs, rhs) -> dict:
-    return _failure(_grid_params(point), lhs, rhs)
 
 
 def _eq4_1_applies(n: int, k: int, m: int, p: int) -> bool:
@@ -262,7 +259,7 @@ def _random_pair(rng: random.Random, bound: int = 20) -> tuple[int, int]:
 def _rational_cases(draws: Iterator[tuple], lhs: Callable, rhs: Callable) -> Iterator[Case]:
     """Both sides of each drawn (lambdas, mu, k), scaled once to (D, L_i, M):
     a/b = lhs(D, L_i, M, k) and c/e = rhs(D, sum L_i, M, m, k) as the ints
-    a*e and c*b, with b*e in the raw case.  A singular draw is skipped."""
+    a*e and c*b over den b*e.  A singular draw is skipped."""
     for draw in draws:
         lambdas, mu, k = draw
         d, big_ls, big_m = _scaled(mu, lambdas)
@@ -271,7 +268,7 @@ def _rational_cases(draws: Iterator[tuple], lhs: Callable, rhs: Callable) -> Ite
             c, e = rhs(d, sum(big_ls), big_m, len(big_ls), k)
         except SingularTermError:
             continue
-        yield (draw, b * e), a * e, c * b
+        yield draw, b * e, a * e, c * b
 
 
 def _phi_closed_m(d: int, big_l: int, big_m: int, m: int, k: int) -> tuple[int, int]:
@@ -305,7 +302,7 @@ def _hwang_wei_cases(grid: GridSpec, rng: random.Random) -> Iterator[Case]:
         instances.append((tuple(rng.randint(0, 10) for _ in range(m)), k))
     for n_list, k in instances:
         left, den, right = _hwang_wei(n_list, k)
-        yield ((n_list, k), den), left, right * den
+        yield (n_list, k), den, left, right * den
 
 
 def _hwang_wei_params(instance: tuple[tuple[int, ...], int]) -> dict:
@@ -328,13 +325,6 @@ def _gould_params(draw: tuple) -> dict:
     return {"a": str(_ratio(*a)), "b": str(_ratio(*b)), "c": str(_ratio(*c)), "n": n}
 
 
-def _scaled_failure(params: Callable[[tuple], dict], raw, lhs: int, rhs: int) -> dict:
-    """The record of a case whose raw is (instance, den) and whose sides
-    are over den."""
-    instance, den = raw
-    return _failure(params(instance), lhs, rhs, den)
-
-
 @lru_cache(maxsize=1)
 def _counts(k: int, cap: int) -> tuple[Callable, Callable, Callable]:
     """The store: ``(brute, line, circle)``, the oracle, line and circle
@@ -346,13 +336,15 @@ def _counts(k: int, cap: int) -> tuple[Callable, Callable, Callable]:
 
 
 def _cases(
-    identity: IdentityId, grid: GridSpec, cap: int, rng: random.Random
-) -> tuple[Record, Iterator[Case]]:
-    """The catalogue: the failure record builder and the cases of one
-    identity on one grid, reading the oracle, line and circle counts from
-    the store kept for (grid.k_max, cap)."""
+    identity: IdentityId, grid: GridSpec, cap: int
+) -> tuple[Callable[[object], dict], Iterator[Case]]:
+    """The catalogue: the params formatter and the cases of one identity on
+    one grid, reading the oracle, line and circle counts from the store
+    kept for (grid.k_max, cap).  A sampled family draws from an rng seeded
+    by the identity, so every report is deterministic."""
     brute, line, circle = _counts(grid.k_max, cap)
-    omega = partial(_scaled_failure, _omega_params)
+    rng = random.Random(f"sepsets-audit:{identity.value}")
+    omega_draws = partial(_omega_draws, grid, rng)
     line_brute = partial(brute, Topology.LINE)
     circle_brute = partial(brute, Topology.CIRCLE)
 
@@ -367,15 +359,15 @@ def _cases(
                 lambda n, k, m, p: _g_from_h_sum(n, k, m, p, line),
             )
         case IdentityId.EQ3_1:
-            return omega, _rational_cases(_omega_draws(grid, rng), _omega_direct, _omega_1)
+            return _omega_params, _rational_cases(omega_draws(), _omega_direct, _omega_1)
         case IdentityId.EQ3_2:
-            return omega, _rational_cases(_omega_draws(grid, rng), _omega_direct, _omega_2)
+            return _omega_params, _rational_cases(omega_draws(), _omega_direct, _omega_2)
         case IdentityId.EQ3_3_PRINTED | IdentityId.EQ3_3_CORRECTED:
             variant = "printed" if identity is IdentityId.EQ3_3_PRINTED else "corrected"
             closed = partial(_omega_3, variant=variant)
-            return omega, _rational_cases(_omega_draws(grid, rng, 1), _omega_direct, closed)
+            return _omega_params, _rational_cases(omega_draws(1), _omega_direct, closed)
         case IdentityId.EQ3_4:
-            return omega, _rational_cases(_omega_draws(grid, rng), _phi_direct, _phi_closed_m)
+            return _omega_params, _rational_cases(omega_draws(), _phi_direct, _phi_closed_m)
         case IdentityId.EQ3_5:
             sides = circle_in_range, circle_brute, circle
         case IdentityId.THM_H1:
@@ -384,7 +376,7 @@ def _cases(
             sides = line_in_range, line, h_closed_2
         case IdentityId.THM_H3_PRINTED | IdentityId.THM_H3_CORRECTED:
             variant = "printed" if identity is IdentityId.THM_H3_PRINTED else "corrected"
-            return partial(_scaled_failure, _grid_params), _scaled_grid_cases(
+            return _grid_params, _scaled_grid_cases(
                 grid,
                 lambda n, k, m, p: k >= 1 and line_in_range(n, k, m, p),
                 line,
@@ -416,11 +408,11 @@ def _cases(
                 lambda n, k, m, p: _h_from_g_sum(n, k, m, p, circle),
             )
         case IdentityId.HWANG_WEI:
-            return partial(_scaled_failure, _hwang_wei_params), _hwang_wei_cases(grid, rng)
+            return _hwang_wei_params, _hwang_wei_cases(grid, rng)
         case IdentityId.GOULD:
             # a singular draw is redrawn: the first 42 regular ones count
             cases = _rational_cases(_gould_draws(rng), _phi_direct, _phi_closed_m)
-            return partial(_scaled_failure, _gould_params), islice(cases, 42)
+            return _gould_params, islice(cases, 42)
         case IdentityId.BIJECTION_COUNT:
             sides = (
                 lambda n, k, m, p: k >= 1 and circle_in_range(n, k, m, p),
@@ -429,23 +421,23 @@ def _cases(
             )
         case _:
             raise ValueError(f"unknown identity {identity!r}")
-    return _grid_failure, _grid_cases(grid, *sides)
+    return _grid_params, _grid_cases(grid, *sides)
 
 
 def run_audit(identity: IdentityId, grid: GridSpec, cap: int = DEFAULT_CAP) -> AuditReport:
     """Check one identity at every in-range grid point, collecting mismatches.
 
     Deterministic: randomized instance families are seeded per identity.
-    Failures are data, not errors.
+    Failures are data, not errors: each is recorded from the case's
+    instance, formatted only then, and its two sides over den.
     """
-    rng = random.Random(f"sepsets-audit:{identity.value}")
-    record, cases = _cases(identity, grid, cap, rng)
+    params, cases = _cases(identity, grid, cap)
     checked = 0
     failures = []
-    for raw, lhs, rhs in cases:
+    for instance, den, lhs, rhs in cases:
         checked += 1
         if lhs != rhs:
-            failures.append(record(raw, lhs, rhs))
+            failures.append(_failure(params(instance), lhs, rhs, den))
     return AuditReport(
         identity=identity.value,
         grid=grid.describe(),

@@ -112,12 +112,16 @@ def _brute_reader(k: int, cap: int) -> Callable[[Topology, int, int, int, int], 
     min(k, n) with the cap ``cap``, built on first read, and a kk above n
     counts 0, so a row holds at most n + 1 counts whatever k is.  A row
     past the cap raises each time it is read, as ``count_brute`` does at
-    every kk, since exceptions are not cached."""
+    every kk, since exceptions are not cached.  A negative kk raises
+    ``count_query``'s argument error before the row is read, so a row past
+    the cap gets that error first, as ``count_brute`` does."""
     @cache
     def row(topology: Topology, n: int, m: int, p: int) -> tuple[int, ...]:
         return count_brute_row(count_query(topology, n, min(k, n), m, p), cap)
 
     def brute(topology: Topology, n: int, kk: int, m: int, p: int) -> int:
+        if kk < 0:  # a negative index would read the row from its end
+            count_query(topology, n, kk, m, p)
         counts = row(topology, n, m, p)
         return counts[kk] if kk <= n else 0
 

@@ -489,10 +489,9 @@ class TestRunAudit:
         # not encode); run_audit builds records for failing cases only, so
         # this builds one for every case, passing ones included
         for identity in IdentityId:
-            rng = random.Random(f"sepsets-audit:{identity.value}")
-            record, cases = audit._cases(identity, grid, oracle.DEFAULT_CAP, rng)
-            for raw, lhs, rhs in cases:
-                failure = record(raw, lhs, rhs)
+            params, cases = audit._cases(identity, grid, oracle.DEFAULT_CAP)
+            for instance, den, lhs, rhs in cases:
+                failure = audit._failure(params(instance), lhs, rhs, den)
                 values = [*failure["params"].values(), failure["lhs"], failure["rhs"]]
                 assert {type(v) for v in values} <= {int, str}, (identity, failure)
 
@@ -637,7 +636,8 @@ class TestRunAudit:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_passing_sampled_cases_build_no_fraction(self, monkeypatch):
-        # the sampled families draw int pairs and compare int cores, so no
+        # the sampled families draw int pairs and compare int cores, and the
+        # grid identities compare int counts (Thm-H3 as scaled ints), so no
         # case builds a Fraction or an OmegaQuery; a failing case's record
         # formats its params and sides from the ints, and only a failing
         # case formats params at all
@@ -649,13 +649,17 @@ class TestRunAudit:
                 )
             ))
         assert Fraction(1, 2) and OmegaQuery((1,), 1, 0) and len(built) >= 2
-        for name in ("_omega_params", "_hwang_wei_params", "_gould_params"):
+        for name in ("_grid_params", "_omega_params", "_hwang_wei_params", "_gould_params"):
             monkeypatch.setattr(audit, name, lambda draw, f=getattr(audit, name): (
                 formatted.append(draw) or f(draw)
             ))
         for identity, failed in [
             ("Eq3.1", 0), ("Eq3.2", 0), ("Eq3.3-printed", 42), ("Eq3.3-corrected", 0),
             ("Eq3.4", 0), ("HwangWei", 0), ("Gould", 0),
+            ("Eq2.1", 0), ("Eq2.2", 0), ("Eq3.5", 0), ("Thm-H1", 0), ("Thm-H2", 0),
+            ("Thm-H3-printed", 488), ("Thm-H3-corrected", 0), ("Eq4.1", 0),
+            ("Eq4.2-printed", 246), ("Eq4.2-corrected", 0), ("Eq4.4", 0), ("Eq4.5", 0),
+            ("BijectionCount", 0),
         ]:
             built.clear()
             formatted.clear()

@@ -206,7 +206,11 @@ class TestHCompositionRow:
                     point = n, k, m, p
                     assert line(*point) == h_for_identity(*point), point
                     assert circle(*point) == g_for_identity(*point), point
-                    if 0 <= n <= cap and k >= 0:
+                    if k < 0:  # count_query's error, before any row is read
+                        for topology in Topology:
+                            with pytest.raises(ValueError, match="^need k >= 0, got k=-1$"):
+                                brute(topology, *point)
+                    elif 0 <= n <= cap:
                         for topology in Topology:
                             assert brute(topology, *point) == count_brute(
                                 count_query(topology, n, k, m, p), cap
@@ -215,6 +219,8 @@ class TestHCompositionRow:
                 for _ in range(2):
                     with pytest.raises(EnumerationCapError):
                         brute(topology, cap + 1, 0, m, p)
+                with pytest.raises(ValueError, match="^need k >= 0, got k=-1$"):
+                    brute(topology, cap + 1, -1, m, p)
 
     @pytest.mark.parametrize(
         "n,k,m,p", [(5, 2, 0, 1), (5, 2, 1, 0), (5, -1, 1, 1), (-1, 2, 1, 1)]

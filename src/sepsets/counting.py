@@ -4,7 +4,9 @@ The routes are the composition sums, the closed forms, the series, the
 recurrences in n and the alternating sums between line and circle; one
 composition engine serves the line's residue rows and the circle's residue
 cycles.  ``ROUTES`` names the routes that ``count --method`` selects.
-Nothing here calls the brute-force oracle.
+Every count is an ``int``, computed in integer arithmetic; rationals
+stay with ``omega_phi``'s Omega/Phi queries.  Nothing here calls the
+brute-force oracle.
 
 Conventions, fixed once here:
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat, takewhile
 from math import gcd
@@ -168,28 +169,20 @@ def h_closed_2(n: int, k: int, m: int, p: int) -> int:
 def h_closed_3(n: int, k: int, m: int, p: int) -> int:
     """Third single-sum line formula (needs ``k >= 1``), corrected: the
     inner binomial's lower index is ``k-1-j``, which matches the
-    definitional count.  The printed ``k-j`` is wrong; the Thm-H3 audits
-    read both variants from ``omega_phi._omega_3`` and exhibit the printed
-    one's counterexamples.
+    definitional count.  It is the third Omega expansion's int core at
+    lam = n + p*m, mu = -p and D = 1, whose pair divides exactly in the
+    line range.  The printed ``k-j`` is wrong; the Thm-H3 audits read both
+    variants from ``omega_phi._omega_3`` and exhibit the printed one's
+    counterexamples, and ``omega_closed_3(q, "printed")`` evaluates it.
     """
     _check_range("closed line formulas need", "line", n, k, m, p)
     if k < 1:
         raise ValueError("h_closed_3 needs k >= 1")
-    value = h_closed_3_value(n, k, m, p)
-    if isinstance(value, Fraction):
-        raise ValueError(f"h_closed_3 produced a non-integer value {value}")
-    return value
-
-
-def h_closed_3_value(
-    n: int, k: int, m: int, p: int, variant: str = "corrected"
-) -> int | Fraction:
-    """Exact value of the third formula: an ``int`` when it is whole, as
-    every corrected value in the line range is, else a ``Fraction`` (the
-    printed variant is not guaranteed to be an integer)."""
-    total, denom = _omega_3(1, n + m * p, -p, m, k, variant)
+    total, denom = _omega_3(1, n + m * p, -p, m, k, "corrected")
     value, rest = divmod(total, denom)
-    return Fraction(total, denom) if rest else value
+    if rest:
+        raise ValueError(f"h_closed_3 produced a non-integer value at n={n}, k={k}")
+    return value
 
 
 def g_closed(n: int, k: int, m: int, p: int) -> int:
@@ -569,7 +562,6 @@ __all__ = [
     "h_closed_1",
     "h_closed_2",
     "h_closed_3",
-    "h_closed_3_value",
     "g_closed",
     "g_from_h",
     "h_from_g",

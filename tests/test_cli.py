@@ -439,20 +439,16 @@ class TestTable:
 
     @pytest.mark.usefixtures("fresh_audit_rows")
     def test_line_cells_come_from_one_row_per_n(self, capsys, monkeypatch):
-        # every n = 0..40 has a cell below the closed-form range at k = 8;
-        # one composition product per (n, k) cell made 167 calls
-        calls = []
-        engine = counting._composition
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return engine(*args, **kwargs)
-
-        monkeypatch.setattr(counting, "_composition", counted)
+        # every n = 2..40 has a cell below the closed-form range at k = 8
+        # and within k <= n, each answered from one composition product up
+        # to min(k-max, n); one product per (n, k) cell would make 167
+        rows = record_calls(monkeypatch, cli, "h_composition_row")
+        products = record_calls(monkeypatch, counting, "_composition")
         code, _, _ = run(capsys, "table", "--topology", "line", "--m", "3", "--p", "2",
                          "--n-max", "40", "--k-max", "8")
         assert code == 0
-        assert 0 < len(calls) <= 41
+        assert rows == [(n, min(8, n), 3, 2) for n in range(2, 41)]
+        assert len(products) == 39
 
     def test_circle_cells_come_from_one_scan_per_n(self, capsys, monkeypatch):
         # the n below the circle range at k = 8, n < m*p*k + 1 = 17, are
@@ -462,6 +458,22 @@ class TestTable:
                          "--n-max", "24", "--k-max", "8")
         assert code == 0
         assert scans == [(count_query("circle", n, min(8, n), 2, 1), 32) for n in range(17)]
+
+    def test_circle_cells_past_the_cap_come_from_the_cycle_composition(
+        self, capsys, monkeypatch
+    ):
+        # the oracle scans n = 0..cap once each; past the cap every cell
+        # below the range, n < 2k + 1, is one cycle composition, k > n too:
+        # 36 of them, for n = 6..16
+        scans = record_calls(monkeypatch, cli, "count_brute_row")
+        compositions = record_calls(monkeypatch, counting, "g_composition")
+        code, _, _ = run(capsys, "table", "--topology", "circle", "--m", "2", "--p", "1",
+                         "--n-max", "24", "--k-max", "8", "--cap", "5")
+        assert code == 0
+        assert scans == [(count_query("circle", n, min(8, n), 2, 1), 5) for n in range(6)]
+        assert compositions == [
+            (n, k, 2, 1) for n in range(6, 17) for k in range((n + 1) // 2, 9)
+        ]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2, 3])

@@ -31,7 +31,6 @@ from sepsets.counting import (
     h_closed_1,
     h_closed_2,
     h_closed_3,
-    h_closed_3_value,
     h_composition,
     h_composition_row,
     h_for_identity,
@@ -39,7 +38,7 @@ from sepsets.counting import (
     line_in_range,
 )
 from sepsets.audit import DEFAULT_GRID
-from sepsets.omega_phi import _omega_3, compositions
+from sepsets.omega_phi import OmegaQuery, _omega_3, compositions, omega_closed_3
 from sepsets.oracle import EnumerationCapError, count_brute, count_brute_row
 from sepsets.counting import g_series, h_series
 
@@ -242,13 +241,16 @@ class TestHClosedForms:
         assert h_closed_1(8, 2, 1, 2) == binom_nat(6, 2) == 15
 
     def test_printed_third_variant_is_wrong_here(self):
-        assert h_closed_3_value(6, 2, 2, 1, "printed") == 17
-        assert h_closed_3_value(6, 2, 2, 1, "corrected") == 11
+        # the third Omega expansion at lam = n + p*m = 8, mu = -p = -1 is
+        # the third line formula at (6, 2, 2, 1)
+        query = OmegaQuery((8, 0), -1, 2)
+        assert omega_closed_3(query, "printed") == 17
+        assert omega_closed_3(query, "corrected") == 11 == h_closed_3(6, 2, 2, 1)
 
     def test_third_value_is_an_int_exactly_when_whole(self):
         # at the audit's points of the default grid every corrected value is
-        # an int, and the printed one is an int at 360 points (356 of them
-        # wrong) and a Fraction that is not whole at the other 132
+        # an int, and the printed pair divides at 360 points (356 of them
+        # wrong) and leaves a remainder at the other 132
         g = DEFAULT_GRID
         points = [
             (n, k, m, p)
@@ -257,27 +259,23 @@ class TestHClosedForms:
             if line_in_range(n, k, m, p)
         ]
         whole = 0
-        for point in points:
-            assert type(h_closed_3_value(*point)) is int, point
-            printed = h_closed_3_value(*point, "printed")
-            if type(printed) is int:
-                whole += 1
-            else:
-                assert type(printed) is Fraction and printed.denominator > 1, point
+        for n, k, m, p in points:
+            assert type(h_closed_3(n, k, m, p)) is int, (n, k, m, p)
+            total, denom = _omega_3(1, n + m * p, -p, m, k, "printed")
+            whole += total % denom == 0
         assert (len(points), whole) == (492, 360)
 
     def test_third_value_is_the_omega_core_at_d_1(self):
-        # in and out of the line range, both variants: the same number, an
-        # int exactly when the core's pair divides
+        # in the line range: the corrected pair's exact quotient
         rng = random.Random(33)
         for _ in range(400):
             n, k = rng.randint(0, 300), rng.randint(1, 12)
             m, p = rng.randint(1, 6), rng.randint(1, 4)
-            for variant in ("printed", "corrected"):
-                value = h_closed_3_value(n, k, m, p, variant)
-                expected = Fraction(*_omega_3(1, n + m * p, -p, m, k, variant))
-                assert value == expected, (n, k, m, p, variant)
-                assert (type(value) is int) == (expected.denominator == 1)
+            if not line_in_range(n, k, m, p):
+                continue
+            total, denom = _omega_3(1, n + m * p, -p, m, k, "corrected")
+            assert total % denom == 0, (n, k, m, p)
+            assert h_closed_3(n, k, m, p) == total // denom, (n, k, m, p)
 
     def test_agree_with_composition_on_range(self):
         for m, p in product(range(1, 4), range(1, 3)):
@@ -308,7 +306,7 @@ class TestHClosedForms:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant 'fixed'"):
-            h_closed_3_value(6, 2, 2, 1, "fixed")
+            omega_closed_3(OmegaQuery((8, 0), -1, 2), "fixed")
 
 
 class TestGClosed:
@@ -534,6 +532,7 @@ class TestRoutesAgreeWithTheOracleAtScale:
             for method, name in ROUTES[topology].items():
                 if method in ("composition", "recurrence") or in_range(n, k, m, p):
                     value = getattr(counting, name)(n, k, m, p)
+                    assert type(value) is int, (method, n, k, m, p)
                     assert value == row[k], (method, n, k, m, p)
 
 
